@@ -147,19 +147,20 @@ class AddressMapping:
         """Decode a physical address into its memory-system coordinates."""
         if paddr < 0:
             raise AddressError(f"negative physical address {paddr}")
-        sm = self._decode_sm
-        cluster = (paddr >> sm[0]) & sm[1]
+        ct_s, ct_m, lc_s, lc_m, vl_s, vl_m, bk_s, bk_m, rw_s, rw_m = self._decode_sm
+        cluster = (paddr >> ct_s) & ct_m
         if cluster >= self.num_clusters:
             raise AddressError(
                 f"address 0x{paddr:x} decodes to cluster {cluster} "
                 f">= {self.num_clusters}"
             )
+        # Positional: decode runs once per memory request.
         return DecodedAddress(
-            cluster=cluster,
-            local_hmc=(paddr >> sm[2]) & sm[3],
-            vault=(paddr >> sm[4]) & sm[5],
-            bank=(paddr >> sm[6]) & sm[7],
-            row=(paddr >> sm[8]) & sm[9],
+            cluster,
+            (paddr >> lc_s) & lc_m,
+            (paddr >> vl_s) & vl_m,
+            (paddr >> bk_s) & bk_m,
+            (paddr >> rw_s) & rw_m,
         )
 
     def compose(

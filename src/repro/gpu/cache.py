@@ -38,47 +38,58 @@ class Cache:
         self.cfg = cfg
         self.name = name
         self.num_sets = cfg.num_sets
+        # Per-instance copies of the geometry every probe needs.
+        self._line_bytes = cfg.line_bytes
+        self._ways = cfg.ways
         # One ordered dict per set: tag -> True, LRU at the front.
         self._sets: Dict[int, "collections.OrderedDict[int, bool]"] = {}
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
-    def _index(self, paddr: int) -> tuple:
-        line = paddr // self.cfg.line_bytes
-        return line % self.num_sets, line // self.num_sets
-
+    # Each probe splits the address inline (line = paddr // line_bytes;
+    # set = line % num_sets; tag = line // num_sets): lookup and fill run
+    # up to twice per cache level per memory access.
     def lookup(self, paddr: int, update_lru: bool = True, count: bool = True) -> bool:
         """Probe the cache; returns True on hit."""
-        set_idx, tag = self._index(paddr)
-        entries = self._sets.get(set_idx)
-        hit = entries is not None and tag in entries
-        if hit and update_lru:
-            entries.move_to_end(tag)
+        line = paddr // self._line_bytes
+        num_sets = self.num_sets
+        entries = self._sets.get(line % num_sets)
+        if entries is not None:
+            tag = line // num_sets
+            if tag in entries:
+                if update_lru:
+                    entries.move_to_end(tag)
+                if count:
+                    self.stats.hits += 1
+                return True
         if count:
-            if hit:
-                self.stats.hits += 1
-            else:
-                self.stats.misses += 1
-        return hit
+            self.stats.misses += 1
+        return False
 
     def fill(self, paddr: int) -> Optional[int]:
         """Insert a line; returns the evicted line's base address, if any."""
-        set_idx, tag = self._index(paddr)
-        entries = self._sets.setdefault(set_idx, collections.OrderedDict())
-        if tag in entries:
+        line = paddr // self._line_bytes
+        num_sets = self.num_sets
+        set_idx = line % num_sets
+        tag = line // num_sets
+        entries = self._sets.get(set_idx)
+        if entries is None:
+            entries = self._sets[set_idx] = collections.OrderedDict()
+        elif tag in entries:
             entries.move_to_end(tag)
             return None
         evicted = None
-        if len(entries) >= self.cfg.ways:
+        if len(entries) >= self._ways:
             victim_tag, _ = entries.popitem(last=False)
-            evicted = (victim_tag * self.num_sets + set_idx) * self.cfg.line_bytes
+            evicted = (victim_tag * num_sets + set_idx) * self._line_bytes
         entries[tag] = True
         return evicted
 
     def evict(self, paddr: int) -> bool:
         """Remove a line if present (atomics, Section III-D)."""
-        set_idx, tag = self._index(paddr)
-        entries = self._sets.get(set_idx)
+        line = paddr // self._line_bytes
+        entries = self._sets.get(line % self.num_sets)
+        tag = line // self.num_sets
         if entries is not None and tag in entries:
             del entries[tag]
             return True

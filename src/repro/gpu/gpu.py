@@ -32,6 +32,12 @@ from .sm import SM
 
 MemoryPort = Callable[[MemoryAccess, Callable[[], None]], None]
 
+# Module-level aliases: the memory pipeline compares against these once or
+# twice per access, and a global load is cheaper than an enum attribute.
+_READ = AccessType.READ
+_WRITE = AccessType.WRITE
+_ATOMIC = AccessType.ATOMIC
+
 
 @dataclass
 class GPUStats:
@@ -82,6 +88,10 @@ class GPU:
         self.sms: List[SM] = [SM(sim, self, s, self.cfg) for s in range(self.cfg.num_sms)]
         self.l2 = Cache(self.cfg.l2, name=f"{self.name}.l2")
         self.stats = GPUStats()
+        # Per-instance copies of the latencies on every access's path.
+        self._line_bytes = self.cfg.l1.line_bytes
+        self._l1_hit_ps = self.cfg.l1.hit_latency_ps
+        self._l1_l2_ps = self.cfg.l1.hit_latency_ps + self.cfg.l2.hit_latency_ps
 
         # Wired by the system builder.
         self.memory_port: Optional[MemoryPort] = None
@@ -205,9 +215,11 @@ class GPU:
         on_done: Callable[[], None],
         token: Optional["_KernelContext"] = None,
     ) -> None:
-        if access.size > self.cfg.l1.line_bytes:
+        line_bytes = self._line_bytes
+        size = access.size
+        if size > line_bytes:
             raise SimulationError(
-                f"access of {access.size}B exceeds the {self.cfg.l1.line_bytes}B "
+                f"access of {size}B exceeds the {line_bytes}B "
                 "line; workloads must emit line-sized coalesced accesses"
             )
         if token is not None:
@@ -215,13 +227,14 @@ class GPU:
 
         done = partial(self._access_done, on_done, token)
         paddr = self.translate(access.vaddr)
-        line = paddr - paddr % self.cfg.l1.line_bytes
-        if access.type is AccessType.READ:
+        line = paddr - paddr % line_bytes
+        kind = access.type
+        if kind is _READ:
             self._read(sm, line, done)
-        elif access.type is AccessType.WRITE:
-            self._write(sm, paddr, line, access.size, done)
+        elif kind is _WRITE:
+            self._write(sm, paddr, line, size, done)
         else:
-            self._atomic(sm, paddr, line, access.size, done)
+            self._atomic(sm, paddr, line, size, done)
 
     def _access_done(
         self, on_done: Callable[[], None], token: Optional["_KernelContext"]
@@ -236,13 +249,11 @@ class GPU:
     def _read(self, sm: SM, line: int, done: Callable[[], None]) -> None:
         self.stats.reads += 1
         if sm.l1.lookup(line):
-            self.sim.after(self.cfg.l1.hit_latency_ps, done)
+            self.sim.after(self._l1_hit_ps, done)
             return
         if self.l2.lookup(line):
             sm.l1.fill(line)
-            self.sim.after(
-                self.cfg.l1.hit_latency_ps + self.cfg.l2.hit_latency_ps, done
-            )
+            self.sim.after(self._l1_l2_ps, done)
             return
         waiters = self._mshr_table.get(line)
         if waiters is not None:
@@ -256,10 +267,10 @@ class GPU:
             waiters.append((sm, done))
             return
         self._mshr_table[line] = [(sm, done)]
-        request = self._make_request(line, self.cfg.l1.line_bytes, AccessType.READ)
-        lookup_ps = self.cfg.l1.hit_latency_ps + self.cfg.l2.hit_latency_ps
+        request = self._make_request(line, self._line_bytes, _READ)
         self.sim.after(
-            lookup_ps, partial(self._send, request, partial(self._fill_line, line))
+            self._l1_l2_ps,
+            partial(self._send, request, partial(self._fill_line, line)),
         )
 
     def _fill_line(self, line: int) -> None:
@@ -277,7 +288,7 @@ class GPU:
         # Write-through: update on hit, never allocate on miss.
         sm.l1.lookup(line)
         self.l2.lookup(line, count=False)
-        request = self._make_request(paddr, size, AccessType.WRITE)
+        request = self._make_request(paddr, size, _WRITE)
         self._send(request, done)
 
     # -- atomics ---------------------------------------------------------
@@ -287,15 +298,13 @@ class GPU:
         self.stats.atomics += 1
         sm.l1.evict(line)
         self.l2.evict(line)
-        request = self._make_request(paddr, size, AccessType.ATOMIC)
+        request = self._make_request(paddr, size, _ATOMIC)
         self._send(request, done)
 
     # -- plumbing ---------------------------------------------------------
     def _make_request(self, paddr: int, size: int, kind: AccessType) -> MemoryAccess:
         decoded = self.decode(paddr) if self.decode is not None else None
-        return MemoryAccess(
-            paddr=paddr, size=size, type=kind, requester=self.name, decoded=decoded
-        )
+        return MemoryAccess(paddr, size, kind, self.name, None, decoded)
 
     def _send(self, request: MemoryAccess, on_done: Callable[[], None]) -> None:
         self.stats.memory_requests += 1

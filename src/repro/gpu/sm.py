@@ -20,13 +20,15 @@ from functools import partial
 from typing import TYPE_CHECKING, Deque, Optional, Sequence
 
 from ..config import GPUConfig
-from ..core.kernel import Access, Phase
+from ..core.kernel import Phase
 from ..errors import SimulationError
 from ..mem import AccessType
 from .cache import Cache
 
 if TYPE_CHECKING:  # pragma: no cover
     from .gpu import GPU
+
+_WRITE = AccessType.WRITE
 
 
 @dataclass
@@ -72,6 +74,7 @@ class SM:
         #: Horizon of the SM's shared execution resources.
         self._compute_free = 0
         self._outstanding = 0
+        self._mshrs = cfg.mshrs_per_sm
         self._issue_queue: Deque[tuple] = collections.deque()
 
     # ------------------------------------------------------------------
@@ -100,14 +103,17 @@ class SM:
             self._finish_cta(ctx)
             return
         phase = ctx.phases[ctx.phase_idx]
-        blocking = [a for a in phase.accesses if a.type is not AccessType.WRITE]
-        writes = [a for a in phase.accesses if a.type is AccessType.WRITE]
+        blocking = [a for a in phase.accesses if a.type is not _WRITE]
+        token = ctx.token
         ctx.waiting = len(blocking)
         ctx.pending = True
-        for access in writes:
-            self._enqueue_access(access, None, ctx.token)
+        # Writes first (fire-and-forget), then the blocking accesses.
+        queue = self._issue_queue
+        for access in phase.accesses:
+            if access.type is _WRITE:
+                queue.append((access, None, token))
         for access in blocking:
-            self._enqueue_access(access, ctx, ctx.token)
+            queue.append((access, ctx, token))
         ctx.pending = False
         self.stats.accesses_issued += len(phase.accesses)
         if ctx.waiting == 0:
@@ -154,21 +160,15 @@ class SM:
     # ------------------------------------------------------------------
     # Memory issue, throttled by MSHRs
     # ------------------------------------------------------------------
-    def _enqueue_access(
-        self, access: Access, ctx: Optional[_CTAContext], token
-    ) -> None:
-        self._issue_queue.append((access, ctx, token))
-
     def _pump_issue_queue(self) -> None:
-        while self._issue_queue and self._outstanding < self.cfg.mshrs_per_sm:
-            access, ctx, token = self._issue_queue.popleft()
-            self._issue(access, ctx, token)
-
-    def _issue(self, access: Access, ctx: Optional[_CTAContext], token) -> None:
-        self._outstanding += 1
-        self.gpu.access_memory(
-            self, access, partial(self._access_done, ctx), token=token
-        )
+        """Issue queued accesses while MSHRs are free."""
+        queue = self._issue_queue
+        mshrs = self._mshrs
+        access_memory = self.gpu.access_memory
+        while queue and self._outstanding < mshrs:
+            access, ctx, token = queue.popleft()
+            self._outstanding += 1
+            access_memory(self, access, partial(self._access_done, ctx), token)
 
     def _access_done(self, ctx: Optional[_CTAContext]) -> None:
         self._outstanding -= 1

@@ -23,6 +23,9 @@ from .vault import Vault
 
 CompletionCallback = Callable[[MemoryAccess], None]
 
+_READ = AccessType.READ
+_WRITE = AccessType.WRITE
+
 
 @dataclass
 class HMCStats:
@@ -66,14 +69,16 @@ class HMC:
                 f"{self.name}: vault {vault_id} out of range "
                 f"[0, {self.cfg.num_vaults})"
             )
-        if access.type is AccessType.READ:
-            self.stats.reads += 1
-            self.stats.bytes_read += access.size
-        elif access.type is AccessType.WRITE:
-            self.stats.writes += 1
-            self.stats.bytes_written += access.size
+        stats = self.stats
+        kind = access.type
+        if kind is _READ:
+            stats.reads += 1
+            stats.bytes_read += access.size
+        elif kind is _WRITE:
+            stats.writes += 1
+            stats.bytes_written += access.size
         else:
-            self.stats.atomics += 1
+            stats.atomics += 1
         self.vaults[vault_id].enqueue(access, on_done)
 
     # ------------------------------------------------------------------

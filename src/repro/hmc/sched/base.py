@@ -29,8 +29,7 @@ The contract mirrors how the built-in FR-FCFS loop always worked:
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass
+import functools
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ...mem import MemoryAccess
@@ -44,28 +43,44 @@ CompletionCallback = Callable[[MemoryAccess], None]
 #: bank id -> (ready_now, open_row), the vault's per-kick snapshot.
 BankState = Dict[int, Tuple[bool, Optional[int]]]
 
-_DATACLASS_OPTS = {"slots": True} if sys.version_info >= (3, 10) else {}
-
-
-@dataclass(**_DATACLASS_OPTS)
 class QueuedRequest:
-    access: MemoryAccess
-    on_done: CompletionCallback
-    arrived_ps: int
-    #: Admission order within the vault.  The queue preserves admission
-    #: order, so sorting by ``seq`` is identical to sorting by queue index
-    #: — which lets the bucketed fast path reproduce the flat scan's
-    #: FR-FCFS tie-break exactly.
-    seq: int = 0
+    """One request admitted to a vault (a ``__slots__`` record: one is
+    built per vault service)."""
+
+    __slots__ = ("access", "on_done", "arrived_ps", "seq")
+
+    def __init__(
+        self,
+        access: MemoryAccess,
+        on_done: CompletionCallback,
+        arrived_ps: int,
+        seq: int = 0,
+    ) -> None:
+        self.access = access
+        self.on_done = on_done
+        self.arrived_ps = arrived_ps
+        #: Admission order within the vault.  The queue preserves
+        #: admission order, so sorting by ``seq`` is identical to sorting
+        #: by queue index — which lets the bucketed fast path reproduce
+        #: the flat scan's FR-FCFS tie-break exactly.
+        self.seq = seq
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"QueuedRequest({self.access!r}, arrived_ps={self.arrived_ps}, "
+            f"seq={self.seq})"
+        )
 
 
+@functools.lru_cache(maxsize=256)
 def requester_class(requester: str) -> str:
     """Coarse QoS class of a requester id: "cpu", "gpu", or "other".
 
     The CPU host stamps ``"cpu"``, GPUs stamp ``"gpu0"``/``"gpu1"``/...;
     anything else (including an unstamped empty string) is "other" so a
     misbehaving traffic source degrades to best-effort instead of
-    crashing a policy.
+    crashing a policy.  Memoized: every vault service classifies its
+    requester, and a system has only a handful of distinct ids.
     """
     if requester.startswith("cpu") or requester == "host":
         return "cpu"

@@ -10,7 +10,9 @@ equivalent implementations, selected by ``HMCConfig.frfcfs_fast_scan``:
 Both produce identical schedules; the identity tests in ``tests/exec``
 hold that bar against committed reference rows.  The two code paths are
 verbatim moves of the original ``Vault._try_issue`` /
-``Vault._try_issue_fast`` loops.
+``Vault._try_issue_fast`` loops.  The variant is bound once at
+construction (``admit``/``pick``/``horizon`` become the chosen path's
+methods), so the per-issue calls do not branch on it.
 """
 
 from __future__ import annotations
@@ -31,35 +33,37 @@ class FRFCFSScheduler(VaultScheduler):
 
     def __init__(self, cfg: "HMCConfig") -> None:
         super().__init__(cfg)
-        self._fast = cfg.frfcfs_fast_scan
         self.queue: List[QueuedRequest] = []
         #: Fast path: requests bucketed per bank, each bucket in admission
-        #: order; ``_queue_len`` tracks admitted entries across buckets.
+        #: order.
         self._buckets: Dict[int, List[QueuedRequest]] = {}
+        #: Admitted entries (across buckets on the fast path).
         self._queue_len = 0
+        if cfg.frfcfs_fast_scan:
+            self.admit = self._admit_fast
+            self.pick = self._pick_fast
+            self.horizon = self._horizon_fast
+        else:
+            self.admit = self._admit_flat
+            self.pick = self._pick_flat
+            self.horizon = self._horizon_flat
 
     def __len__(self) -> int:
-        return self._queue_len if self._fast else len(self.queue)
+        return self._queue_len
 
-    def admit(self, req: QueuedRequest) -> None:
-        if self._fast:
-            bank = req.access.decoded.bank
-            bucket = self._buckets.get(bank)
-            if bucket is None:
-                bucket = self._buckets[bank] = []
-            bucket.append(req)
-            self._queue_len += 1
-        else:
-            self.queue.append(req)
+    def _admit_flat(self, req: QueuedRequest) -> None:
+        self.queue.append(req)
+        self._queue_len += 1
+
+    def _admit_fast(self, req: QueuedRequest) -> None:
+        bank = req.access.decoded.bank
+        bucket = self._buckets.get(bank)
+        if bucket is None:
+            bucket = self._buckets[bank] = []
+        bucket.append(req)
+        self._queue_len += 1
 
     # ------------------------------------------------------------------
-    def pick(
-        self, bank_state: BankState, now: int, banks: List["Bank"]
-    ) -> Optional[QueuedRequest]:
-        if self._fast:
-            return self._pick_fast(bank_state, now, banks)
-        return self._pick_flat(bank_state, now, banks)
-
     def _pick_flat(
         self, bank_state: BankState, now: int, banks: List["Bank"]
     ) -> Optional[QueuedRequest]:
@@ -82,6 +86,7 @@ class FRFCFSScheduler(VaultScheduler):
         if best_idx is None:
             return None
         req = self.queue.pop(best_idx)
+        self._queue_len -= 1
         bank_state.pop(req.access.decoded.bank, None)
         return req
 
@@ -132,14 +137,15 @@ class FRFCFSScheduler(VaultScheduler):
         return best_req
 
     # ------------------------------------------------------------------
-    def horizon(self, now: int, banks: List["Bank"]) -> int:
-        if self._fast:
-            return min(
-                banks[bank_id].ready_at
-                for bank_id, bucket in self._buckets.items()
-                if bucket
-            )
+    def _horizon_flat(self, now: int, banks: List["Bank"]) -> int:
         return min(
             banks[req.access.decoded.bank].earliest_issue(now)
             for req in self.queue
+        )
+
+    def _horizon_fast(self, now: int, banks: List["Bank"]) -> int:
+        return min(
+            banks[bank_id].ready_at
+            for bank_id, bucket in self._buckets.items()
+            if bucket
         )

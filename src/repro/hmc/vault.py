@@ -27,6 +27,8 @@ from .sched.base import CompletionCallback, QueuedRequest, requester_class
 #: Extra latency charged for the logic-layer ALU of an atomic operation.
 ATOMIC_ALU_PS = 2_500
 
+_ATOMIC = AccessType.ATOMIC
+
 
 @dataclass
 class VaultStats:
@@ -67,6 +69,9 @@ class Vault:
         self.stats = VaultStats()
         self._kick_at: Optional[int] = None
         self._next_seq = 0
+        # Per-instance copies of the config read on every service.
+        self._queue_entries = cfg.vault_queue_entries
+        self._bus_bytes = cfg.vault_bus_bytes_per_cycle
 
     @property
     def banks(self) -> List[Bank]:
@@ -79,21 +84,26 @@ class Vault:
         """Accept a request; it is queued (or buffered on overflow)."""
         if access.decoded is None:
             raise SimulationError("memory access reached a vault without decode")
-        req = QueuedRequest(access, on_done, self.sim.now, self._next_seq)
+        now = self.sim.now
+        req = QueuedRequest(access, on_done, now, self._next_seq)
         self._next_seq += 1
-        if len(self.sched) < self.cfg.vault_queue_entries:
-            self.sched.admit(req)
+        sched = self.sched
+        if len(sched) < self._queue_entries:
+            sched.admit(req)
         else:
             self.overflow.append(req)
             self.stats.overflow_peak = max(self.stats.overflow_peak, len(self.overflow))
-        self._schedule_kick(self.sim.now)
+        self._schedule_kick(now)
 
     # ------------------------------------------------------------------
     # Issue loop (policy-agnostic; selection lives in self.sched)
     # ------------------------------------------------------------------
     def _schedule_kick(self, when_ps: int) -> None:
-        when_ps = max(when_ps, self.sim.now)
-        if self._kick_at is not None and self._kick_at <= when_ps:
+        now = self.sim.now
+        if when_ps < now:
+            when_ps = now
+        kick_at = self._kick_at
+        if kick_at is not None and kick_at <= when_ps:
             return
         self._kick_at = when_ps
         self.sim.at(when_ps, self._kick)
@@ -109,35 +119,40 @@ class Vault:
         # scheduler drops the issued bank's entry on every pick).
         bank_state: Dict[int, Tuple[bool, Optional[int]]] = {}
         sched = self.sched
+        pick = sched.pick
+        now = self.sim.now
+        banks = self.banks
         while len(sched):
-            req = sched.pick(bank_state, self.sim.now, self.banks)
+            req = pick(bank_state, now, banks)
             if req is None:
                 break
-            self._service(req)
+            self._service(req, banks)
         self._drain_overflow()
         if len(sched):
-            horizon = sched.horizon(self.sim.now, self.banks)
-            self._schedule_kick(max(horizon, self.sim.now + 1))
+            horizon = sched.horizon(now, banks)
+            self._schedule_kick(max(horizon, now + 1))
 
     def _drain_overflow(self) -> None:
-        while self.overflow and len(self.sched) < self.cfg.vault_queue_entries:
-            self.sched.admit(self.overflow.popleft())
+        overflow = self.overflow
+        sched = self.sched
+        while overflow and len(sched) < self._queue_entries:
+            sched.admit(overflow.popleft())
 
-    def _service(self, req: QueuedRequest) -> None:
+    def _service(self, req: QueuedRequest, banks: List[Bank]) -> None:
         access = req.access
         decoded = access.decoded
         now = self.sim.now
         timing = self.cfg.timing
-        bank = self.banks[decoded.bank]
+        bank = banks[decoded.bank]
         was_hit = bank.open_row == decoded.row
         data_done = bank.access(decoded.row, access.type, now, timing)
         self.sched.on_issue(req, was_hit)
         stats = self.stats
-        if access.type is AccessType.ATOMIC:
+        if access.type is _ATOMIC:
             data_done += ATOMIC_ALU_PS
             stats.atomics += 1
 
-        transfer_cycles = -(-access.size // self.cfg.vault_bus_bytes_per_cycle)
+        transfer_cycles = -(-access.size // self._bus_bytes)
         if transfer_cycles < 1:
             transfer_cycles = 1
         transfer_ps = transfer_cycles * timing.tCK_ps
@@ -153,26 +168,27 @@ class Vault:
         stats.total_queue_wait_ps += wait_ps
         stats.total_service_ps += done - now
         cls = requester_class(access.requester)
-        stats.class_served[cls] = stats.class_served.get(cls, 0) + 1
-        stats.class_queue_wait_ps[cls] = (
-            stats.class_queue_wait_ps.get(cls, 0) + wait_ps
-        )
+        class_served = stats.class_served
+        class_served[cls] = class_served.get(cls, 0) + 1
+        class_wait = stats.class_queue_wait_ps
+        class_wait[cls] = class_wait.get(cls, 0) + wait_ps
 
-        tracer = self.sim.tracer
+        sim = self.sim
+        tracer = sim.tracer
         if tracer is not None:
             tracer.complete(
                 "vault",
                 access.type.name.lower(),
-                self.sim.now,
-                done - self.sim.now,
+                now,
+                done - now,
                 tid=self.name,
                 args={"bank": decoded.bank, "row_hit": was_hit},
             )
 
-        self.sim.at(done, partial(req.on_done, access))
+        sim.at(done, partial(req.on_done, access))
         # A completion frees a queue entry; give the overflow a chance.
         if self.overflow:
-            self._schedule_kick(self.sim.now)
+            self._schedule_kick(now)
 
     # ------------------------------------------------------------------
     @property

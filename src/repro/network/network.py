@@ -99,37 +99,45 @@ class MemoryNetwork:
     def send(self, packet: Packet) -> None:
         """Inject a packet; ``packet.src`` must be a terminal name or router."""
         packet.injected_at_ps = self.sim.now
-        self.stats.injected += 1
-        if isinstance(packet.dst, int):
-            self.stats.traffic_bytes[(str(packet.src), packet.dst)] += packet.size_bytes
-        if isinstance(packet.src, str):
+        stats = self.stats
+        stats.injected += 1
+        src = packet.src
+        dst = packet.dst
+        if isinstance(dst, int):
+            stats.traffic_bytes[(str(src), dst)] += packet.size_bytes
+        if isinstance(src, str):
             self._inject_from_terminal(packet)
         else:
-            self._route_step(packet, int(packet.src))
+            self._at_router(packet, int(src))
 
     # ------------------------------------------------------------------
     # Injection
     # ------------------------------------------------------------------
     def _inject_from_terminal(self, packet: Packet) -> None:
         terminal = str(packet.src)
-        dst_router = self._destination_router_estimate(packet)
-        chain_plan = self._passthrough_injection_plan(packet, terminal, dst_router)
-        if chain_plan is not None:
-            att_router, channels = chain_plan
-            att = self._attachment_at(terminal, att_router)
-            arrive = att.inject.transmit(
-                packet.size_bytes, self.sim.now + self._serdes_ps
-            )
-            packet.hops += 1
-            self.sim.at(arrive, partial(self._ride_chain, packet, channels, 0, att_router))
-            return
-
-        att = self.routing.select_injection(self.topo, packet, dst_router, self.sim.now)
-        arrive = att.inject.transmit(
-            packet.size_bytes, self.sim.now + self._serdes_ps
+        dst = packet.dst
+        dst_router = (
+            dst if isinstance(dst, int) else self._destination_router_estimate(packet)
         )
+        sim = self.sim
+        if packet.pass_through:
+            chain_plan = self._passthrough_injection_plan(packet, terminal, dst_router)
+            if chain_plan is not None:
+                att_router, channels = chain_plan
+                att = self._attachment_at(terminal, att_router)
+                arrive = att.inject.transmit(
+                    packet.size_bytes, sim.now + self._serdes_ps
+                )
+                packet.hops += 1
+                sim.at(
+                    arrive, partial(self._ride_chain, packet, channels, 0, att_router)
+                )
+                return
+
+        att = self.routing.select_injection(self.topo, packet, dst_router, sim.now)
+        arrive = att.inject.transmit(packet.size_bytes, sim.now + self._serdes_ps)
         packet.hops += 1
-        self.sim.at(arrive, partial(self._at_router, packet, att.router))
+        sim.at(arrive, partial(self._at_router, packet, att.router))
 
     def _destination_router_estimate(self, packet: Packet) -> int:
         """The router the packet must reach (exact for router destinations,
@@ -174,14 +182,12 @@ class MemoryNetwork:
     def _passthrough_injection_plan(
         self, packet: Packet, terminal: str, dst_router: int
     ) -> Optional[Tuple[int, List[Channel]]]:
-        """If the packet should ride an overlay chain, return its entry
-        router and the chain channels to traverse; else None.
+        """If a pass-through packet should ride an overlay chain, return
+        its entry router and the chain channels to traverse; else None.
 
         Following Section V-C, the chain is preferred at low load but a
         congested chain yields to the normal adaptive route.
         """
-        if not packet.pass_through:
-            return None
         chains = self.topo.passthrough_chains.get(terminal)
         if not chains:
             return None
@@ -228,9 +234,7 @@ class MemoryNetwork:
         self, packet: Packet, router: int
     ) -> Optional[List[Channel]]:
         """Chain channels from ``router`` back to the chain head for a
-        response heading to the pass-through terminal."""
-        if not packet.pass_through or not isinstance(packet.dst, str):
-            return None
+        pass-through packet heading to a terminal."""
         chains = self.topo.passthrough_chains.get(str(packet.dst))
         if not chains:
             return None
@@ -244,35 +248,34 @@ class MemoryNetwork:
     # ------------------------------------------------------------------
     # Hop processing
     # ------------------------------------------------------------------
-    def _route_step(self, packet: Packet, router: int) -> None:
-        """Process a packet that is at ``router`` and must move on."""
-        self._at_router(packet, router, entering=True)
-
-    def _at_router(
-        self, packet: Packet, router: int, via_chain: bool = False, entering: bool = False
-    ) -> None:
-        if isinstance(packet.dst, int):
-            if router == packet.dst:
+    def _at_router(self, packet: Packet, router: int, via_chain: bool = False) -> None:
+        """Process a packet that is at ``router``: deliver, eject, or move on."""
+        dst = packet.dst
+        if isinstance(dst, int):
+            if router == dst:
                 self._deliver_to_router(packet, router)
                 return
+            dst_router = dst
         else:
-            chain_back = None if via_chain else self._passthrough_return_plan(packet, router)
-            if chain_back is not None:
-                head = self.topo.passthrough_chains[str(packet.dst)][
-                    self.topo.slice_of[router]
-                ].routers[0]
-                self._ride_chain(packet, chain_back, 0, head)
-                return
-            if packet.eject_router is None:
-                packet.eject_router = self.routing.select_ejection(
+            if packet.pass_through and not via_chain:
+                chain_back = self._passthrough_return_plan(packet, router)
+                if chain_back is not None:
+                    head = self.topo.passthrough_chains[str(dst)][
+                        self.topo.slice_of[router]
+                    ].routers[0]
+                    self._ride_chain(packet, chain_back, 0, head)
+                    return
+            dst_router = packet.eject_router
+            if dst_router is None:
+                dst_router = packet.eject_router = self.routing.select_ejection(
                     self.topo, packet, router, self.sim.now
                 ).router
-            if router == packet.eject_router:
-                self._eject(packet, self._attachment_at(str(packet.dst), router))
+            if router == dst_router:
+                self._eject(packet, self._attachment_at(str(dst), router))
                 return
-        dst_router = packet.dst if isinstance(packet.dst, int) else packet.eject_router
-        nbr, ch = self.routing.next_hop(self.topo, packet, router, dst_router, self.sim.now)
-        arrive = ch.transmit(packet.size_bytes, self.sim.now + self._hop_latency_ps)
+        now = self.sim.now
+        nbr, ch = self.routing.next_hop(self.topo, packet, router, dst_router, now)
+        arrive = ch.transmit(packet.size_bytes, now + self._hop_latency_ps)
         packet.hops += 1
         self.sim.at(arrive, partial(self._at_router, packet, nbr))
 
@@ -294,9 +297,10 @@ class MemoryNetwork:
         self.sim.at(arrive, partial(self._finish, packet, handler))
 
     def _finish(self, packet: Packet, handler: PacketHandler) -> None:
-        self.stats.delivered += 1
-        self.stats.total_latency_ps += self.sim.now - packet.injected_at_ps
-        self.stats.total_hops += packet.hops
+        stats = self.stats
+        stats.delivered += 1
+        stats.total_latency_ps += self.sim.now - packet.injected_at_ps
+        stats.total_hops += packet.hops
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.complete(

@@ -9,13 +9,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-import sys
-from dataclasses import dataclass, field
 from typing import Any, Optional
-
-#: ``slots=True`` shrinks per-packet memory and speeds up attribute access
-#: on the flit-network hot path; it needs Python 3.10+.
-_DATACLASS_OPTS = {"slots": True} if sys.version_info >= (3, 10) else {}
 
 
 class MessageClass(enum.IntEnum):
@@ -65,28 +59,45 @@ def reset_packet_ids() -> None:
     _packet_ids = itertools.count()
 
 
-@dataclass(**_DATACLASS_OPTS)
 class Packet:
     """One message traversing the memory network.
 
     ``src`` / ``dst`` are endpoint names: a terminal name (``"gpu0"``,
     ``"cpu"``) or a router index (int) for HMC destinations.
+
+    A plain ``__slots__`` record (a request and a response are built per
+    networked memory access); ``pid`` is drawn from the per-run sequence
+    in ``__init__``.
     """
 
-    kind: PacketKind
-    src: Any
-    dst: Any
-    size_bytes: int
-    payload: Any = None
-    #: Overlay pass-through flag (CPU packets on the UMN overlay).
-    pass_through: bool = False
-    pid: int = field(default_factory=lambda: next(_packet_ids))
-    #: Filled in by the network: injection time and hop count, for stats.
-    injected_at_ps: int = -1
-    hops: int = 0
-    #: For terminal destinations: the ejection router chosen when routing
-    #: began (fixed so per-hop decisions cannot oscillate between exits).
-    eject_router: Optional[int] = None
+    __slots__ = (
+        "kind", "src", "dst", "size_bytes", "payload", "pass_through", "pid",
+        "injected_at_ps", "hops", "eject_router",
+    )
+
+    def __init__(
+        self,
+        kind: PacketKind,
+        src: Any,
+        dst: Any,
+        size_bytes: int,
+        payload: Any = None,
+        pass_through: bool = False,
+    ) -> None:
+        self.kind = kind
+        self.src = src
+        self.dst = dst
+        self.size_bytes = size_bytes
+        self.payload = payload
+        #: Overlay pass-through flag (CPU packets on the UMN overlay).
+        self.pass_through = pass_through
+        self.pid: int = next(_packet_ids)
+        #: Filled in by the network: injection time and hop count, for stats.
+        self.injected_at_ps = -1
+        self.hops = 0
+        #: For terminal destinations: the ejection router chosen when routing
+        #: began (fixed so per-hop decisions cannot oscillate between exits).
+        self.eject_router: Optional[int] = None
 
     @property
     def message_class(self) -> MessageClass:

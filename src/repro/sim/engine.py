@@ -14,7 +14,7 @@ from ..errors import SimulationError
 
 Callback = Callable[[], None]
 
-# at() is the single hottest call site in the simulator; binding heappush
+# at()/after() are the hottest call sites in the simulator; binding heappush
 # at module level skips the heapq attribute chase on every schedule.
 _heappush = heapq.heappush
 
@@ -59,7 +59,13 @@ class Simulator:
         """Schedule ``fn`` to run ``delay_ps`` from now."""
         if delay_ps < 0:
             raise SimulationError(f"negative delay: {delay_ps}")
-        self.at(self.now + delay_ps, fn)
+        # The body of at() inlined (a non-negative delay is never in the
+        # past): after() is the second-hottest scheduling call.
+        queue = self._queue
+        _heappush(queue, (self.now + delay_ps, self._seq, fn))
+        self._seq += 1
+        if len(queue) > self._peak_pending:
+            self._peak_pending = len(queue)
 
     # ------------------------------------------------------------------
     # Execution

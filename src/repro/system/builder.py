@@ -32,7 +32,7 @@ the registry hands it — it contains no per-organization branches.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..config import SystemConfig
@@ -112,14 +112,23 @@ class MultiGPUSystem:
         self.fabric.build()
         self._wire_ports()
 
-        #: Every component's stats behind one queryable tree (repro.obs).
-        self.metrics = MetricRegistry()
-        register_system_metrics(self.metrics, self)
         #: Set by Observability.bind() when periodic sampling is enabled.
         self.sampler: Optional[Sampler] = None
         self.obs = obs if obs is not None else obs_runtime.get_default()
         if self.obs is not None:
             self.obs.bind(self)
+
+    @cached_property
+    def metrics(self) -> MetricRegistry:
+        """Every component's stats behind one queryable tree (repro.obs).
+
+        Built on first access: a system has over a thousand gauges and most
+        runs (every sweep point) never read them.  The gauges read live
+        stats, so building late sees the same values as building early.
+        """
+        registry = MetricRegistry()
+        register_system_metrics(registry, self)
+        return registry
 
     # ------------------------------------------------------------------
     # Page table / placement
@@ -152,9 +161,7 @@ class MultiGPUSystem:
         for gpu in self.gpus:
             # Each client translates with its home cluster as the
             # first-touch hint (a no-op for the other placement policies).
-            gpu.translate = (
-                lambda vaddr, _home=gpu.gpu_id: table.translate(vaddr, hint=_home)
-            )
+            gpu.translate = partial(table.translate, hint=gpu.gpu_id)
         self.cpu.translate = lambda vaddr: table.translate(
             vaddr, hint=self.cpu_cluster
         )

@@ -22,8 +22,6 @@ organization composes the same four mechanisms:
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -32,13 +30,7 @@ from ...hmc.hmc import HMC
 from ...mem import AccessType, DecodedAddress, MemoryAccess
 from ...network.channel import Channel
 from ...network.network import MemoryNetwork
-from ...network.packet import (
-    Packet,
-    PacketKind,
-    request_size_bytes,
-    response_kind,
-    response_size_bytes,
-)
+from ...network.packet import Packet, PacketKind, response_kind
 from ...sim.engine import Simulator
 from ..configs import TransferMode
 
@@ -49,38 +41,44 @@ if TYPE_CHECKING:  # pragma: no cover
 #: a peer GPU, Fig. 9(a)): on-chip crossbar + memory-controller traversal.
 GPU_FORWARD_PS = 150_000  # 150 ns
 
-_DATACLASS_OPTS = {"slots": True} if sys.version_info >= (3, 10) else {}
+_READ = AccessType.READ
+_WRITE = AccessType.WRITE
 
 
 def _packet_kind(access_type: AccessType) -> PacketKind:
     # ``is``-chain rather than an enum-keyed dict: Enum.__hash__ is a
-    # Python-level call and this runs multiple times per memory access.
-    if access_type is AccessType.READ:
+    # Python-level call and this runs once per request packet.
+    if access_type is _READ:
         return PacketKind.READ_REQ
-    if access_type is AccessType.WRITE:
+    if access_type is _WRITE:
         return PacketKind.WRITE_REQ
     return PacketKind.ATOMIC_REQ
 
 
+# Wire sizes (repro.network.packet.request_size_bytes /
+# response_size_bytes) reduced to the one distinction that matters per
+# access type: a read request and a write ack carry no data; every other
+# message carries the access's bytes.
 def _request_bytes(access: MemoryAccess, header: int) -> int:
-    kind = _packet_kind(access.type)
-    data = access.size if kind is not PacketKind.READ_REQ else 0
-    return request_size_bytes(kind, data, header)
+    return header if access.type is _READ else header + access.size
 
 
 def _response_bytes(access: MemoryAccess, header: int) -> int:
-    kind = response_kind(_packet_kind(access.type))
-    data = access.size if kind is not PacketKind.WRITE_ACK else 0
-    return response_size_bytes(kind, data, header)
+    return header if access.type is _WRITE else header + access.size
 
 
-@dataclass(**_DATACLASS_OPTS)
 class NetEnvelope:
     """Payload wrapper for packets crossing the memory network."""
 
-    kind: str  # "req" | "resp" | "fwd_req"
-    access: MemoryAccess
-    reply_to: str = ""
+    __slots__ = ("kind", "access", "reply_to")
+
+    def __init__(self, kind: str, access: MemoryAccess, reply_to: str = "") -> None:
+        self.kind = kind  # "req" | "resp" | "fwd_req"
+        self.access = access
+        self.reply_to = reply_to
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"NetEnvelope({self.kind!r}, {self.access!r}, reply_to={self.reply_to!r})"
 
 
 class DirectLink:
@@ -129,6 +127,8 @@ class Fabric:
 
     def __init__(self, system: "MultiGPUSystem") -> None:
         self.system = system
+        #: Packet header size, read once per request/response message.
+        self._header = system.cfg.network.header_bytes
 
     # -- the organization-specific surface ------------------------------
     def build(self) -> None:
@@ -251,9 +251,6 @@ class Fabric:
         link = self.system._direct_links[(terminal, decoded.cluster, decoded.local_hmc)]
         link.access(access, on_done)
 
-    def _router_of(self, decoded: DecodedAddress) -> int:
-        return decoded.cluster * self.system.hmcs_per_cluster + decoded.local_hmc
-
     def _net_request(
         self,
         terminal: str,
@@ -264,15 +261,17 @@ class Fabric:
     ) -> None:
         system = self.system
         assert system.network is not None
-        dst = self._router_of(access.decoded) if router is None else router
+        if router is None:
+            decoded = access.decoded
+            router = decoded.cluster * system.hmcs_per_cluster + decoded.local_hmc
         system._pending[access.aid] = on_done
         packet = Packet(
-            kind=_packet_kind(access.type),
-            src=terminal,
-            dst=dst,
-            size_bytes=_request_bytes(access, system.cfg.network.header_bytes),
-            payload=NetEnvelope("req", access, reply_to=terminal),
-            pass_through=pass_through,
+            _packet_kind(access.type),
+            terminal,
+            router,
+            _request_bytes(access, self._header),
+            NetEnvelope("req", access, terminal),
+            pass_through,
         )
         system.network.send(packet)
 
@@ -289,11 +288,11 @@ class Fabric:
         assert system.network is not None
         system._pending[access.aid] = on_done
         packet = Packet(
-            kind=_packet_kind(access.type),
-            src=terminal,
-            dst=owner_terminal,
-            size_bytes=_request_bytes(access, system.cfg.network.header_bytes),
-            payload=NetEnvelope("fwd_req", access, reply_to=terminal),
+            _packet_kind(access.type),
+            terminal,
+            owner_terminal,
+            _request_bytes(access, self._header),
+            NetEnvelope("fwd_req", access, terminal),
         )
         system.network.send(packet)
 
@@ -308,7 +307,7 @@ class Fabric:
         request to its local HMC and returns the response over PCIe."""
         system = self.system
         assert system.pcie is not None
-        req_bytes = _request_bytes(access, system.cfg.network.header_bytes)
+        req_bytes = _request_bytes(access, self._header)
         system.pcie.transaction(
             terminal,
             owner_terminal,
@@ -334,7 +333,7 @@ class Fabric:
         owning processor, which forwards to its local HMC (extension)."""
         system = self.system
         assert system.pcn is not None
-        req_bytes = _request_bytes(access, system.cfg.network.header_bytes)
+        req_bytes = _request_bytes(access, self._header)
         system.pcn.transaction(
             terminal,
             owner_terminal,
@@ -379,7 +378,7 @@ class Fabric:
         access: MemoryAccess,
         on_done: Callable[[], None],
     ) -> None:
-        resp_bytes = _response_bytes(access, self.system.cfg.network.header_bytes)
+        resp_bytes = _response_bytes(access, self._header)
         self.system.sim.after(
             GPU_FORWARD_PS,
             partial(fabric.transaction, owner_terminal, terminal, resp_bytes, on_done),
@@ -399,12 +398,12 @@ class Fabric:
         assert system.network is not None
         envelope: NetEnvelope = packet.payload
         response = Packet(
-            kind=response_kind(packet.kind),
-            src=router,
-            dst=envelope.reply_to,
-            size_bytes=_response_bytes(access, system.cfg.network.header_bytes),
-            payload=NetEnvelope("resp", access),
-            pass_through=packet.pass_through,
+            response_kind(packet.kind),
+            router,
+            envelope.reply_to,
+            _response_bytes(access, self._header),
+            NetEnvelope("resp", access),
+            packet.pass_through,
         )
         system.network.send(response)
 
@@ -439,10 +438,10 @@ class Fabric:
         assert system.network is not None
         envelope: NetEnvelope = packet.payload
         response = Packet(
-            kind=response_kind(packet.kind),
-            src=owner,
-            dst=envelope.reply_to,
-            size_bytes=_response_bytes(envelope.access, system.cfg.network.header_bytes),
-            payload=NetEnvelope("resp", envelope.access),
+            response_kind(packet.kind),
+            owner,
+            envelope.reply_to,
+            _response_bytes(envelope.access, self._header),
+            NetEnvelope("resp", envelope.access),
         )
         system.sim.after(GPU_FORWARD_PS, partial(system.network.send, response))

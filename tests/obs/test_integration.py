@@ -13,6 +13,9 @@ from repro import (
     system_report,
 )
 from repro.obs import runtime
+from repro.obs.bind import register_system_metrics
+from repro.obs.registry import MetricRegistry
+from repro.system.builder import MultiGPUSystem
 
 
 class TestSystemMetricsTree:
@@ -24,6 +27,14 @@ class TestSystemMetricsTree:
         assert flat["gpu0.memory_requests"] > 0
         # The registry reads the live stats, not a snapshot.
         assert flat["net.delivered"] == system.network.stats.delivered
+
+    def test_registry_is_built_on_first_access(self):
+        system = MultiGPUSystem(get_spec("UMN"))
+        assert "metrics" not in vars(system)
+        eager = MetricRegistry()
+        register_system_metrics(eager, system)
+        assert system.metrics.names() == eager.names()
+        assert system.metrics is system.metrics
 
     def test_vault_queue_gauges_registered(self):
         _, system = run_workload_detailed(get_spec("UMN"), get_workload("VEC", 0.05))
