@@ -9,6 +9,7 @@ every path here is exercised end to end rather than with mocks.
 from __future__ import annotations
 
 import dataclasses
+from concurrent.futures import Future
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.exec import (
     WorkloadRef,
     execute_job,
 )
+from repro.exec.executor import Dispatcher
 from repro.system.configs import get_spec
 
 from tests.conftest import tiny_system_config
@@ -146,6 +148,7 @@ def test_broken_pool_respawns_and_resubmits(tmp_path, capsys):
     # the resubmitted job succeeded on the retry.
     assert sentinel.exists()
     assert all(o is not None and o.ok for o in outcomes)
+    assert outcomes[1].telemetry.retries == 1
     assert "respawning" in capsys.readouterr().err
 
 
@@ -164,8 +167,11 @@ def test_broken_pool_retries_are_bounded(tmp_path):
 # Completeness assertion
 # ----------------------------------------------------------------------
 def test_lost_outcome_is_loud(monkeypatch):
-    monkeypatch.setattr(
-        SweepExecutor, "_map_serial", lambda self, jobs, pending, outcomes: None
-    )
+    def lose(self, job, run, on_retry=None):
+        future = Future()
+        future.cancel()
+        return future
+
+    monkeypatch.setattr(Dispatcher, "submit", lose)
     with pytest.raises(SweepError, match="lost 2 job"):
         SweepExecutor(jobs=1).map_outcomes([_ok_job("BP"), _ok_job("KMN")])

@@ -179,17 +179,6 @@ def test_finish_failed_outcome_marks_failed():
     assert q.counts()["failed"] == 1
 
 
-def test_requeue_returns_entry_to_queue_with_retry_count():
-    q = JobQueue()
-    q.submit(_job("a"), "k", "c", 0, "r1")
-    entry = q.acquire_next(0)
-    q.requeue(entry)
-    assert entry.state == QUEUED and entry.retries == 1
-    assert q.counts()["running"] == 0
-    again = q.acquire_next(0)
-    assert again is entry
-
-
 def test_finish_frees_key_for_resubmission():
     q = JobQueue()
     q.submit(_job("a"), "k", "c", 0, "r1")

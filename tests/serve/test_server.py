@@ -42,6 +42,23 @@ def _slow_spec(delay_s: float = 0.0, salt: int = 0):
     return job.system.to_dict()
 
 
+def _kill_spec(sentinel=None):
+    """A job whose build kills its worker: once (with a sentinel path)
+    or every time."""
+    kwargs = (("sentinel", str(sentinel)),) if sentinel else ()
+    job = SweepJob.make(
+        get_spec("GMN"),
+        WorkloadRef(
+            "killworker",
+            factory="repro.workloads.diagnostics:make_kill_worker",
+            kwargs=kwargs,
+        ),
+        tiny_system_config(num_gpus=2, num_sms=2),
+        tag="kill",
+    )
+    return job.system.to_dict()
+
+
 def _wait_for(predicate, timeout=10.0, interval=0.02, what="condition"):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -55,7 +72,9 @@ def _wait_for(predicate, timeout=10.0, interval=0.02, what="condition"):
 def make_server(tmp_path):
     servers = []
 
-    def _make(quota: int = 2, jobs: int = 1, drain_s: float = 3.0):
+    def _make(
+        quota: int = 2, jobs: int = 1, drain_s: float = 3.0, pool_retries: int = 2
+    ):
         address = ServeAddress(
             socket_path=str(tmp_path / f"serve{len(servers)}.sock")
         )
@@ -64,6 +83,7 @@ def make_server(tmp_path):
             cache=ResultCache(),
             jobs=jobs,
             quota=quota,
+            pool_retries=pool_retries,
             drain_s=drain_s,
         )
         server.start()
@@ -271,3 +291,29 @@ def test_shutdown_op_stops_cleanly_with_no_orphans(make_server, tmp_path):
         lambda: not multiprocessing.active_children(),
         what="worker processes to exit",
     )
+
+
+def test_pool_death_is_retried_then_completes(make_server, tmp_path):
+    server = make_server()
+    sentinel = tmp_path / "killed-once"
+    events = list(_client(server).submit([_kill_spec(sentinel)], client="alice"))
+    kinds = [e["event"] for e in events]
+    assert sentinel.exists()
+    assert kinds.count("retried") == 1
+    assert kinds.index("retried") < kinds.index("completed")
+    completed = next(e for e in events if e["event"] == "completed")
+    assert completed["retries"] == 1 and completed["source"] == "run"
+    assert kinds[-1] == "end" and events[-1]["completed"] == 1
+    assert len(server.cache.pinned()) == 0
+
+
+def test_pool_death_beyond_retries_fails_the_job(make_server):
+    server = make_server(pool_retries=1)
+    events = list(_client(server).submit([_kill_spec()], client="alice"))
+    kinds = [e["event"] for e in events]
+    assert kinds.count("retried") == 1
+    failed = next(e for e in events if e["event"] == "failed")
+    assert failed["exc_type"] == "BrokenExecutor"
+    assert "worker pool died" in failed["message"]
+    assert kinds[-1] == "end" and events[-1]["failed"] == 1
+    assert len(server.cache.pinned()) == 0
