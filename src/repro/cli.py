@@ -76,7 +76,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
+import os
 import shutil
 import sys
 import tempfile
@@ -87,8 +89,10 @@ from .config import NETWORK_MODELS
 from .errors import ConfigError, SimulationError, SweepError
 from .hmc.sched import SCHEDULERS
 from .exec import (
+    CACHE_DIR_ENV,
     SCHEDULES,
     ResultCache,
+    SweepExecutor,
     auto_jobs,
     cache_max_mb_from_env,
     jobs_from_env,
@@ -97,11 +101,9 @@ from .exec import (
     shutdown_pool,
     write_bench,
 )
-from .exec import runtime as exec_runtime
 from .experiments import EXPERIMENTS
-from .obs import Observability, default_observability, make_progress
+from .obs import Observability, make_progress
 from .obs.telemetry import merge_trace_dir, runlog_path, write_runlog
-from .sim import watchdog
 from .system.configs import available_archs, get_spec
 from .system.report import system_report
 from .system.run import run_workload_detailed
@@ -313,13 +315,14 @@ def _add_robustness_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _install_perf_defaults(args, obs: Optional[Observability] = None):
-    """Install --jobs/--cache/--progress as process-wide sweep defaults.
+def _make_executor(args, obs: Optional[Observability] = None):
+    """The one :class:`SweepExecutor` an invocation runs its sweeps on,
+    built from the flags, ``REPRO_JOBS`` and ``REPRO_CACHE_DIR``.
 
-    Returns ``(obs, trace_dir)``: on a parallel trace-only sweep the
+    Returns ``(executor, trace_dir)``: on a parallel trace-only sweep the
     parent's bundle is replaced by per-worker job traces collected under
     ``trace_dir`` (merged by :func:`_merge_sweep_trace` afterwards), so
-    the returned ``obs`` is what the command should actually install.
+    ``executor.obs`` is the bundle the command should actually finish.
     """
     jobs = getattr(args, "jobs", None)
     if jobs is None:
@@ -345,25 +348,27 @@ def _install_perf_defaults(args, obs: Optional[Observability] = None):
                 file=sys.stderr,
             )
             jobs = 1
-    exec_runtime.set_default_jobs(jobs)
-    exec_runtime.set_default_fidelity(getattr(args, "fidelity", None))
-    exec_runtime.set_default_scheduler(getattr(args, "scheduler", None))
-    exec_runtime.set_default_schedule(getattr(args, "schedule", "lpt"))
-    exec_runtime.set_default_prefilter(getattr(args, "prefilter", None))
-    exec_runtime.set_default_keep_going(getattr(args, "keep_going", False))
-    exec_runtime.set_default_trace_dir(trace_dir)
-    exec_runtime.set_default_progress(
-        make_progress(getattr(args, "progress", "none"))
+    cache_dir = getattr(args, "cache", None)
+    if cache_dir is None:
+        cache_dir = os.environ.get(CACHE_DIR_ENV, "").strip() or None
+    cache = None
+    if cache_dir is not None:
+        cache = ResultCache(cache_dir or None, max_mb=cache_max_mb_from_env())
+    executor = SweepExecutor(
+        jobs=jobs,
+        cache=cache,
+        keep_going=getattr(args, "keep_going", False),
+        progress=make_progress(getattr(args, "progress", "none")),
+        trace_dir=trace_dir,
+        schedule=getattr(args, "schedule", "lpt"),
+        fidelity=getattr(args, "fidelity", None),
+        scheduler=getattr(args, "scheduler", None),
+        max_events=getattr(args, "max_events", None),
+        wall_s=getattr(args, "wall_limit", None),
+        prefilter=getattr(args, "prefilter", None),
+        obs=obs,
     )
-    cache_arg = getattr(args, "cache", None)
-    if cache_arg is not None:
-        exec_runtime.set_default_cache(
-            ResultCache(cache_arg or None, max_mb=cache_max_mb_from_env())
-        )
-    watchdog.set_default_limits(
-        getattr(args, "max_events", None), getattr(args, "wall_limit", None)
-    )
-    return obs, trace_dir
+    return executor, trace_dir
 
 
 def _merge_sweep_trace(trace_dir: str, out_path: str) -> None:
@@ -412,15 +417,18 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
 def _run_experiment(
     name: str,
     scale: Optional[float],
+    executor: SweepExecutor,
     save: Optional[str] = None,
-    obs: Optional[Observability] = None,
     bench_json: Optional[str] = None,
     runlog: Optional[str] = None,
 ) -> int:
-    """Run one experiment; returns the exit code (0 ok, 1 fail-fast
-    sweep abort, 3 completed-with-failures under --keep-going)."""
+    """Run one experiment on ``executor``; returns the exit code (0 ok,
+    1 fail-fast sweep abort, 3 completed-with-failures under
+    --keep-going)."""
     runner = EXPERIMENTS[name]
     kwargs = {}
+    if "executor" in inspect.signature(runner).parameters:
+        kwargs["executor"] = executor
     if scale is not None:
         if name in _SCALED:
             kwargs["scale"] = scale
@@ -431,11 +439,7 @@ def _run_experiment(
             )
     start = time.time()
     try:
-        if obs is not None:
-            with default_observability(obs):
-                result = runner(**kwargs)
-        else:
-            result = runner(**kwargs)
+        result = runner(**kwargs)
     except SweepError as exc:
         print(f"error: {name} aborted: {exc}", file=sys.stderr)
         for failure in exc.failures:
@@ -448,8 +452,8 @@ def _run_experiment(
         return 2
     wall = time.time() - start
     print(result.render())
-    jobs = exec_runtime.get_default_jobs() or 1
-    cache = exec_runtime.get_default_cache()
+    jobs = executor.jobs
+    cache = executor.cache
     note = f" with {jobs} workers" if jobs > 1 else ""
     if cache is not None and (cache.stats.hits or cache.stats.misses):
         note += f" ({cache.stats.as_note()})"
@@ -496,7 +500,7 @@ def _run_experiment(
         # Non-packet tiers get their own record name (fig14_analytic) so
         # the diff gate never compares tiers like-for-like; the fidelity
         # field backstops that for hand-renamed files.
-        fidelity = exec_runtime.get_default_fidelity() or "packet"
+        fidelity = executor.fidelity or "packet"
         bench_name = _BENCH_ALIAS.get(name, name)
         if fidelity != "packet":
             bench_name = f"{bench_name}_{fidelity}"
@@ -509,7 +513,7 @@ def _run_experiment(
             events=events or None,
             extra={
                 "fidelity": fidelity,
-                "sched": exec_runtime.get_default_schedule(),
+                "sched": executor.schedule,
             },
         )
         print(f"[bench record -> {path}]")
@@ -560,12 +564,11 @@ def _run_one(args) -> int:
         print(f"[spec {spec.label} -> {args.dump_spec}]")
         return 0
     obs = _make_obs(args)
-    watchdog.set_default_limits(args.max_events, args.wall_limit)
     try:
         result, system = run_workload_detailed(
             spec.arch,
             spec.workload.build(),
-            cfg=spec.cfg,
+            cfg=spec.cfg.with_watchdog(args.max_events, args.wall_limit),
             obs=obs,
             **dict(spec.run_kwargs),
         )
@@ -819,7 +822,7 @@ def _dispatch(args) -> int:
 
         return client_command(args)
     if args.command == "all":
-        obs, trace_dir = _install_perf_defaults(args, _make_obs(args))
+        executor, trace_dir = _make_executor(args, _make_obs(args))
         rc = 0
         try:
             for name in EXPERIMENTS:
@@ -830,7 +833,7 @@ def _dispatch(args) -> int:
                     _run_experiment(
                         name,
                         args.scale,
-                        obs=obs,
+                        executor,
                         bench_json=args.bench_json,
                         runlog=_runlog_dir(args),
                     ),
@@ -838,7 +841,7 @@ def _dispatch(args) -> int:
                 print()
             # One warm pool serves the whole run; spawns > 1 means worker
             # deaths or a limits change forced respawns along the way.
-            if (exec_runtime.get_default_jobs() or 1) > 1 and pool_spawns():
+            if executor.jobs > 1 and pool_spawns():
                 print(f"[pool: {pool_spawns()} spawn(s) across {len(EXPERIMENTS)} experiments]")
         except BaseException:
             # An interrupt or crash mid-sweep: the workers may be minutes
@@ -853,17 +856,17 @@ def _dispatch(args) -> int:
         if trace_dir is not None:
             _merge_sweep_trace(trace_dir, args.trace)
         else:
-            _finish_obs(obs, args)
+            _finish_obs(executor.obs, args)
         return rc
     if args.command == "run":
         return _run_one(args)
-    obs, trace_dir = _install_perf_defaults(args, _make_obs(args))
+    executor, trace_dir = _make_executor(args, _make_obs(args))
     try:
         rc = _run_experiment(
             args.command,
             args.scale,
+            executor,
             args.save,
-            obs=obs,
             bench_json=args.bench_json,
             runlog=_runlog_dir(args),
         )
@@ -878,7 +881,7 @@ def _dispatch(args) -> int:
     if trace_dir is not None:
         _merge_sweep_trace(trace_dir, args.trace)
     else:
-        _finish_obs(obs, args)
+        _finish_obs(executor.obs, args)
     return rc
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Dict, Optional
 
 from .errors import ConfigError
 from .units import GB, KB, MB
@@ -321,6 +321,19 @@ class SystemConfig:
     def scaled(self, **overrides) -> "SystemConfig":
         """Return a copy with the given fields replaced."""
         return dataclasses.replace(self, **overrides)
+
+    def with_watchdog(
+        self, max_events: Optional[int] = None, wall_s: Optional[float] = None
+    ) -> "SystemConfig":
+        """This config with watchdog budgets (the CLI's ``--max-events`` /
+        ``--wall-limit``) filled in where it leaves them unset; a budget
+        the config sets wins.  Returns ``self`` when nothing changes."""
+        overrides: Dict[str, Any] = {}
+        if max_events is not None and self.watchdog_max_events is None:
+            overrides["watchdog_max_events"] = max_events
+        if wall_s is not None and self.watchdog_wall_s is None:
+            overrides["watchdog_wall_s"] = wall_s
+        return self.scaled(**overrides) if overrides else self
 
 
 #: The default 4GPU-16HMC configuration used throughout the evaluation.

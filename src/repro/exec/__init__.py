@@ -41,6 +41,7 @@ from .bench import (
     write_bench,
 )
 from .cache import (
+    CACHE_DIR_ENV,
     CACHE_MAX_MB_ENV,
     CacheStats,
     ResultCache,
@@ -66,6 +67,7 @@ from .jobs import (
     SystemSpec,
     WorkloadRef,
     execute_job,
+    job_for,
 )
 from .planner import (
     SCHEDULES,
@@ -75,31 +77,6 @@ from .planner import (
     lpt_order,
     predict_costs,
     prefilter_jobs,
-)
-from .runtime import (
-    CACHE_DIR_ENV,
-    default_executor,
-    get_default_cache,
-    get_default_costbook,
-    get_default_fidelity,
-    get_default_jobs,
-    get_default_keep_going,
-    get_default_prefilter,
-    get_default_progress,
-    get_default_schedule,
-    get_default_scheduler,
-    get_default_trace_dir,
-    set_default_cache,
-    set_default_costbook,
-    set_default_fidelity,
-    set_default_jobs,
-    set_default_keep_going,
-    set_default_prefilter,
-    set_default_progress,
-    set_default_schedule,
-    set_default_scheduler,
-    set_default_trace_dir,
-    sweep_defaults,
 )
 
 __all__ = [
@@ -127,18 +104,8 @@ __all__ = [
     "format_diff",
     "load_bench",
     "code_version",
-    "default_executor",
     "execute_job",
-    "get_default_cache",
-    "get_default_costbook",
-    "get_default_fidelity",
-    "get_default_jobs",
-    "get_default_keep_going",
-    "get_default_prefilter",
-    "get_default_progress",
-    "get_default_schedule",
-    "get_default_scheduler",
-    "get_default_trace_dir",
+    "job_for",
     "job_fingerprint",
     "job_key",
     "jobs_from_env",
@@ -147,17 +114,6 @@ __all__ = [
     "predict_costs",
     "prefilter_jobs",
     "process_cache_stats",
-    "set_default_cache",
-    "set_default_costbook",
-    "set_default_fidelity",
-    "set_default_jobs",
-    "set_default_keep_going",
-    "set_default_prefilter",
-    "set_default_progress",
-    "set_default_schedule",
-    "set_default_scheduler",
-    "set_default_trace_dir",
     "shutdown_pool",
-    "sweep_defaults",
     "write_bench",
 ]

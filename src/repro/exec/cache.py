@@ -3,8 +3,8 @@
 Sweeps re-run many identical points: Fig. 14, Fig. 18, and Fig. 19 all
 simulate overlapping (architecture, workload, config) combinations, and a
 re-invocation of ``repro all`` repeats every one of them.  Since every run
-is a pure function of its inputs (packet ids reset per run, all RNG seeded
-from the job), a :class:`RunResult` can be keyed on a stable hash of
+is a pure function of its inputs (packet ids numbered per network, all
+RNG seeded from the job), a :class:`RunResult` can be keyed on a stable hash of
 
 - the architecture spec,
 - the full system config,
@@ -53,6 +53,10 @@ from .jobs import SweepJob
 #: 4: HMCConfig grew the vault-scheduler policy (spec identity) and
 #:    RunResult grew per-requester-class service aggregates.
 CACHE_SCHEMA = 4
+
+#: Environment variable naming a persistent cache directory, read by the
+#: CLI when ``--cache`` is absent (a library ``ResultCache`` never reads it).
+CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Environment variable capping the cache footprint in megabytes
 #: (applied to both the in-memory map and the on-disk directory).

@@ -60,15 +60,27 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     as_completed,
 )
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Union
 
+from ..config import NETWORK_MODELS, SystemConfig
 from ..errors import ConfigError, SweepError
 from ..obs.telemetry import JobTelemetry, ProgressListener
-from ..sim import watchdog
+from ..system.configs import ArchSpec
 from ..system.metrics import RunResult
 from .cache import ResultCache
-from .jobs import JobFailure, JobOutcome, SweepJob, _worker_initializer, execute_job
+from .jobs import (
+    JobFailure,
+    JobOutcome,
+    SweepJob,
+    WorkloadRef,
+    _worker_initializer,
+    execute_job,
+    job_for,
+)
 from .planner import SCHEDULES, CostBook, CostPrediction, lpt_order, predict_costs
+
+if TYPE_CHECKING:
+    from ..obs.bind import Observability
 
 #: Environment variable consulted when no explicit worker count is given.
 JOBS_ENV = "REPRO_JOBS"
@@ -113,9 +125,10 @@ class _PoolManager:
 
     PR 5 tore the pool down after every sweep, so ``repro all --jobs N``
     paid fork + interpreter-warmup once per experiment.  The manager
-    hands the same ``ProcessPoolExecutor`` to every sweep whose shape
-    (worker count, watchdog limits) matches; a shape change or a broken
-    pool discards it and the next acquire respawns.  ``spawns`` counts
+    hands the same ``ProcessPoolExecutor`` to every sweep with the same
+    worker count; a different count or a broken pool discards it and the
+    next acquire respawns.  Workers hold no run state (each job carries
+    its own watchdog limits), so any sweep can share them.  ``spawns`` counts
     pool creations so the flight summary can show the warm-pool win.
 
     ``acquire`` and ``discard`` hold a lock: a broken pool fails every
@@ -125,22 +138,19 @@ class _PoolManager:
 
     def __init__(self) -> None:
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._key: Optional[tuple] = None
+        self._workers: Optional[int] = None
         self._lock = threading.Lock()
         self.spawns = 0
 
-    def acquire(self, workers: int, watchdog_limits: tuple) -> ProcessPoolExecutor:
-        key = (workers, tuple(watchdog_limits))
+    def acquire(self, workers: int) -> ProcessPoolExecutor:
         with self._lock:
-            if self._pool is None or self._key != key:
+            if self._pool is None or self._workers != workers:
                 if self._pool is not None:
                     self._pool.shutdown(wait=False, cancel_futures=True)
                 self._pool = ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=_worker_initializer,
-                    initargs=(watchdog_limits,),
+                    max_workers=workers, initializer=_worker_initializer
                 )
-                self._key = key
+                self._workers = workers
                 self.spawns += 1
             return self._pool
 
@@ -167,7 +177,7 @@ class _PoolManager:
         with self._lock:
             if pool is not None and pool is not self._pool:
                 return
-            current, self._pool, self._key = self._pool, None, None
+            current, self._pool, self._workers = self._pool, None, None
         if current is None:
             return
         workers = list(getattr(current, "_processes", {}).values()) if kill else []
@@ -337,7 +347,7 @@ class Dispatcher:
 
     def warm(self) -> None:
         """Spawn the pool now rather than at the first submission."""
-        _POOL.acquire(self.workers, watchdog.get_default_limits())
+        _POOL.acquire(self.workers)
 
     def close(self) -> None:
         """Stop respawning: a pool death after this is its jobs' failure.
@@ -354,7 +364,7 @@ class Dispatcher:
                 return  # pulled back while waiting for its retry
             pool = None
             if not (self._closed and sub.attempts):
-                pool = _POOL.acquire(self.workers, watchdog.get_default_limits())
+                pool = _POOL.acquire(self.workers)
                 try:
                     sub.inner = pool.submit(sub.run, sub.job)
                 except (BrokenExecutor, RuntimeError):
@@ -482,7 +492,18 @@ class Dispatcher:
 
 
 class SweepExecutor:
-    """Runs sweep jobs serially or across worker processes."""
+    """Runs sweep jobs serially or across worker processes.
+
+    The executor is also the run context of a sweep: besides how jobs
+    run (workers, cache, failure mode, progress, tracing, schedule), it
+    carries the settings that shape the jobs an experiment builds through
+    :meth:`job` (``fidelity``, ``scheduler``, the watchdog budgets
+    ``max_events`` / ``wall_s``), the ``prefilter`` ratio
+    :func:`~repro.experiments.common.run_jobs` prunes with, and the
+    ``obs`` bundle that observes in-process runs.  The CLI builds one per
+    invocation from its flags; nothing is read from process-global state,
+    so two sweeps with different executors can run side by side.
+    """
 
     def __init__(
         self,
@@ -495,6 +516,12 @@ class SweepExecutor:
         trace_dir: Optional[str] = None,
         schedule: str = "lpt",
         costbook: Optional[CostBook] = None,
+        fidelity: Optional[str] = None,
+        scheduler: Optional[str] = None,
+        max_events: Optional[int] = None,
+        wall_s: Optional[float] = None,
+        prefilter: Optional[float] = None,
+        obs: Optional["Observability"] = None,
     ) -> None:
         if jobs is None:
             jobs = jobs_from_env()
@@ -506,6 +533,19 @@ class SweepExecutor:
             raise ConfigError(
                 f"schedule must be one of {'/'.join(SCHEDULES)}, got {schedule!r}"
             )
+        if fidelity is not None and fidelity not in NETWORK_MODELS:
+            raise ConfigError(
+                f"unknown network model {fidelity!r}; valid: {sorted(NETWORK_MODELS)}"
+            )
+        if scheduler is not None:
+            from ..hmc.sched import SCHEDULERS
+
+            if scheduler not in SCHEDULERS:
+                raise ConfigError(
+                    f"unknown scheduler {scheduler!r}; valid: {sorted(SCHEDULERS)}"
+                )
+        if prefilter is not None and prefilter <= 1.0:
+            raise ConfigError(f"prefilter ratio must be > 1, got {prefilter}")
         self.jobs = jobs
         self.cache = cache
         self.keep_going = keep_going
@@ -529,14 +569,55 @@ class SweepExecutor:
         #: into this directory (the caller merges them with
         #: :func:`~repro.obs.telemetry.merge_trace_dir`).
         self.trace_dir = trace_dir
+        #: Fidelity tier and vault scheduler every :meth:`job` runs at
+        #: (``None`` keeps what the experiment's config asks for).
+        self.fidelity = fidelity
+        self.scheduler = scheduler
+        #: Watchdog budgets :meth:`job` fills into configs that set none.
+        self.max_events = max_events
+        self.wall_s = wall_s
+        #: Dominated-point prune ratio for exploration sweeps, or ``None``.
+        self.prefilter = prefilter
+        #: Observability bundle bound to every run; its sinks cannot
+        #: cross a process boundary, so with one set every job runs here.
+        self.obs = obs
+
+    def job(
+        self,
+        arch: Union[str, ArchSpec],
+        workload: Union[str, WorkloadRef],
+        cfg: Optional[SystemConfig] = None,
+        scale: float = 1.0,
+        tag: Optional[str] = None,
+        **run_kwargs: Any,
+    ) -> SweepJob:
+        """:func:`~repro.exec.jobs.job_for` plus this executor's overrides.
+
+        ``fidelity`` replaces the config's ``network_model`` and
+        ``scheduler`` its ``hmc.scheduler``; both are part of the spec
+        identity, so the jobs get their own cache keys.  A non-default
+        scheduler at the analytic tier raises
+        :class:`~repro.errors.ConfigError` here (the analytic model is
+        FR-FCFS-calibrated only).  The watchdog budgets fill only the
+        limits the config leaves unset, and stay out of the identity.
+        """
+        cfg = cfg or SystemConfig()
+        if self.fidelity is not None and cfg.network_model != self.fidelity:
+            cfg = cfg.scaled(network_model=self.fidelity)
+        if self.scheduler is not None and cfg.hmc.scheduler != self.scheduler:
+            cfg = cfg.scaled(
+                hmc=dataclasses.replace(cfg.hmc, scheduler=self.scheduler)
+            )
+        job = job_for(arch, workload, cfg, scale, tag, **run_kwargs)
+        return job.with_watchdog(self.max_events, self.wall_s)
 
     # ------------------------------------------------------------------
     def map(self, jobs: Sequence[SweepJob]) -> List[Optional[RunResult]]:
         """Execute ``jobs``; results come back in submission order.
 
         Cached, parallel, and serial execution all yield identical lists:
-        each simulation is a pure function of its job (see
-        ``reset_packet_ids``), results are merged by index, and the cache
+        each simulation is a pure function of its job (packet ids are
+        numbered per network), results are merged by index, and the cache
         returns a fresh unpickled copy per hit.
 
         Under fail-fast (the default) every entry is a
@@ -561,7 +642,7 @@ class SweepExecutor:
         pending = [i for i, o in enumerate(outcomes) if o is None]
         inline = [i for i in pending if runs_inline(jobs[i])]
         pooled = [i for i in pending if not runs_inline(jobs[i])]
-        if self.jobs > 1 and len(pooled) > 1:
+        if self.jobs > 1 and len(pooled) > 1 and self.obs is None:
             core.workers = self.jobs
             pooled = self._plan(jobs, pooled)
         try:
@@ -674,6 +755,9 @@ class SweepExecutor:
         """
         live: Dict[Future, int] = {}
         failures: List[JobFailure] = []
+        run = execute_job
+        if self.obs is not None:
+            run = functools.partial(execute_job, obs=self.obs)
 
         def land(future: Future, i: int) -> None:
             if future.cancelled():
@@ -692,7 +776,7 @@ class SweepExecutor:
             self._emit({"event": "started", "label": jobs[i].label, "index": i})
             future = core.submit(
                 self._submittable(jobs[i]),
-                execute_job,
+                run,
                 functools.partial(self._retried, jobs[i].label, i),
             )
             if future.done():

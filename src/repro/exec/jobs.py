@@ -21,11 +21,12 @@ its siblings' results are salvaged.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 import traceback as _traceback
 from dataclasses import dataclass, field
-from typing import Any, Optional, Tuple
+from typing import Any, Optional, Tuple, Union
 
 from ..config import SystemConfig
 from ..obs.telemetry import JobTelemetry, write_worker_trace
@@ -41,6 +42,7 @@ __all__ = [
     "WorkloadRef",
     "SystemSpec",
     "execute_job",
+    "job_for",
 ]
 
 
@@ -93,6 +95,44 @@ class SweepJob:
     @property
     def label(self) -> str:
         return self.tag or self.system.label
+
+    def with_watchdog(
+        self, max_events: Optional[int] = None, wall_s: Optional[float] = None
+    ) -> "SweepJob":
+        """This job with watchdog budgets filled into the config fields it
+        leaves unset (see :meth:`SystemConfig.with_watchdog`).  The
+        fields are outside the spec identity, so the cache key holds."""
+        cfg = self.cfg.with_watchdog(max_events, wall_s)
+        if cfg is self.cfg:
+            return self
+        return dataclasses.replace(
+            self, system=dataclasses.replace(self.system, cfg=cfg)
+        )
+
+
+def job_for(
+    arch: Union[str, ArchSpec],
+    workload: Union[str, WorkloadRef],
+    cfg: Optional[SystemConfig] = None,
+    scale: float = 1.0,
+    tag: Optional[str] = None,
+    **run_kwargs: Any,
+) -> SweepJob:
+    """Build one sweep job from its canonical spec pieces.
+
+    ``arch`` may be a Table III / registered architecture name or an
+    explicit :class:`ArchSpec`; ``workload`` a Table II name (wrapped in
+    a :class:`WorkloadRef` at ``scale``) or an explicit ref.  Keyword
+    arguments become the job's ``run_kwargs``.  The job is exactly what
+    the arguments say; :meth:`SweepExecutor.job
+    <repro.exec.executor.SweepExecutor.job>` layers an executor's
+    ``--fidelity``/``--scheduler``/watchdog settings on top.
+    """
+    if isinstance(workload, str):
+        workload = WorkloadRef(workload, scale)
+    return SweepJob(
+        system=SystemSpec.make(arch, workload, cfg, **run_kwargs), tag=tag
+    )
 
 
 @dataclass(frozen=True)
@@ -157,7 +197,7 @@ class JobOutcome:
         return self.failure is None
 
 
-def execute_job(job: SweepJob) -> JobOutcome:
+def execute_job(job: SweepJob, obs=None) -> JobOutcome:
     """Run one sweep job to completion (in this process).
 
     Any exception — a bad workload reference, a config error, a watchdog
@@ -168,9 +208,9 @@ def execute_job(job: SweepJob) -> JobOutcome:
     flight-recorder record; when the job asks for tracing
     (``job.trace_dir``), the run is traced and the per-job Chrome trace is
     dumped for the parent to merge (tracing records the identical event
-    stream, so results are byte-equal to an untraced run).
+    stream, so results are byte-equal to an untraced run).  Otherwise an
+    ``obs`` bundle, if given, observes the run.
     """
-    obs = None
     if job.trace_dir is not None:
         from ..obs.bind import Observability
 
@@ -190,7 +230,7 @@ def execute_job(job: SweepJob) -> JobOutcome:
             ),
         )
     wall = time.perf_counter() - start
-    if obs is not None and obs.tracer is not None:
+    if job.trace_dir is not None:
         write_worker_trace(obs.tracer, job.trace_dir, job.label)
     source = "analytic" if job.cfg.network_model == "analytic" else "run"
     return JobOutcome(
@@ -206,34 +246,24 @@ def execute_job(job: SweepJob) -> JobOutcome:
     )
 
 
-def _worker_initializer(watchdog_limits: Tuple[Optional[int], Optional[float]] = (None, None)) -> None:
+def _worker_initializer() -> None:
     """Executed once in every pool worker.
 
-    Workers inherit the parent's process state on fork; any ambient
-    observability default would silently accumulate trace events that never
-    flow back, so drop it.  The parent's watchdog limits (``--max-events``
-    / ``--wall-limit``) are installed explicitly so they also hold under
-    spawn-based start methods.
-
-    The initializer also pre-imports the heavy modules every packet/flit
-    job needs (system builder/runner, the workload suite, the topology
-    registry), so a worker pays import cost once at spawn — not inside
-    its first job's measured wall time.  Under fork these are near-free
+    Everything a job needs travels with it (watchdog limits sit in its
+    config), so a worker sets up no run state.  The initializer
+    pre-imports the heavy modules every packet/flit job needs (system
+    builder/runner, the workload suite, the topology registry), so a
+    worker pays import cost once at spawn — not inside its first job's
+    measured wall time.  Under fork these are near-free
     (inherited); under spawn they are the warm-pool win.
     """
     import signal
-
-    from ..obs import runtime as obs_runtime
-    from ..sim import watchdog
 
     # The serving daemon maps SIGTERM to KeyboardInterrupt so `kill`
     # takes the clean-shutdown path; a forked worker inherits that
     # handler and would die with a spurious traceback when the pool is
     # terminated.  A worker has no shutdown of its own — default kill.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-
-    obs_runtime.set_default(None)
-    watchdog.set_default_limits(*watchdog_limits)
 
     from ..network import topologies  # noqa: F401
     from ..system import builder, run  # noqa: F401

@@ -48,8 +48,8 @@ from ..config import SystemConfig
 from ..errors import SimulationError
 from ..system.spec import WorkloadRef
 from .cache import ResultCache, job_key
-from .jobs import SweepJob
-from .runtime import default_executor, sweep_defaults
+from .executor import SweepExecutor
+from .jobs import SweepJob, job_for
 
 #: Figures the harness validates (the committed artifact carries one
 #: :class:`~repro.analytic.calibrate.FigureReference` per entry).
@@ -71,7 +71,6 @@ def fit_jobs(scale: float) -> List[SweepJob]:
     (architecture, workload) point the validation figures simulate,
     deduplicated (Fig. 14's GMN column and Fig. 16's sMESH row coincide).
     """
-    from ..experiments.common import job_for
     from ..experiments.fig07_remote_access import DISTRIBUTIONS
     from ..experiments.fig14_organizations import ARCHS
     from ..experiments.fig16_fig17_topologies import DEFAULT_WORKLOADS, TOPOLOGIES
@@ -124,7 +123,7 @@ def refit(scale: float, executor=None) -> Calibration:
     """Fit fresh coefficients: packet runs via the executor (cacheable),
     raw analytic predictions inline (identity coefficients), grouped by
     calibration key."""
-    executor = executor or default_executor()
+    executor = executor or SweepExecutor()
     jobs = fit_jobs(scale)
     packet = executor.map(jobs)
     pairs: Dict[str, List[Tuple[Any, Any]]] = {}
@@ -157,14 +156,19 @@ def refit(scale: float, executor=None) -> Calibration:
 def run_figure_rows(
     figure: str, scale: float, fidelity: str, executor=None
 ) -> List[Dict[str, Any]]:
-    """One validation figure's rows at the given fidelity tier."""
+    """One validation figure's rows at the given fidelity tier.
+
+    The tier rides in the figure's base config: every validation figure
+    takes ``cfg`` and derives its per-job configs from it.
+    """
     from ..experiments import EXPERIMENTS
 
     kwargs: Dict[str, Any] = {} if figure == "fig7" else {"scale": scale}
-    with sweep_defaults(fidelity=fidelity):
-        result = EXPERIMENTS[figure](
-            executor=executor or default_executor(), **kwargs
-        )
+    result = EXPERIMENTS[figure](
+        cfg=SystemConfig(network_model=fidelity),
+        executor=executor or SweepExecutor(),
+        **kwargs,
+    )
     if result.failures:
         raise SimulationError(
             f"{figure} at {fidelity} fidelity had "
@@ -258,7 +262,7 @@ def recalibrate(
     figures: Sequence[str], scale: float, path: str, executor=None
 ) -> Dict[str, Any]:
     """Rebuild the calibration artifact in place and report residuals."""
-    executor = executor or default_executor()
+    executor = executor or SweepExecutor()
     artifact = refit(scale, executor)
     # Two-phase write: the analytic figure runs below must already see
     # the fresh coefficients (they load the artifact by path).
@@ -289,7 +293,7 @@ def check(
     figures: Sequence[str], scale: float, path: str, executor=None
 ) -> Dict[str, Any]:
     """Validate the analytic tier against the committed artifact."""
-    executor = executor or default_executor()
+    executor = executor or SweepExecutor()
     committed = load_calibration(path)
     report: Dict[str, Any] = {"mode": "check", "figures": {}, "artifact": path}
     problems: List[str] = []
@@ -377,11 +381,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         os.environ[PATH_ENV] = args.artifact
     cache = ResultCache(args.cache) if args.cache else None
-    with sweep_defaults(jobs=args.jobs, cache=cache):
-        if args.recalibrate:
-            report = recalibrate(args.figures, args.scale, path)
-        else:
-            report = check(args.figures, args.scale, path)
+    executor = SweepExecutor(jobs=args.jobs, cache=cache)
+    if args.recalibrate:
+        report = recalibrate(args.figures, args.scale, path, executor)
+    else:
+        report = check(args.figures, args.scale, path, executor)
 
     for figure, entry in report["figures"].items():
         if entry.get("missing_reference"):

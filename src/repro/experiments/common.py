@@ -1,28 +1,19 @@
 """Shared experiment plumbing: result tables, rendering, export, and
-sweep-job construction from canonical specs."""
+running a sweep's jobs into a result (:func:`run_jobs`)."""
 
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence
 
-from ..config import SystemConfig
 from ..exec.executor import SweepExecutor
-from ..exec.jobs import JobFailure, SweepJob
+from ..exec.jobs import JobFailure, SweepJob, job_for  # noqa: F401  (re-export)
 from ..exec.planner import prefilter_jobs
-from ..exec.runtime import (
-    get_default_fidelity,
-    get_default_prefilter,
-    get_default_scheduler,
-)
 from ..obs.telemetry import JobTelemetry, flight_summary
-from ..system.configs import ArchSpec, get_spec
 from ..system.metrics import RunResult
-from ..system.spec import SystemSpec, WorkloadRef
 
 
 @dataclass
@@ -155,57 +146,6 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def job_for(
-    arch: Union[str, ArchSpec],
-    workload: Union[str, WorkloadRef],
-    cfg: Optional[SystemConfig] = None,
-    scale: float = 1.0,
-    tag: Optional[str] = None,
-    **run_kwargs: Any,
-) -> SweepJob:
-    """Build one sweep job from its canonical spec pieces.
-
-    ``arch`` may be a Table III / registered architecture name (resolved
-    through :func:`repro.system.configs.get_spec`) or an explicit
-    :class:`ArchSpec`; ``workload`` a Table II name (wrapped in a
-    :class:`WorkloadRef` at ``scale``) or an explicit ref.  Keyword
-    arguments become the job's ``run_kwargs``.
-
-    An installed fidelity default (the CLI's ``--fidelity`` /
-    ``sweep_defaults(fidelity=...)``) overrides the config's
-    ``network_model`` here — the single choke point every experiment's
-    jobs flow through — so a whole figure can be re-run at another tier
-    without the runner knowing.  An installed vault-scheduler default
-    (``--scheduler`` / ``sweep_defaults(scheduler=...)``) overrides
-    ``hmc.scheduler`` the same way; combining it with the analytic tier
-    raises :class:`~repro.errors.ConfigError` at construction (the
-    analytic model is FR-FCFS-calibrated only).
-    """
-    if isinstance(arch, str):
-        arch = get_spec(arch)
-    if isinstance(workload, str):
-        workload = WorkloadRef(workload, scale)
-    fidelity = get_default_fidelity()
-    if fidelity is not None:
-        base = cfg if cfg is not None else SystemConfig()
-        if base.network_model != fidelity:
-            cfg = base.scaled(network_model=fidelity)
-        else:
-            cfg = base
-    scheduler = get_default_scheduler()
-    if scheduler is not None:
-        base = cfg if cfg is not None else SystemConfig()
-        if base.hmc.scheduler != scheduler:
-            cfg = base.scaled(
-                hmc=dataclasses.replace(base.hmc, scheduler=scheduler)
-            )
-        else:
-            cfg = base
-    return SweepJob(
-        system=SystemSpec.make(arch, workload, cfg, **run_kwargs), tag=tag
-    )
-
-
 def run_jobs(
     jobs: Sequence[SweepJob],
     executor: SweepExecutor,
@@ -223,8 +163,8 @@ def run_jobs(
     :class:`~repro.errors.SweepError` instead, after completed results
     were salvaged into the cache.
 
-    When a prefilter ratio is active (argument, else the installed
-    ``--prefilter`` default), clearly-dominated points are skipped before
+    When a prefilter ratio is active (argument, else the executor's
+    ``prefilter``), clearly-dominated points are skipped before
     submission: their slots return ``None``, each gets a
     ``source="pruned"`` telemetry record, and one result note lists every
     pruned point — a pruned point is always visible, never silently
@@ -233,7 +173,7 @@ def run_jobs(
     ``ext-*`` experiments alone.
     """
     jobs = list(jobs)
-    ratio = prefilter if prefilter is not None else get_default_prefilter()
+    ratio = prefilter if prefilter is not None else executor.prefilter
     keep = list(range(len(jobs)))
     pruned: List[Dict[str, Any]] = []
     if ratio is not None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 from ..config import SystemConfig
+from ..exec import SweepExecutor
 from ..system.builder import MultiGPUSystem
 from ..core.virtual_gpu import VirtualGPU
 from ..system.configs import get_spec
@@ -32,9 +33,9 @@ DEFAULT_PAIRS: Sequence[Tuple[str, float, str, float]] = (
 )
 
 
-def _makespan(pair, cfg: SystemConfig, concurrent: bool) -> int:
+def _makespan(pair, cfg: SystemConfig, concurrent: bool, obs=None) -> int:
     name_a, scale_a, name_b, scale_b = pair
-    system = MultiGPUSystem(get_spec("UMN"), cfg)
+    system = MultiGPUSystem(get_spec("UMN"), cfg, obs=obs)
     system.install_page_table()
     vgpu = VirtualGPU(system.sim, system.gpus, concurrent=concurrent)
     kernels = (
@@ -58,8 +59,12 @@ def _makespan(pair, cfg: SystemConfig, concurrent: bool) -> int:
 def run(
     pairs: Sequence[Tuple[str, float, str, float]] = DEFAULT_PAIRS,
     cfg: Optional[SystemConfig] = None,
+    executor: Optional[SweepExecutor] = None,
 ) -> ExperimentResult:
+    """The makespans are simulated here, not swept; of the executor only
+    its ``obs`` bundle applies (the CLI's ``--trace``/``--profile``)."""
     cfg = cfg or SystemConfig()
+    obs = executor.obs if executor is not None else None
     result = ExperimentResult(
         "Ext: concurrent",
         "Sequential vs concurrent kernel execution (extension; Section III "
@@ -67,8 +72,8 @@ def run(
         paper_note="the paper defers concurrent kernel execution to future work",
     )
     for pair in pairs:
-        seq = _makespan(pair, cfg, concurrent=False)
-        con = _makespan(pair, cfg, concurrent=True)
+        seq = _makespan(pair, cfg, concurrent=False, obs=obs)
+        con = _makespan(pair, cfg, concurrent=True, obs=obs)
         result.add(
             kernels=f"{pair[0]}+{pair[2]}",
             sequential_us=seq / 1e6,

@@ -18,19 +18,18 @@ import random
 from typing import Optional, Sequence
 
 from ..config import NetworkConfig, SystemConfig
-from ..exec import SweepExecutor, default_executor
+from ..exec import SweepExecutor
 from ..network.flitnet import FlitNetwork
 from ..network.network import MemoryNetwork
-from ..network.packet import Packet, PacketKind, reset_packet_ids
+from ..network.packet import PacketKind
 from ..network.topologies import build_topology
 from ..sim.engine import Simulator
-from .common import ExperimentResult, job_for, run_jobs
+from .common import ExperimentResult, run_jobs
 
 LOADS = (0.1, 0.4, 0.8)
 
 
 def _latency(model_cls, topology: str, load: float, packets: int, seed: int) -> float:
-    reset_packet_ids()
     sim = Simulator()
     topo = build_topology(topology, num_gpus=4)
     net = model_cls(sim, topo, NetworkConfig())
@@ -44,7 +43,7 @@ def _latency(model_cls, topology: str, load: float, packets: int, seed: int) -> 
         t = rng.randrange(interval)
         for _ in range(packets):
             dst = rng.randrange(topo.num_routers)
-            packet = Packet(PacketKind.WRITE_REQ, f"gpu{g}", dst, size)
+            packet = net.packet(PacketKind.WRITE_REQ, f"gpu{g}", dst, size)
             sim.at(t, (lambda p=packet: net.send(p)))
             t += interval
     sim.run()
@@ -62,7 +61,7 @@ def run(
     executor: Optional[SweepExecutor] = None,
 ) -> ExperimentResult:
     cfg = cfg or SystemConfig()
-    executor = executor or default_executor()
+    executor = executor or SweepExecutor()
     result = ExperimentResult(
         "Ext: flit validation",
         "Packet-level vs flit-level network engines",
@@ -82,7 +81,7 @@ def run(
             ratio=round(flit / pkt, 2) if pkt else 0.0,
         )
     jobs = [
-        job_for(
+        executor.job(
             "GMN",
             name,
             dataclasses.replace(cfg, network_model=model),

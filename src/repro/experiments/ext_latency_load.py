@@ -16,7 +16,7 @@ from typing import List, Sequence, Tuple
 
 from ..config import NetworkConfig
 from ..network.network import MemoryNetwork
-from ..network.packet import Packet, PacketKind, reset_packet_ids
+from ..network.packet import PacketKind
 from ..network.topologies import build_topology
 from ..network.topology import Topology
 from ..network.traffic import get_pattern
@@ -70,7 +70,6 @@ def _measure(
     pattern: str = "uniform",
 ) -> float:
     """Average request latency (ns) at the given offered load."""
-    reset_packet_ids()
     sim = Simulator()
     cfg = NetworkConfig()
     topo = build_topology(topology, num_gpus=num_gpus)
@@ -86,7 +85,7 @@ def _measure(
         topo, pattern, num_gpus, packets_per_gpu, interval, rng
     )
     for t, terminal, dst in schedule:
-        packet = Packet(PacketKind.READ_REQ, terminal, dst, PACKET_BYTES)
+        packet = net.packet(PacketKind.READ_REQ, terminal, dst, PACKET_BYTES)
         sim.at(t, (lambda p=packet: net.send(p)))
     sim.run()
     assert net.stats.delivered == matrix.total_requests

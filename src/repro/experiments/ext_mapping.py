@@ -16,8 +16,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..config import SystemConfig
-from ..exec import SweepExecutor, default_executor
-from .common import ExperimentResult, job_for, run_jobs
+from ..exec import SweepExecutor
+from .common import ExperimentResult, run_jobs
 
 DEFAULT_WORKLOADS = ("BP", "SCAN", "3DFD", "SRAD", "KMN", "CG.S")
 
@@ -30,7 +30,7 @@ def run(
     executor: Optional[SweepExecutor] = None,
 ) -> ExperimentResult:
     cfg = cfg or SystemConfig()
-    executor = executor or default_executor()
+    executor = executor or SweepExecutor()
     result = ExperimentResult(
         "Ext: mapping",
         "Random vs first-touch page placement (extension; Section III-C "
@@ -41,7 +41,7 @@ def run(
         ),
     )
     jobs = [
-        job_for(arch, name, cfg, scale=scale, placement_policy=policy)
+        executor.job(arch, name, cfg, scale=scale, placement_policy=policy)
         for name in workloads
         for policy in ("random", "first_touch")
     ]

@@ -14,9 +14,9 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..config import SystemConfig
-from ..exec import SweepExecutor, default_executor
+from ..exec import SweepExecutor
 from ..system.metrics import geometric_mean
-from .common import ExperimentResult, job_for, run_jobs
+from .common import ExperimentResult, run_jobs
 
 ARCHS = ("PCIe", "NVLink", "GMN", "UMN")
 DEFAULT_WORKLOADS = ("BP", "BFS", "KMN", "SCAN", "CP")
@@ -29,7 +29,7 @@ def run(
     executor: Optional[SweepExecutor] = None,
 ) -> ExperimentResult:
     cfg = cfg or SystemConfig()
-    executor = executor or default_executor()
+    executor = executor or SweepExecutor()
     result = ExperimentResult(
         "Ext: PCN",
         "Memory networks vs NVLink-style processor-centric network "
@@ -40,7 +40,7 @@ def run(
         ),
     )
     jobs = [
-        job_for(arch, name, cfg, scale=scale)
+        executor.job(arch, name, cfg, scale=scale)
         for name in workloads
         for arch in ARCHS
     ]

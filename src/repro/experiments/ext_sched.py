@@ -24,9 +24,8 @@ import dataclasses
 from typing import Optional, Sequence
 
 from ..config import SystemConfig
-from ..exec import SweepExecutor, WorkloadRef, default_executor
-from ..exec.runtime import get_default_scheduler
-from .common import ExperimentResult, job_for, run_jobs
+from ..exec import SweepExecutor, WorkloadRef
+from .common import ExperimentResult, run_jobs
 
 DEFAULT_POLICIES: Sequence[str] = ("frfcfs", "fcfs", "frfcfs_cap", "qos_staged")
 DEFAULT_ARCHS: Sequence[str] = ("UMN", "GMN")
@@ -51,7 +50,7 @@ def run(
     executor: Optional[SweepExecutor] = None,
 ) -> ExperimentResult:
     base = cfg or SystemConfig()
-    executor = executor or default_executor()
+    executor = executor or SweepExecutor()
     result = ExperimentResult(
         "Ext: sched",
         "Vault scheduling policies x organizations under CPU+GPU traffic "
@@ -61,13 +60,12 @@ def run(
             "the heterogeneous memory-scheduler literature"
         ),
     )
-    installed = get_default_scheduler()
-    if installed is not None:
+    if executor.scheduler is not None:
         # --scheduler pins the whole invocation to one policy; sweeping
         # the full registry underneath it would silently contradict the
-        # flag (job_for applies the default to every job it builds).
-        policies = (installed,)
-        result.note(f"--scheduler {installed}: sweeping only that policy")
+        # flag (executor.job applies it to every job it builds).
+        policies = (executor.scheduler,)
+        result.note(f"--scheduler {executor.scheduler}: sweeping only that policy")
     grid = [(p, a, w) for p in policies for a in archs for w in workloads]
     jobs = []
     for policy, arch, workload in grid:
@@ -77,7 +75,7 @@ def run(
             else base.scaled(hmc=dataclasses.replace(base.hmc, scheduler=policy))
         )
         jobs.append(
-            job_for(
+            executor.job(
                 arch,
                 WorkloadRef(workload, scale),
                 pcfg,

@@ -19,9 +19,9 @@ import dataclasses
 from typing import Optional
 
 from ..config import SystemConfig
-from ..exec import SweepExecutor, WorkloadRef, default_executor
+from ..exec import SweepExecutor, WorkloadRef
 from ..system.configs import get_spec
-from .common import ExperimentResult, job_for, run_jobs
+from .common import ExperimentResult, run_jobs
 
 
 def _specs():
@@ -64,7 +64,7 @@ def run(
     executor: Optional[SweepExecutor] = None,
 ) -> ExperimentResult:
     base = cfg or SystemConfig()
-    executor = executor or default_executor()
+    executor = executor or SweepExecutor()
     result = ExperimentResult(
         "Ext: sensitivity",
         "Headline conclusions under 2x parameter perturbations",
@@ -76,7 +76,7 @@ def run(
     variants = list(_variants(base))
     ref = WorkloadRef(workload, scale)
     jobs = [
-        job_for(spec, ref, variant)
+        executor.job(spec, ref, variant)
         for _label, variant in variants
         for spec in _specs()
     ]

@@ -19,8 +19,8 @@ import dataclasses
 from typing import Optional
 
 from ..config import SystemConfig
-from ..exec import SweepExecutor, WorkloadRef, default_executor
-from .common import ExperimentResult, job_for, run_jobs
+from ..exec import SweepExecutor, WorkloadRef
+from .common import ExperimentResult, run_jobs
 
 #: (label, per-cluster page weights) for the distribution sweep.
 DISTRIBUTIONS = [
@@ -37,7 +37,7 @@ def run(
     executor: Optional[SweepExecutor] = None,
 ) -> ExperimentResult:
     cfg = cfg or SystemConfig()
-    executor = executor or default_executor()
+    executor = executor or SweepExecutor()
     result = ExperimentResult(
         "Fig. 7",
         "vectorAdd runtime vs data distribution (1 active GPU)",
@@ -57,7 +57,7 @@ def run(
     )
     systems = (("PCIe", cfg), ("GMN", gmn_cfg))
     jobs = [
-        job_for(
+        executor.job(
             arch,
             workload,
             run_cfg,

@@ -14,8 +14,8 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..config import SystemConfig
-from ..exec import SweepExecutor, default_executor
-from .common import ExperimentResult, job_for, run_jobs
+from ..exec import SweepExecutor
+from .common import ExperimentResult, run_jobs
 
 
 def _variance_stats(matrix: List[List[int]], hmcs_per_cluster: int = 4):
@@ -38,7 +38,7 @@ def run(
     executor: Optional[SweepExecutor] = None,
 ) -> ExperimentResult:
     cfg = cfg or SystemConfig()
-    executor = executor or default_executor()
+    executor = executor or SweepExecutor()
     result = ExperimentResult(
         "Fig. 10",
         "GPU-to-HMC traffic distribution (GMN, 4GPU-16HMC)",
@@ -50,7 +50,7 @@ def run(
     )
     interleaves = ("line", "page") if include_ablation else ("line",)
     jobs = [
-        job_for(
+        executor.job(
             "GMN",
             name,
             cfg.scaled(intra_cluster_interleave=interleave),

@@ -15,11 +15,11 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from ..config import SystemConfig
-from ..exec import SweepExecutor, default_executor
+from ..exec import SweepExecutor
 from ..system.configs import TABLE_III
 from ..system.metrics import RunResult, geometric_mean
 from ..workloads.suite import WORKLOAD_NAMES
-from .common import ExperimentResult, job_for, run_jobs
+from .common import ExperimentResult, run_jobs
 
 ARCHS = list(TABLE_III)
 
@@ -31,7 +31,7 @@ def run(
     executor: Optional[SweepExecutor] = None,
 ) -> ExperimentResult:
     cfg = cfg or SystemConfig()
-    executor = executor or default_executor()
+    executor = executor or SweepExecutor()
     workloads = list(workloads or WORKLOAD_NAMES)
     result = ExperimentResult(
         "Fig. 14",
@@ -42,7 +42,7 @@ def run(
         ),
     )
     jobs = [
-        job_for(arch, name, cfg, scale=scale)
+        executor.job(arch, name, cfg, scale=scale)
         for name in workloads
         for arch in ARCHS
     ]

@@ -11,9 +11,9 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..config import SystemConfig
-from ..exec import SweepExecutor, default_executor
+from ..exec import SweepExecutor
 from ..system.configs import get_spec
-from .common import ExperimentResult, job_for, run_jobs
+from .common import ExperimentResult, run_jobs
 
 #: (workload, scale): CG.S needs its full (imbalanced) footprint.
 DEFAULT_POINTS: Sequence[Tuple[str, float]] = (
@@ -29,7 +29,7 @@ def run(
     executor: Optional[SweepExecutor] = None,
 ) -> ExperimentResult:
     cfg = cfg or SystemConfig()
-    executor = executor or default_executor()
+    executor = executor or SweepExecutor()
     result = ExperimentResult(
         "Fig. 15",
         "MIN vs UGAL routing on dDFLY and dFBFLY (GMN)",
@@ -38,7 +38,7 @@ def run(
         ),
     )
     jobs = [
-        job_for(
+        executor.job(
             get_spec("GMN").with_(topology=topology, routing=routing),
             name,
             cfg,

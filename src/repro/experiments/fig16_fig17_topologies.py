@@ -12,10 +12,10 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from ..config import SystemConfig
-from ..exec import SweepExecutor, default_executor
+from ..exec import SweepExecutor
 from ..system.configs import get_spec
 from ..system.metrics import geometric_mean
-from .common import ExperimentResult, job_for, run_jobs
+from .common import ExperimentResult, run_jobs
 
 TOPOLOGIES = ("smesh", "storus", "smesh-2x", "storus-2x", "sfbfly")
 DEFAULT_WORKLOADS = ("BP", "BFS", "KMN", "SCAN", "SRAD", "STO")
@@ -28,7 +28,7 @@ def run(
     executor: Optional[SweepExecutor] = None,
 ) -> ExperimentResult:
     cfg = cfg or SystemConfig()
-    executor = executor or default_executor()
+    executor = executor or SweepExecutor()
     result = ExperimentResult(
         "Fig. 16 / Fig. 17",
         "Sliced topologies on the GMN: kernel runtime and network energy",
@@ -38,7 +38,7 @@ def run(
         ),
     )
     jobs = [
-        job_for(get_spec("GMN").with_(topology=topology), name, cfg, scale=scale)
+        executor.job(get_spec("GMN").with_(topology=topology), name, cfg, scale=scale)
         for name in workloads
         for topology in TOPOLOGIES
     ]

@@ -13,9 +13,9 @@ import dataclasses
 from typing import Optional, Sequence
 
 from ..config import SystemConfig
-from ..exec import SweepExecutor, default_executor
+from ..exec import SweepExecutor
 from ..system.configs import get_spec
-from .common import ExperimentResult, job_for, run_jobs
+from .common import ExperimentResult, run_jobs
 
 DESIGNS = ("smesh", "sfbfly", "overlay")
 
@@ -28,14 +28,14 @@ def run(
 ) -> ExperimentResult:
     cfg = cfg or SystemConfig()
     cfg = dataclasses.replace(cfg, num_gpus=3)  # 1CPU-3GPU-16HMC
-    executor = executor or default_executor()
+    executor = executor or SweepExecutor()
     result = ExperimentResult(
         "Fig. 18",
         "Host-thread performance on UMN designs (1CPU-3GPU-16HMC)",
         paper_note="overlay > sFBFLY > sMESH for CG.S and FT.S host threads",
     )
     jobs = [
-        job_for(get_spec("UMN").with_(topology=topology), name, cfg, scale=scale)
+        executor.job(get_spec("UMN").with_(topology=topology), name, cfg, scale=scale)
         for name in workloads
         for topology in DESIGNS
     ]

@@ -16,9 +16,9 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from ..config import SystemConfig
-from ..exec import SweepExecutor, default_executor
+from ..exec import SweepExecutor
 from ..system.metrics import geometric_mean
-from .common import ExperimentResult, job_for, run_jobs
+from .common import ExperimentResult, run_jobs
 
 #: Input scale per workload (FWT deliberately small, per the paper).
 DEFAULT_SCALES: Dict[str, float] = {
@@ -42,7 +42,7 @@ def run(
 ) -> ExperimentResult:
     base_cfg = cfg or SystemConfig()
     scales = scales or DEFAULT_SCALES
-    executor = executor or default_executor()
+    executor = executor or SweepExecutor()
     result = ExperimentResult(
         "Fig. 19",
         "Kernel speedup vs number of GPUs (UMN, sFBFLY)",
@@ -52,7 +52,7 @@ def run(
         ),
     )
     jobs = [
-        job_for("UMN", name, base_cfg.scaled(num_gpus=n), scale=scale)
+        executor.job("UMN", name, base_cfg.scaled(num_gpus=n), scale=scale)
         for name, scale in scales.items()
         for n in gpu_counts
     ]

@@ -11,10 +11,10 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from ..config import SystemConfig
-from ..exec import SweepExecutor, default_executor
+from ..exec import SweepExecutor
 from ..system.configs import get_spec
 from ..system.metrics import RunResult, geometric_mean
-from .common import ExperimentResult, job_for, run_jobs
+from .common import ExperimentResult, run_jobs
 
 POLICIES = ("static", "round_robin", "stealing")
 DEFAULT_WORKLOADS = ("BP", "SRAD", "KMN", "SCAN", "3DFD", "FWT", "STO", "CP")
@@ -27,7 +27,7 @@ def run(
     executor: Optional[SweepExecutor] = None,
 ) -> ExperimentResult:
     cfg = cfg or SystemConfig()
-    executor = executor or default_executor()
+    executor = executor or SweepExecutor()
     result = ExperimentResult(
         "Sec. III-B",
         "CTA assignment: static chunks vs round-robin vs stealing (UMN)",
@@ -37,7 +37,7 @@ def run(
         ),
     )
     jobs = [
-        job_for(get_spec("UMN").with_(cta_policy=policy), name, cfg, scale=scale)
+        executor.job(get_spec("UMN").with_(cta_policy=policy), name, cfg, scale=scale)
         for name in workloads
         for policy in POLICIES
     ]

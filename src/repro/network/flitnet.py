@@ -26,13 +26,14 @@ it for validation studies and latency-sensitive experiments.
 from __future__ import annotations
 
 import collections
+import itertools
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..config import NetworkConfig
 from ..errors import SimulationError
 from ..sim.engine import Simulator
 from .channel import Channel
-from .network import NetworkStats, PacketHandler
+from .network import MemoryNetwork, NetworkStats, PacketHandler
 from .packet import MessageClass, Packet
 from .routing import make_routing
 from .topology import Topology
@@ -91,6 +92,7 @@ class FlitNetwork:
         self.stats = NetworkStats()
         self._router_handlers: Dict[int, PacketHandler] = {}
         self._terminal_handlers: Dict[str, PacketHandler] = {}
+        self._pids = itertools.count()
 
         self._num_vcs = self.cfg.message_classes * self.cfg.vcs_per_class
         self._vc_flits = max(1, self.cfg.vc_buffer_bytes // FLIT_BYTES)
@@ -161,6 +163,9 @@ class FlitNetwork:
 
     def set_terminal_handler(self, terminal: str, handler: PacketHandler) -> None:
         self._terminal_handlers[terminal] = handler
+
+    #: Packets are built and numbered exactly as on the packet network.
+    packet = MemoryNetwork.packet
 
     def send(self, packet: Packet) -> None:
         packet.injected_at_ps = self.sim.now

@@ -15,6 +15,7 @@ terminal-to-terminal transfers such as CMN memcpy).
 from __future__ import annotations
 
 import collections
+import itertools
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
@@ -23,7 +24,7 @@ from ..config import NetworkConfig
 from ..errors import RoutingError, SimulationError
 from ..sim.engine import Simulator
 from .channel import Channel
-from .packet import Packet
+from .packet import Packet, PacketKind
 from .routing import make_routing
 from .topology import Topology
 
@@ -83,6 +84,8 @@ class MemoryNetwork:
         #: function; see `_destination_router_estimate`).
         self._dst_cache: Dict[Tuple[str, str], int] = {}
         self._dst_cache_version: Optional[int] = None
+        #: This network's packet-id sequence (ids break routing ties).
+        self._pids = itertools.count()
 
     # ------------------------------------------------------------------
     # Handler registration
@@ -96,6 +99,25 @@ class MemoryNetwork:
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
+    def packet(
+        self,
+        kind: PacketKind,
+        src: object,
+        dst: object,
+        size_bytes: int,
+        payload: object = None,
+        pass_through: bool = False,
+    ) -> Packet:
+        """A new packet carrying this network's next id.
+
+        Ids are drawn when a packet is built, not when it is sent: a
+        driver may build packets long before injecting them, and the ids
+        pick between equal-length routes.
+        """
+        return Packet(
+            kind, src, dst, size_bytes, payload, pass_through, next(self._pids)
+        )
+
     def send(self, packet: Packet) -> None:
         """Inject a packet; ``packet.src`` must be a terminal name or router."""
         packet.injected_at_ps = self.sim.now

@@ -8,7 +8,6 @@ The GPU/CPU and HMCs exchange high-level request/response messages
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import Any, Optional
 
 
@@ -42,23 +41,6 @@ class PacketKind(enum.Enum):
         return MessageClass.REQUEST if self.is_request else MessageClass.RESPONSE
 
 
-_packet_ids = itertools.count()
-
-
-def reset_packet_ids() -> None:
-    """Restart the packet-id sequence (called at the start of every run).
-
-    Packet ids feed the minimal-routing round-robin tie-break
-    (``hops[packet.pid % len(hops)]``), so a run's results depend on the
-    ids its packets receive.  Resetting per run makes every simulation a
-    pure function of its inputs — which is what lets the sweep executor
-    guarantee that serial, parallel, and cached executions produce
-    identical results.
-    """
-    global _packet_ids
-    _packet_ids = itertools.count()
-
-
 class Packet:
     """One message traversing the memory network.
 
@@ -66,8 +48,11 @@ class Packet:
     ``"cpu"``) or a router index (int) for HMC destinations.
 
     A plain ``__slots__`` record (a request and a response are built per
-    networked memory access); ``pid`` is drawn from the per-run sequence
-    in ``__init__``.
+    networked memory access).  ``pid`` feeds the minimal-routing
+    round-robin tie-break (``hops[packet.pid % len(hops)]``), so a run's
+    results depend on it: simulation code builds packets through
+    :meth:`MemoryNetwork.packet <repro.network.network.MemoryNetwork.packet>`,
+    which numbers them per network in construction order.
     """
 
     __slots__ = (
@@ -83,6 +68,7 @@ class Packet:
         size_bytes: int,
         payload: Any = None,
         pass_through: bool = False,
+        pid: int = 0,
     ) -> None:
         self.kind = kind
         self.src = src
@@ -91,7 +77,7 @@ class Packet:
         self.payload = payload
         #: Overlay pass-through flag (CPU packets on the UMN overlay).
         self.pass_through = pass_through
-        self.pid: int = next(_packet_ids)
+        self.pid = pid
         #: Filled in by the network: injection time and hop count, for stats.
         self.injected_at_ps = -1
         self.hops = 0

@@ -25,7 +25,6 @@ from .bind import (
 )
 from .profiler import EventLoopProfiler
 from .registry import Counter, Gauge, Histogram, MetricRegistry
-from .runtime import default_observability, get_default, set_default
 from .sampler import Sampler
 from .telemetry import (
     JobTelemetry,
@@ -55,15 +54,12 @@ __all__ = [
     "ProgressListener",
     "Sampler",
     "TtyProgress",
-    "default_observability",
     "flight_summary",
-    "get_default",
     "install_default_probes",
     "make_progress",
     "merge_trace_dir",
     "merge_traces",
     "register_system_metrics",
-    "set_default",
     "write_runlog",
     "write_worker_trace",
 ]

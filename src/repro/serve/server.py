@@ -45,7 +45,6 @@ from ..exec.cache import ResultCache, cache_max_mb_from_env, job_key
 from ..exec.executor import Dispatcher, jobs_from_env, pool_spawns, shutdown_pool
 from ..exec.jobs import JobOutcome, SweepJob, execute_job
 from ..obs.telemetry import flight_summary
-from ..sim import watchdog
 from ..system.spec import SystemSpec
 from .protocol import (
     PROTOCOL_SCHEMA,
@@ -82,6 +81,8 @@ class SweepServer:
         quota: int = DEFAULT_QUOTA,
         pool_retries: int = 2,
         drain_s: float = DEFAULT_DRAIN_S,
+        max_events: Optional[int] = None,
+        wall_s: Optional[float] = None,
     ) -> None:
         if jobs is None:
             jobs = jobs_from_env()
@@ -93,6 +94,10 @@ class SweepServer:
         self.queue = JobQueue(quota=quota)
         self.dispatcher = Dispatcher(self.cache, jobs, pool_retries)
         self.drain_s = drain_s
+        #: Watchdog budgets (``--max-events`` / ``--wall-limit``) filled
+        #: into every accepted job whose config sets none.
+        self.max_events = max_events
+        self.wall_s = wall_s
         #: Flight-recorder records of everything this server executed,
         #: bounded so a week-long daemon cannot grow without limit.
         self.telemetry: deque = deque(maxlen=4096)
@@ -321,7 +326,8 @@ class SweepServer:
                 )
                 return
             tag = tags[i] if i < len(tags) and tags[i] else None
-            jobs.append(SweepJob(system=system, tag=tag))
+            job = SweepJob(system=system, tag=tag)
+            jobs.append(job.with_watchdog(self.max_events, self.wall_s))
 
         request_id = self.queue.new_request_id()
         events: Optional[_queue.Queue] = _queue.Queue() if wait else None
@@ -524,11 +530,6 @@ def serve_command(args: Any) -> int:
         max_mb = None  # --cache-max-mb 0 disables the cap explicitly
     cache_dir = getattr(args, "cache", None)
     cache = ResultCache(cache_dir or None, max_mb=max_mb)
-    # --max-events/--wall-limit become the pool's watchdog limits, wired
-    # into every worker at spawn (same path the batch CLI uses).
-    watchdog.set_default_limits(
-        getattr(args, "max_events", None), getattr(args, "wall_limit", None)
-    )
 
     try:
         server = SweepServer(
@@ -542,6 +543,8 @@ def serve_command(args: Any) -> int:
                 if getattr(args, "drain_s", None) is not None
                 else DEFAULT_DRAIN_S
             ),
+            max_events=getattr(args, "max_events", None),
+            wall_s=getattr(args, "wall_limit", None),
         )
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

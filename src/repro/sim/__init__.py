@@ -6,8 +6,6 @@ from .watchdog import (
     queue_depth_summary,
     resolve_limits,
     run_guarded,
-    set_default_limits,
-    watchdog_limits,
 )
 
 __all__ = [
@@ -17,6 +15,4 @@ __all__ = [
     "queue_depth_summary",
     "resolve_limits",
     "run_guarded",
-    "set_default_limits",
-    "watchdog_limits",
 ]

@@ -20,9 +20,10 @@ results: the event heap and tie-break sequence carry across ``run`` calls
 untouched, so a guarded run executes the exact same event order as an
 unguarded one (the fast-path identity tests hold that bar).
 
-Limits resolve with the usual precedence: an explicit config field beats
-the process-wide default (installed by the CLI or a worker initializer),
-which beats the package default.  ``0`` disables a budget outright.
+Limits travel with each run's config: the CLI's flags fill the fields
+a config leaves unset (:meth:`repro.config.SystemConfig.with_watchdog`),
+and an unset field falls back to the package default.  ``0`` disables a
+budget outright.
 
 Known limitation: the watchdog regains control only *between* events.  A
 single callback that never returns (an infinite Python loop inside one
@@ -32,7 +33,6 @@ event) cannot be interrupted from within the process.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from typing import Callable, Optional, Tuple
 
 from ..errors import SimulationError
@@ -45,53 +45,19 @@ DEFAULT_MAX_EVENTS = 1_000_000_000
 #: Events per engine slice; budgets are checked at this granularity.
 SLICE_EVENTS = 1_000_000
 
-_default_max_events: Optional[int] = None
-_default_wall_s: Optional[float] = None
-
-
-def set_default_limits(
-    max_events: Optional[int] = None, wall_s: Optional[float] = None
-) -> None:
-    """Install process-wide watchdog limits (``None`` clears them)."""
-    global _default_max_events, _default_wall_s
-    _default_max_events = max_events
-    _default_wall_s = wall_s
-
-
-def get_default_limits() -> Tuple[Optional[int], Optional[float]]:
-    """The installed process-wide limits (propagated into pool workers)."""
-    return _default_max_events, _default_wall_s
-
-
-@contextmanager
-def watchdog_limits(
-    max_events: Optional[int] = None, wall_s: Optional[float] = None
-):
-    """Scope process-wide limits to a ``with`` block (tests, notebooks)."""
-    prev = get_default_limits()
-    set_default_limits(max_events, wall_s)
-    try:
-        yield
-    finally:
-        set_default_limits(*prev)
-
 
 def resolve_limits(cfg) -> Tuple[Optional[int], Optional[float]]:
     """Effective (max_events, wall_s) for a run under config ``cfg``.
 
-    Per-budget precedence: config field, then process default, then the
-    package default (events) or off (wall clock).  ``0`` disables.
+    Per-budget precedence: config field, then the package default
+    (events) or off (wall clock).  ``0`` disables.
     """
     max_events = getattr(cfg, "watchdog_max_events", None)
-    if max_events is None:
-        max_events = _default_max_events
     if max_events is None:
         max_events = DEFAULT_MAX_EVENTS
     if max_events == 0:
         max_events = None
     wall_s = getattr(cfg, "watchdog_wall_s", None)
-    if wall_s is None:
-        wall_s = _default_wall_s
     if wall_s == 0:
         wall_s = None
     return max_events, wall_s

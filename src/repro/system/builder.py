@@ -46,7 +46,6 @@ from ..hmc.hmc import HMC
 from ..mem import MemoryAccess
 from ..network.channel import Channel
 from ..network.network import MemoryNetwork
-from ..obs import runtime as obs_runtime
 from ..obs.bind import Observability, register_system_metrics
 from ..obs.registry import MetricRegistry
 from ..obs.sampler import Sampler
@@ -114,7 +113,7 @@ class MultiGPUSystem:
 
         #: Set by Observability.bind() when periodic sampling is enabled.
         self.sampler: Optional[Sampler] = None
-        self.obs = obs if obs is not None else obs_runtime.get_default()
+        self.obs = obs
         if self.obs is not None:
             self.obs.bind(self)
 

@@ -265,7 +265,7 @@ class Fabric:
             decoded = access.decoded
             router = decoded.cluster * system.hmcs_per_cluster + decoded.local_hmc
         system._pending[access.aid] = on_done
-        packet = Packet(
+        packet = system.network.packet(
             _packet_kind(access.type),
             terminal,
             router,
@@ -287,7 +287,7 @@ class Fabric:
         system = self.system
         assert system.network is not None
         system._pending[access.aid] = on_done
-        packet = Packet(
+        packet = system.network.packet(
             _packet_kind(access.type),
             terminal,
             owner_terminal,
@@ -397,7 +397,7 @@ class Fabric:
         system = self.system
         assert system.network is not None
         envelope: NetEnvelope = packet.payload
-        response = Packet(
+        response = system.network.packet(
             response_kind(packet.kind),
             router,
             envelope.reply_to,
@@ -437,7 +437,8 @@ class Fabric:
         system = self.system
         assert system.network is not None
         envelope: NetEnvelope = packet.payload
-        response = Packet(
+        # Built (and numbered) now, sent after the forwarding delay.
+        response = system.network.packet(
             response_kind(packet.kind),
             owner,
             envelope.reply_to,

@@ -14,7 +14,6 @@ from typing import List, Optional
 from ..config import SystemConfig
 from ..core.virtual_gpu import VirtualGPU
 from ..errors import SimulationError
-from ..network.packet import reset_packet_ids
 from ..obs.bind import Observability
 from ..sim.watchdog import queue_depth_summary, resolve_limits, run_guarded
 from ..workloads.base import HostStep, KernelStep, Workload
@@ -96,10 +95,6 @@ def run_workload_detailed(
             ),
             None,
         )
-    # Restart the packet-id sequence so every run is a pure function of
-    # (spec, workload, cfg) regardless of what ran earlier in the process
-    # — the invariant the sweep executor and result cache rely on.
-    reset_packet_ids()
     system = MultiGPUSystem(spec, cfg, obs=obs)
     system.install_page_table(
         policy=placement_policy,

@@ -12,7 +12,7 @@ pieces ad hoc:
   ``SystemSpec.to_dict()``;
 - :class:`repro.exec.jobs.SweepJob` *is* a tagged ``SystemSpec``;
 - experiments build their sweep jobs from specs
-  (:func:`repro.experiments.common.job_for`);
+  (:meth:`repro.exec.executor.SweepExecutor.job`);
 - the CLI can export one (``repro run ... --dump-spec out.json``) and
   execute one (``repro run --spec out.json``).
 """

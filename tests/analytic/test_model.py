@@ -9,8 +9,7 @@ from repro.analytic.model import _MODEL_CACHE, _Resource
 from repro.analytic.profile import profile_workload
 from repro.config import NETWORK_MODELS, SystemConfig
 from repro.errors import ConfigError, SimulationError
-from repro.exec import SweepJob, job_fingerprint, job_key
-from repro.exec.runtime import set_default_fidelity
+from repro.exec import SweepExecutor, SweepJob, job_fingerprint, job_key
 from repro.system.configs import get_spec
 from repro.system.memcpy import memcpy_time_ps
 from repro.system.spec import WorkloadRef
@@ -139,7 +138,7 @@ class TestFidelitySelection:
 
     def test_runtime_default_rejects_unknown_model(self):
         with pytest.raises(ConfigError, match=str(sorted(NETWORK_MODELS))):
-            set_default_fidelity("bogus")
+            SweepExecutor(fidelity="bogus")
 
     def test_cache_keys_distinct_per_fidelity(self):
         assert job_key(_job(fidelity="packet")) != job_key(_job(fidelity="analytic"))

@@ -7,7 +7,11 @@ import pytest
 
 from repro.hmc.sched import QueuedRequest
 from repro.mem import AccessType, DecodedAddress, MemoryAccess
-from repro.network.packet import Packet, PacketKind, reset_packet_ids
+from repro.config import NetworkConfig
+from repro.network.network import MemoryNetwork
+from repro.network.packet import Packet, PacketKind
+from repro.network.topologies import build_sfbfly
+from repro.sim.engine import Simulator
 from repro.system.builder import MultiGPUSystem
 from repro.system.configs import get_spec
 from repro.system.fabric import NetEnvelope
@@ -70,11 +74,15 @@ class TestIdSequences:
         assert after.aid == before.aid + 1
 
     def test_pid_advances_by_one_and_resets(self):
-        reset_packet_ids()
-        pids = [Packet(PacketKind.READ_REQ, "gpu0", 1, 16).pid for _ in range(3)]
+        # Each network numbers its own packets from 0, so a new network
+        # (a new run) starts the sequence afresh.
+        def net():
+            return MemoryNetwork(Simulator(), build_sfbfly(num_gpus=4), NetworkConfig())
+
+        first = net()
+        pids = [first.packet(PacketKind.READ_REQ, "gpu0", 1, 16).pid for _ in range(3)]
         assert pids == [0, 1, 2]
-        reset_packet_ids()
-        assert Packet(PacketKind.WRITE_ACK, 1, "gpu0", 16).pid == 0
+        assert net().packet(PacketKind.WRITE_ACK, 1, "gpu0", 16).pid == 0
 
     def test_host_view_keeps_the_aid(self):
         # GMN transfers by memcpy, so the host reads its own copy in CPU

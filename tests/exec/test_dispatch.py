@@ -60,14 +60,13 @@ def test_stale_discard_keeps_the_successor_pool():
     """A late callback of one pool's breakage must not shut down the
     pool a sibling's retry already runs on."""
     manager = _PoolManager()
-    limits = (None, None)
     try:
-        p1 = manager.acquire(1, limits)
+        p1 = manager.acquire(1)
         manager.discard(p1)
-        p2 = manager.acquire(1, limits)
+        p2 = manager.acquire(1)
         assert p2 is not p1
         manager.discard(p1)
-        assert manager.acquire(1, limits) is p2
+        assert manager.acquire(1) is p2
         assert p2.submit(pow, 2, 10).result(timeout=60) == 1024
     finally:
         manager.discard()

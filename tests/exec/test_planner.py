@@ -23,7 +23,6 @@ from repro.exec import (
     pool_spawns,
     prefilter_jobs,
     shutdown_pool,
-    sweep_defaults,
 )
 from repro.exec.planner import COSTBOOK_NAME, CostPrediction
 from repro.experiments.common import ExperimentResult, job_for, run_jobs
@@ -296,8 +295,7 @@ def test_run_jobs_prefilter_telemetry_and_note():
         _job("VEC", scale=1.0, tag="VEC-large"),
     ]
     result = ExperimentResult(experiment="x", title="x")
-    with sweep_defaults(prefilter=2.0):
-        results = run_jobs(jobs, SweepExecutor(jobs=1), result)
+    results = run_jobs(jobs, SweepExecutor(jobs=1, prefilter=2.0), result)
     assert results[0] is not None and results[1] is None
     sources = [t.source for t in result.telemetry]
     assert sources == ["run", "pruned"]

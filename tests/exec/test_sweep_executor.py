@@ -1,4 +1,4 @@
-"""SweepExecutor: ordering, env fallback, cache integration, runtime defaults."""
+"""SweepExecutor: ordering, env fallback, cache integration, run settings."""
 
 from __future__ import annotations
 
@@ -10,10 +10,9 @@ from repro.exec import (
     SweepExecutor,
     SweepJob,
     WorkloadRef,
-    default_executor,
     execute_job,
+    job_for,
     jobs_from_env,
-    sweep_defaults,
 )
 from repro.system.configs import get_spec
 
@@ -105,28 +104,23 @@ def test_execute_job_applies_run_kwargs():
 
 
 def test_sweep_defaults_scopes_executor():
+    # The run settings live on the executor object, nowhere else.
     cache = ResultCache()
-    with sweep_defaults(jobs=2, cache=cache):
-        ex = default_executor()
-        assert ex.jobs == 2 and ex.cache is cache
-    assert default_executor().cache is not cache
+    ex = SweepExecutor(jobs=2, cache=cache)
+    assert ex.jobs == 2 and ex.cache is cache
+    assert SweepExecutor().cache is None
 
 
 def test_sweep_defaults_scopes_scheduler():
-    from repro.errors import ConfigError
-    from repro.exec.runtime import get_default_scheduler, set_default_scheduler
-    from repro.experiments.common import job_for
-
-    assert get_default_scheduler() is None
-    with sweep_defaults(scheduler="qos_staged"):
-        assert get_default_scheduler() == "qos_staged"
-        job = job_for("GMN", WorkloadRef("VEC", 0.05))
-        assert job.cfg.hmc.scheduler == "qos_staged"
-    assert get_default_scheduler() is None
+    executor = SweepExecutor(scheduler="qos_staged")
+    job = executor.job("GMN", WorkloadRef("VEC", 0.05))
+    assert job.cfg.hmc.scheduler == "qos_staged"
+    # job_for is pure, and so is an executor without the setting.
     assert job_for("GMN", WorkloadRef("VEC", 0.05)).cfg.hmc.scheduler == "frfcfs"
+    assert SweepExecutor().job("GMN", "VEC").cfg.hmc.scheduler == "frfcfs"
 
     with pytest.raises(ConfigError, match="unknown scheduler"):
-        set_default_scheduler("bogus")
+        SweepExecutor(scheduler="bogus")
 
 
 def test_workload_ref_factory_roundtrip():

@@ -23,7 +23,6 @@ from repro.exec import (
     execute_job,
     process_cache_stats,
 )
-from repro.exec import runtime as exec_runtime
 from repro.obs.telemetry import (
     JobTelemetry,
     JsonlProgress,
@@ -340,20 +339,21 @@ def test_merge_traces_empty_is_valid(tmp_path):
 # Byte identity: telemetry must never perturb the science
 # ----------------------------------------------------------------------
 def _with_full_telemetry(tmp_path, run_fn):
-    with exec_runtime.sweep_defaults(
-        jobs=2,
-        progress=JsonlProgress(io.StringIO()),
-        trace_dir=str(tmp_path),
-    ):
-        return run_fn()
+    return run_fn(
+        SweepExecutor(
+            jobs=2,
+            progress=JsonlProgress(io.StringIO()),
+            trace_dir=str(tmp_path),
+        )
+    )
 
 
 def test_fig14_rows_identical_with_telemetry(tmp_path):
     from repro.experiments import fig14_organizations
 
-    def run_fn():
+    def run_fn(executor=None):
         return fig14_organizations.run(
-            scale=0.05, workloads=("VEC", "BP"), cfg=_cfg()
+            scale=0.05, workloads=("VEC", "BP"), cfg=_cfg(), executor=executor
         )
 
     instrumented = _with_full_telemetry(tmp_path, run_fn)
@@ -366,9 +366,9 @@ def test_fig14_rows_identical_with_telemetry(tmp_path):
 def test_fig07_rows_identical_with_telemetry(tmp_path):
     from repro.experiments import fig07_remote_access
 
-    def run_fn():
+    def run_fn(executor=None):
         return fig07_remote_access.run(
-            num_ctas=16, lines_per_cta=4, cfg=_cfg(num_gpus=4)
+            num_ctas=16, lines_per_cta=4, cfg=_cfg(num_gpus=4), executor=executor
         )
 
     instrumented = _with_full_telemetry(tmp_path, run_fn)

@@ -1,6 +1,6 @@
 """Smoke tests for the ext-sched policy sweep."""
 
-from repro.exec import sweep_defaults
+from repro.exec import SweepExecutor
 from repro.experiments import EXPERIMENTS, ext_sched
 from tests.conftest import tiny_system_config
 
@@ -52,8 +52,7 @@ class TestExtSched:
     def test_respects_installed_scheduler_default(self):
         # Under `--scheduler X` the sweep collapses to that one policy
         # rather than silently overriding the flag per grid point.
-        with sweep_defaults(scheduler="fcfs"):
-            res = _tiny_sweep(archs=("UMN",))
+        res = _tiny_sweep(archs=("UMN",), executor=SweepExecutor(scheduler="fcfs"))
         assert {r["scheduler"] for r in res.rows} == {"fcfs"}
         assert any("--scheduler fcfs" in n for n in res.notes)
 

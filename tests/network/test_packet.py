@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.config import NetworkConfig
+from repro.network.network import MemoryNetwork
 from repro.network.packet import (
     MessageClass,
     Packet,
@@ -10,6 +12,8 @@ from repro.network.packet import (
     response_kind,
     response_size_bytes,
 )
+from repro.network.topologies import build_sfbfly
+from repro.sim.engine import Simulator
 
 
 class TestKinds:
@@ -52,8 +56,9 @@ class TestSizes:
 
 class TestPacket:
     def test_unique_ids(self):
-        a = Packet(PacketKind.READ_REQ, "gpu0", 1, 16)
-        b = Packet(PacketKind.READ_REQ, "gpu0", 1, 16)
+        net = MemoryNetwork(Simulator(), build_sfbfly(num_gpus=4), NetworkConfig())
+        a = net.packet(PacketKind.READ_REQ, "gpu0", 1, 16)
+        b = net.packet(PacketKind.READ_REQ, "gpu0", 1, 16)
         assert a.pid != b.pid
 
     def test_message_class_follows_kind(self):

@@ -8,8 +8,10 @@ from repro.network.routing import MinimalRouting, UGALRouting, make_routing
 from repro.network.topologies import build_dfbfly, build_sfbfly
 
 
-def _packet(src="gpu0", dst=12, size=16):
-    return Packet(kind=PacketKind.READ_REQ, src=src, dst=dst, size_bytes=size)
+def _packet(src="gpu0", dst=12, size=16, pid=0):
+    return Packet(
+        kind=PacketKind.READ_REQ, src=src, dst=dst, size_bytes=size, pid=pid
+    )
 
 
 class TestMakeRouting:
@@ -54,8 +56,8 @@ class TestMinimalRouting:
         # Router 0 -> router 3 (same cluster): several minimal paths exist
         # only when distance > 1; use 0 -> 15 (diagonal, distance 2).
         chosen = {
-            policy.next_hop(topo, _packet(dst=15), 0, 15, now_ps=0)[0]
-            for _ in range(8)
+            policy.next_hop(topo, _packet(dst=15, pid=pid), 0, 15, now_ps=0)[0]
+            for pid in range(8)
         }
         assert len(chosen) >= 2  # different pids take different hops
 

@@ -1,6 +1,7 @@
 """End-to-end observability: tracing, sampling, metrics on real runs."""
 
 import json
+import os
 
 import pytest
 
@@ -12,7 +13,7 @@ from repro import (
     run_workload_detailed,
     system_report,
 )
-from repro.obs import runtime
+from repro.exec import SweepExecutor, job_for
 from repro.obs.bind import register_system_metrics
 from repro.obs.registry import MetricRegistry
 from repro.system.builder import MultiGPUSystem
@@ -128,19 +129,24 @@ class TestSampledRun:
 
 class TestDefaultObservability:
     def test_runtime_default_binds_new_systems(self):
+        # An executor's bundle observes every run it executes, in this
+        # process even when it has workers (the sinks cannot cross one).
         obs = Observability(trace=True)
-        with runtime.default_observability(obs):
-            run_workload(get_spec("UMN"), get_workload("VEC", 0.05))
-        assert runtime.get_default() is None
-        assert obs.tracer.num_events > 0
+        executor = SweepExecutor(jobs=2, obs=obs)
+        jobs = [job_for("UMN", "VEC", scale=0.05), job_for("GMN", "VEC", scale=0.05)]
+        outcomes = executor.map_outcomes(jobs)
+        assert all(o.ok and o.telemetry.worker_pid == os.getpid() for o in outcomes)
+        traced = obs.tracer.num_events
+        assert traced > 0
+        # Nothing ambient: a run outside the executor is not observed.
+        run_workload(get_spec("UMN"), get_workload("VEC", 0.05))
+        assert obs.tracer.num_events == traced
 
     def test_explicit_obs_wins_over_default(self):
         fallback = Observability(trace=True)
         explicit = Observability(trace=True)
-        with runtime.default_observability(fallback):
-            run_workload(
-                get_spec("UMN"), get_workload("VEC", 0.05), obs=explicit
-            )
+        SweepExecutor(obs=fallback)
+        run_workload(get_spec("UMN"), get_workload("VEC", 0.05), obs=explicit)
         assert fallback.tracer.num_events == 0
         assert explicit.tracer.num_events > 0
 

@@ -13,7 +13,6 @@ from repro.sim.watchdog import (
     DEFAULT_MAX_EVENTS,
     resolve_limits,
     run_guarded,
-    watchdog_limits,
 )
 from repro.system.configs import get_spec
 from repro.system.run import run_workload
@@ -114,9 +113,10 @@ def test_resolve_limits_package_default():
 
 
 def test_resolve_limits_process_default_and_scoping():
+    # The CLI's budgets travel in each run's config: with_watchdog fills
+    # the unset fields of a copy and leaves the original untouched.
     cfg = tiny_system_config()
-    with watchdog_limits(123, 4.5):
-        assert resolve_limits(cfg) == (123, 4.5)
+    assert resolve_limits(cfg.with_watchdog(123, 4.5)) == (123, 4.5)
     assert resolve_limits(cfg) == (DEFAULT_MAX_EVENTS, None)
 
 
@@ -124,8 +124,8 @@ def test_resolve_limits_config_beats_process_default():
     cfg = dataclasses.replace(
         tiny_system_config(), watchdog_max_events=7, watchdog_wall_s=1.0
     )
-    with watchdog_limits(123, 4.5):
-        assert resolve_limits(cfg) == (7, 1.0)
+    assert cfg.with_watchdog(123, 4.5) is cfg
+    assert resolve_limits(cfg.with_watchdog(123, 4.5)) == (7, 1.0)
 
 
 def test_resolve_limits_zero_disables():

@@ -4,6 +4,21 @@ import pytest
 
 from repro.cli import main
 from repro.experiments import EXPERIMENTS
+from repro.experiments.common import ExperimentResult
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Registers a ``figx`` experiment that records the executor the CLI
+    hands it; the list holds one executor per ``figx`` invocation."""
+    seen = []
+
+    def figx(executor):
+        seen.append(executor)
+        return ExperimentResult("figx", "synthetic")
+
+    monkeypatch.setitem(EXPERIMENTS, "figx", figx)
+    return seen
 
 
 class TestList:
@@ -122,40 +137,47 @@ class TestRunCommand:
 
 
 class TestPerfFlags:
-    @pytest.fixture(autouse=True)
-    def _reset_exec_defaults(self):
-        from repro.exec import runtime as exec_runtime
-
-        yield
-        exec_runtime.set_default_jobs(None)
-        exec_runtime.set_default_cache(None)
-        exec_runtime.set_default_progress(None)
-        exec_runtime.set_default_trace_dir(None)
-
-    def test_jobs_flag_installs_default(self, capsys):
-        from repro.exec import runtime as exec_runtime
-
-        assert main(["fig12", "--jobs", "2"]) == 0
-        assert exec_runtime.get_default_jobs() == 2
+    def test_jobs_flag_installs_default(self, built, capsys):
+        assert main(["figx", "--jobs", "2"]) == 0
+        assert built[0].jobs == 2
 
     def test_jobs_rejects_zero(self, capsys):
         with pytest.raises(SystemExit):
             main(["fig12", "--jobs", "0"])
         assert "worker count" in capsys.readouterr().err
 
-    def test_cache_flag_installs_memory_cache(self, capsys):
-        from repro.exec import runtime as exec_runtime
-
-        assert main(["fig12", "--cache"]) == 0
-        cache = exec_runtime.get_default_cache()
+    def test_cache_flag_installs_memory_cache(self, built, capsys):
+        assert main(["figx", "--cache"]) == 0
+        cache = built[0].cache
         assert cache is not None and cache.path is None
 
-    def test_cache_flag_with_dir(self, tmp_path, capsys):
-        from repro.exec import runtime as exec_runtime
-
-        assert main(["fig12", "--cache", str(tmp_path / "c")]) == 0
-        cache = exec_runtime.get_default_cache()
+    def test_cache_flag_with_dir(self, built, tmp_path, capsys):
+        assert main(["figx", "--cache", str(tmp_path / "c")]) == 0
+        cache = built[0].cache
         assert cache is not None and cache.path is not None
+
+    def test_all_runs_every_experiment_on_one_executor(self, monkeypatch, capsys):
+        # One executor per invocation: `repro all` shares its CostBook
+        # and warm pool across the experiments.
+        seen = []
+
+        def fake(executor):
+            seen.append(executor)
+            return ExperimentResult("fake", "synthetic")
+
+        monkeypatch.setattr("repro.cli.EXPERIMENTS", {"fa": fake, "fb": fake})
+        assert main(["all", "--jobs", "2", "--cache"]) == 0
+        assert len(seen) == 2 and seen[0] is seen[1]
+        assert seen[0].jobs == 2 and seen[0].cache is not None
+
+    def test_cache_dir_env_applies_without_flag(
+        self, built, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
+        assert main(["figx"]) == 0
+        assert main(["figx", "--cache"]) == 0
+        assert str(built[0].cache.path).endswith("env")
+        assert built[1].cache.path is None  # the flag beats the variable
 
     def test_bench_json_writes_record(self, tmp_path, capsys):
         import json
@@ -164,25 +186,22 @@ class TestPerfFlags:
         record = json.loads((tmp_path / "BENCH_fig12.json").read_text())
         assert record["bench"] == "fig12" and record["wall_clock_s"] >= 0
 
-    def test_trace_stays_parallel_and_merges(self, tmp_path, capsys):
+    def test_trace_stays_parallel_and_merges(self, built, tmp_path, capsys):
         import json
 
-        from repro.exec import runtime as exec_runtime
-
         trace = tmp_path / "t.json"
-        assert main(["fig12", "--jobs", "2", "--trace", str(trace)]) == 0
+        assert main(["figx", "--jobs", "2", "--trace", str(trace)]) == 0
         # A trace-only sweep no longer forces serial execution: workers
         # record per-job traces and the parent merges them.
-        assert exec_runtime.get_default_jobs() == 2
+        assert built[0].jobs == 2
+        assert built[0].trace_dir is not None and built[0].obs is None
         assert "merged" in capsys.readouterr().out
         assert "traceEvents" in json.loads(trace.read_text())
 
-    def test_in_process_obs_flags_force_serial(self, capsys):
-        from repro.exec import runtime as exec_runtime
-
-        assert main(["fig12", "--jobs", "2", "--timeseries"]) == 0
+    def test_in_process_obs_flags_force_serial(self, built, capsys):
+        assert main(["figx", "--jobs", "2", "--timeseries"]) == 0
         assert "running serially" in capsys.readouterr().err
-        assert exec_runtime.get_default_jobs() == 1
+        assert built[0].jobs == 1 and built[0].obs is not None
 
     def test_progress_jsonl_streams_and_writes_runlog(
         self, tmp_path, capsys, monkeypatch
@@ -229,28 +248,18 @@ class TestPerfFlags:
 
 
 class TestRobustnessFlags:
-    @pytest.fixture(autouse=True)
-    def _reset_defaults(self):
-        from repro.exec import runtime as exec_runtime
-        from repro.sim import watchdog
+    def test_keep_going_flag_installs_default(self, built, capsys):
+        assert main(["figx", "--keep-going"]) == 0
+        assert built[0].keep_going is True
 
-        yield
-        exec_runtime.set_default_jobs(None)
-        exec_runtime.set_default_cache(None)
-        exec_runtime.set_default_keep_going(False)
-        watchdog.set_default_limits(None, None)
+    def test_watchdog_flags_install_defaults(self, built, capsys):
+        from repro.sim.watchdog import resolve_limits
 
-    def test_keep_going_flag_installs_default(self, capsys):
-        from repro.exec import runtime as exec_runtime
-
-        assert main(["fig12", "--keep-going"]) == 0
-        assert exec_runtime.get_default_keep_going() is True
-
-    def test_watchdog_flags_install_defaults(self, capsys):
-        from repro.sim import watchdog
-
-        assert main(["fig12", "--max-events", "5000", "--wall-limit", "2.5"]) == 0
-        assert watchdog.get_default_limits() == (5000, 2.5)
+        assert main(["figx", "--max-events", "5000", "--wall-limit", "2.5"]) == 0
+        executor = built[0]
+        assert (executor.max_events, executor.wall_s) == (5000, 2.5)
+        # The limits ride in the config of every job the sweep builds.
+        assert resolve_limits(executor.job("UMN", "VEC").cfg) == (5000, 2.5)
 
     def test_run_watchdog_trip_exits_nonzero(self, capsys):
         rc = main(
@@ -305,13 +314,6 @@ class TestRobustnessFlags:
 
 
 class TestSchedulerFlag:
-    @pytest.fixture(autouse=True)
-    def _reset_defaults(self):
-        from repro.exec import runtime as exec_runtime
-
-        yield
-        exec_runtime.set_default_scheduler(None)
-
     def test_run_accepts_registered_policy(self, capsys):
         assert main(
             ["run", "VEC", "--arch", "UMN", "--scale", "0.1",
@@ -334,11 +336,10 @@ class TestSchedulerFlag:
         assert rc == 2
         assert "analytic tier" in capsys.readouterr().err
 
-    def test_experiment_flag_installs_sweep_default(self, capsys):
-        from repro.exec import runtime as exec_runtime
-
-        assert main(["fig12", "--scheduler", "frfcfs_cap"]) == 0
-        assert exec_runtime.get_default_scheduler() == "frfcfs_cap"
+    def test_experiment_flag_installs_sweep_default(self, built, capsys):
+        assert main(["figx", "--scheduler", "frfcfs_cap"]) == 0
+        assert built[0].scheduler == "frfcfs_cap"
+        assert built[0].job("UMN", "VEC").cfg.hmc.scheduler == "frfcfs_cap"
 
     def test_experiment_analytic_plus_scheduler_exits_2(self, capsys):
         # fig12 runs on the analytic tier by default at tiny scale?  Use
