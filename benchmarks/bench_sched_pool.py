@@ -11,10 +11,9 @@ two-experiment slice (fig14 + fig16, reduced scale) both ways:
 
 Rows must be identical between the modes — scheduling is observational —
 and the warm mode must spawn exactly one pool where the cold mode spawns
-one per experiment.  The wall-clock delta is recorded (via
-``REPRO_BENCH_JSON``) so the trajectory is diffable; on a 1-core
-container the saving is mostly the avoided fork + worker warm-up, on a
-multi-core host LPT also trims the straggler tail.
+one per experiment.  The wall-clock delta is printed (run pytest with
+``-s``); on a 1-core container the saving is mostly the avoided fork +
+worker warm-up, on a multi-core host LPT also trims the straggler tail.
 """
 
 import time

@@ -31,9 +31,6 @@ Performance flags (``all`` and every experiment subcommand):
   workload, code version); with DIR the cache persists on disk across
   invocations (``REPRO_CACHE_DIR`` is the environment equivalent).
   The scheduling CostBook persists as ``costbook.json`` next to it.
-- ``--bench-json DIR`` — write a ``BENCH_<experiment>.json`` wall-clock
-  record for the run, including simulated events and events/sec when the
-  sweep executed anything (see docs/performance.md).
 
 Sweep telemetry flags (``all`` and every experiment subcommand; see
 docs/observability.md "Sweep telemetry & flight recorder"):
@@ -44,7 +41,8 @@ docs/observability.md "Sweep telemetry & flight recorder"):
   ``auto`` (default) picks tty when stderr is a terminal.
 - ``--runlog DIR`` — persist the sweep's flight recorder as
   ``RUNLOG_<experiment>.jsonl`` (per-job wall time, events, events/sec,
-  cache provenance, retries, worker pid + a summary record).
+  cache provenance, retries, worker pid + a summary record with the
+  invocation's wall clock, row count, fidelity, schedule and code version).
   ``--progress jsonl`` implies ``--runlog .`` unless overridden.
 
 Robustness flags (``run``, ``all``, and every experiment subcommand; see
@@ -95,11 +93,11 @@ from .exec import (
     SweepExecutor,
     auto_jobs,
     cache_max_mb_from_env,
+    code_version,
     jobs_from_env,
     pool_spawns,
     process_cache_stats,
     shutdown_pool,
-    write_bench,
 )
 from .experiments import EXPERIMENTS
 from .obs import Observability, make_progress
@@ -122,10 +120,9 @@ _SCALED = {
     "ext-sched",
 }
 
-#: CLI commands whose bench record name differs from the command; keeps
-#: ``BENCH_*.json`` names aligned with the benchmark-harness modules
-#: (``bench_fig07_remote_access`` records ``fig07``).
-_BENCH_ALIAS = {"fig7": "fig07"}
+#: CLI commands whose RUNLOG name differs from the command, aligned with
+#: the benchmark modules (``bench_fig07_remote_access``).
+_RUNLOG_ALIAS = {"fig7": "fig07"}
 
 
 def _make_obs(args) -> Optional[Observability]:
@@ -263,12 +260,6 @@ def _add_perf_flags(parser: argparse.ArgumentParser) -> None:
         metavar="DIR",
         help="memoize simulation results; with DIR, persist them on disk "
         "across invocations (default: REPRO_CACHE_DIR or off)",
-    )
-    parser.add_argument(
-        "--bench-json",
-        default=None,
-        metavar="DIR",
-        help="write a BENCH_<experiment>.json wall-clock record into DIR",
     )
     parser.add_argument(
         "--keep-going",
@@ -419,7 +410,6 @@ def _run_experiment(
     scale: Optional[float],
     executor: SweepExecutor,
     save: Optional[str] = None,
-    bench_json: Optional[str] = None,
     runlog: Optional[str] = None,
 ) -> int:
     """Run one experiment on ``executor``; returns the exit code (0 ok,
@@ -458,7 +448,6 @@ def _run_experiment(
     if cache is not None and (cache.stats.hits or cache.stats.misses):
         note += f" ({cache.stats.as_note()})"
     print(f"[{name} completed in {wall:.1f}s{note}]")
-    events = sum(t.events for t in result.telemetry if t.source == "run")
     spawns = pool_spawns() if jobs > 1 else None
     if result.telemetry:
         s = result.flight_summary(pool_spawns=spawns)
@@ -488,35 +477,19 @@ def _run_experiment(
         print(f"[saved to {save}]")
     if runlog:
         path = write_runlog(
-            str(runlog_path(runlog, _BENCH_ALIAS.get(name, name))),
+            str(runlog_path(runlog, _RUNLOG_ALIAS.get(name, name))),
             name,
             result.telemetry,
             failures=result.failures,
             cache_stats=process_cache_stats(),
             pool_spawns=spawns,
+            wall_s=round(wall, 4),
+            rows=len(result.rows),
+            fidelity=executor.fidelity or "packet",
+            schedule=executor.schedule,
+            code_version=code_version(),
         )
         print(f"[runlog -> {path}]")
-    if bench_json:
-        # Non-packet tiers get their own record name (fig14_analytic) so
-        # the diff gate never compares tiers like-for-like; the fidelity
-        # field backstops that for hand-renamed files.
-        fidelity = executor.fidelity or "packet"
-        bench_name = _BENCH_ALIAS.get(name, name)
-        if fidelity != "packet":
-            bench_name = f"{bench_name}_{fidelity}"
-        path = write_bench(
-            bench_name,
-            wall,
-            directory=bench_json,
-            jobs=jobs,
-            rows=len(result.rows),
-            events=events or None,
-            extra={
-                "fidelity": fidelity,
-                "sched": executor.schedule,
-            },
-        )
-        print(f"[bench record -> {path}]")
     if result.failures:
         print(
             f"error: {name} completed with {len(result.failures)} failed "
@@ -834,7 +807,6 @@ def _dispatch(args) -> int:
                         name,
                         args.scale,
                         executor,
-                        bench_json=args.bench_json,
                         runlog=_runlog_dir(args),
                     ),
                 )
@@ -867,7 +839,6 @@ def _dispatch(args) -> int:
             args.scale,
             executor,
             args.save,
-            bench_json=args.bench_json,
             runlog=_runlog_dir(args),
         )
     except BaseException:

@@ -1,34 +1,23 @@
-"""``python -m repro.exec`` — the exec layer's operational entry points.
+"""``python -m repro.exec xtier`` — cross-tier validation of the analytic
+fidelity tier against the packet model (:mod:`repro.exec.xtier`).
 
-Subcommands:
-
-- ``diff``  — compare fresh ``BENCH_*.json`` records against committed
-  baselines (:mod:`repro.exec.bench`);
-- ``xtier`` — cross-tier validation of the analytic fidelity tier
-  against the packet model (:mod:`repro.exec.xtier`).
-
-Bare flags (``python -m repro.exec --fresh DIR ...``) keep dispatching
-to the bench diff, the original behavior, so existing CI invocations
-and scripts continue to work unchanged.
+Any other argument prints usage and exits 2.
 """
 
 import sys
 from typing import List, Optional
 
+USAGE = "usage: python -m repro.exec xtier [xtier options]"
+
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "xtier":
-        from .xtier import main as xtier_main
+    if not argv or argv[0] != "xtier":
+        print(USAGE, file=sys.stderr)
+        return 2
+    from .xtier import main as xtier_main
 
-        return xtier_main(argv[1:])
-    if argv and argv[0] == "diff":
-        from .bench import main as bench_main
-
-        return bench_main(argv[1:])
-    from .bench import main as bench_main
-
-    return bench_main(argv)
+    return xtier_main(argv[1:])
 
 
 if __name__ == "__main__":

@@ -21,8 +21,8 @@ floor), and writes coefficients + packet reference rows + tolerances
 back to the artifact.
 
 The packet sweep reuses the normal executor stack — ``--jobs`` and
-``--cache`` behave exactly as on the ``repro`` CLI, so in CI the packet
-points are cache hits from the bench sweep that precedes it.
+``--cache`` behave exactly as on the ``repro`` CLI, so with a warm cache
+the packet points are cache hits.
 """
 
 from __future__ import annotations

@@ -150,7 +150,6 @@ def run_jobs(
     jobs: Sequence[SweepJob],
     executor: SweepExecutor,
     result: ExperimentResult,
-    prefilter: Optional[float] = None,
 ) -> List[Optional[RunResult]]:
     """Execute a sweep and merge failures into ``result``.
 
@@ -163,17 +162,16 @@ def run_jobs(
     :class:`~repro.errors.SweepError` instead, after completed results
     were salvaged into the cache.
 
-    When a prefilter ratio is active (argument, else the executor's
-    ``prefilter``), clearly-dominated points are skipped before
-    submission: their slots return ``None``, each gets a
-    ``source="pruned"`` telemetry record, and one result note lists every
-    pruned point — a pruned point is always visible, never silently
+    When the executor has a ``prefilter`` ratio, clearly-dominated points
+    are skipped before submission: their slots return ``None``, each gets
+    a ``source="pruned"`` telemetry record, and one result note lists
+    every pruned point — a pruned point is always visible, never silently
     missing.  Exploration sweeps only; figure runners must not pass rows
     with holes to their merge loops, so the CLI exposes the flag on
     ``ext-*`` experiments alone.
     """
     jobs = list(jobs)
-    ratio = prefilter if prefilter is not None else executor.prefilter
+    ratio = executor.prefilter
     keep = list(range(len(jobs)))
     pruned: List[Dict[str, Any]] = []
     if ratio is not None:

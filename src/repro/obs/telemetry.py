@@ -215,17 +215,21 @@ def write_runlog(
     failures: Sequence[Any] = (),
     cache_stats: Optional[Any] = None,
     pool_spawns: Optional[int] = None,
+    **fields: Any,
 ) -> Path:
     """Persist a sweep's flight recorder as ``RUNLOG`` JSONL.
 
     One ``{"record": "job", ...}`` line per job in submission order,
     then one trailing ``{"record": "summary", ...}`` line (always
     written, even for an empty sweep, so the file self-describes).
+    ``fields`` (the CLI passes the invocation's ``wall_s``, ``rows``,
+    ``fidelity``, ``schedule`` and ``code_version``) join the summary.
     """
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
     summary = flight_summary(telemetry, failures, cache_stats, pool_spawns)
     summary["experiment"] = experiment
+    summary.update(fields)
     with open(out, "w") as handle:
         for t in telemetry:
             handle.write(json.dumps(t.to_record(), sort_keys=True) + "\n")

@@ -101,8 +101,11 @@ def test_fail_fast_serial_names_label_and_salvages():
 def test_fail_fast_parallel_salvages_completed_points():
     cache = ResultCache()
     jobs = [_ok_job("BP"), _ok_job("KMN"), _crash_job()]
+    # fifo hands the healthy points to the pool before the crash point.
+    # Under lpt the crash point goes first, and when it lands before the
+    # next submission, fail-fast never submits the healthy ones.
     with pytest.raises(SweepError, match="crash-point"):
-        SweepExecutor(jobs=2, cache=cache).map(jobs)
+        SweepExecutor(jobs=2, cache=cache, schedule="fifo").map(jobs)
     # Healthy points that completed were cached before the raise; a rerun
     # of the same sweep therefore recomputes at most the crashed point.
     assert cache.stats.stores >= 1

@@ -179,13 +179,6 @@ class TestPerfFlags:
         assert str(built[0].cache.path).endswith("env")
         assert built[1].cache.path is None  # the flag beats the variable
 
-    def test_bench_json_writes_record(self, tmp_path, capsys):
-        import json
-
-        assert main(["fig12", "--bench-json", str(tmp_path)]) == 0
-        record = json.loads((tmp_path / "BENCH_fig12.json").read_text())
-        assert record["bench"] == "fig12" and record["wall_clock_s"] >= 0
-
     def test_trace_stays_parallel_and_merges(self, built, tmp_path, capsys):
         import json
 
@@ -220,7 +213,7 @@ class TestPerfFlags:
     def test_runlog_flag_and_flight_line(self, tmp_path, capsys, monkeypatch):
         import json
 
-        from repro.exec import JobTelemetry
+        from repro.exec import JobTelemetry, code_version
         from repro.experiments import EXPERIMENTS
         from repro.experiments.common import ExperimentResult
 
@@ -243,6 +236,10 @@ class TestPerfFlags:
         assert records[0]["events_per_sec"] == 2000.0
         summary = records[-1]
         assert summary["ran"] == 1 and summary["events"] == 1000
+        # The invocation's own figures ride in the summary.
+        assert summary["wall_s"] >= 0 and summary["rows"] == 1
+        assert summary["fidelity"] == "packet" and summary["schedule"] == "lpt"
+        assert summary["code_version"] == code_version()
         out = capsys.readouterr().out
         assert "flight: 1 ran" in out and "runlog ->" in out
 
