@@ -17,12 +17,12 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 from ..config import SystemConfig
+from ..errors import ConfigError
 from ..exec import SweepExecutor
-from ..system.builder import MultiGPUSystem
-from ..core.virtual_gpu import VirtualGPU
-from ..system.configs import get_spec
+from ..system.spec import WorkloadRef
+from ..workloads.base import KernelStep, Workload
 from ..workloads.suite import get_workload
-from .common import ExperimentResult
+from .common import ExperimentResult, run_jobs
 
 #: (workload, scale) pairs: small grids that underfill 4 GPUs, and one
 #: large saturating pair as the control.
@@ -33,27 +33,16 @@ DEFAULT_PAIRS: Sequence[Tuple[str, float, str, float]] = (
 )
 
 
-def _makespan(pair, cfg: SystemConfig, concurrent: bool, obs=None) -> int:
-    name_a, scale_a, name_b, scale_b = pair
-    system = MultiGPUSystem(get_spec("UMN"), cfg, obs=obs)
-    system.install_page_table()
-    vgpu = VirtualGPU(system.sim, system.gpus, concurrent=concurrent)
+#: :func:`kernel_pair`'s parameters, in the order of a pair's fields.
+PAIR_ARGS = ("name_a", "scale_a", "name_b", "scale_b")
+
+
+def kernel_pair(name_a: str, scale_a: float, name_b: str, scale_b: float) -> Workload:
+    """Both workloads' kernels, in order, as one kernels-only workload."""
     kernels = (
         get_workload(name_a, scale_a).kernels + get_workload(name_b, scale_b).kernels
     )
-    finished = []
-    remaining = {"count": len(kernels)}
-
-    def one_done() -> None:
-        remaining["count"] -= 1
-        if remaining["count"] == 0:
-            finished.append(system.sim.now)
-
-    for kernel in kernels:
-        vgpu.launch(kernel, on_done=one_done)
-    system.sim.run()
-    assert finished, "kernels did not complete"
-    return finished[0]
+    return Workload(f"{name_a}+{name_b}", [KernelStep(k) for k in kernels])
 
 
 def run(
@@ -61,24 +50,44 @@ def run(
     cfg: Optional[SystemConfig] = None,
     executor: Optional[SweepExecutor] = None,
 ) -> ExperimentResult:
-    """The makespans are simulated here, not swept; of the executor only
-    its ``obs`` bundle applies (the CLI's ``--trace``/``--profile``)."""
+    """Two UMN jobs per pair: the kernels one after another, then all
+    launched at once (``run_workload(..., concurrent=True)``)."""
     cfg = cfg or SystemConfig()
-    obs = executor.obs if executor is not None else None
+    executor = executor or SweepExecutor()
+    if executor.fidelity == "analytic":
+        raise ConfigError(
+            "the analytic tier does not model concurrent kernels; use "
+            "--fidelity packet or flit"
+        )
     result = ExperimentResult(
         "Ext: concurrent",
         "Sequential vs concurrent kernel execution (extension; Section III "
         "future work)",
         paper_note="the paper defers concurrent kernel execution to future work",
     )
-    for pair in pairs:
-        seq = _makespan(pair, cfg, concurrent=False, obs=obs)
-        con = _makespan(pair, cfg, concurrent=True, obs=obs)
+    refs = [
+        WorkloadRef(
+            f"{pair[0]}+{pair[2]}",
+            factory="repro.experiments.ext_concurrent:kernel_pair",
+            kwargs=tuple(sorted(zip(PAIR_ARGS, pair))),
+        )
+        for pair in pairs
+    ]
+    jobs = [
+        executor.job("UMN", ref, cfg, concurrent=concurrent)
+        for ref in refs
+        for concurrent in (False, True)
+    ]
+    results = iter(run_jobs(jobs, executor, result))
+    for ref in refs:
+        seq, con = next(results), next(results)
+        if seq is None or con is None:
+            continue  # failed point (keep-going); reported on result
         result.add(
-            kernels=f"{pair[0]}+{pair[2]}",
-            sequential_us=seq / 1e6,
-            concurrent_us=con / 1e6,
-            overlap_speedup=round(seq / con, 2),
+            kernels=ref.name,
+            sequential_us=seq.total_ps / 1e6,
+            concurrent_us=con.total_ps / 1e6,
+            overlap_speedup=round(seq.total_ps / con.total_ps, 2),
         )
     result.note(
         "small grids overlap and speed up; SM-saturating kernel pairs are "

@@ -13,41 +13,16 @@ engine (the fidelity class of the authors' NoC simulator [51]) two ways:
 
 from __future__ import annotations
 
-import dataclasses
-import random
 from typing import Optional, Sequence
 
-from ..config import NetworkConfig, SystemConfig
+from ..config import SystemConfig
+from ..errors import ConfigError
 from ..exec import SweepExecutor
-from ..network.flitnet import FlitNetwork
-from ..network.network import MemoryNetwork
-from ..network.packet import PacketKind
-from ..network.topologies import build_topology
-from ..sim.engine import Simulator
 from .common import ExperimentResult, run_jobs
+from .ext_latency_load import load_point
 
 LOADS = (0.1, 0.4, 0.8)
-
-
-def _latency(model_cls, topology: str, load: float, packets: int, seed: int) -> float:
-    sim = Simulator()
-    topo = build_topology(topology, num_gpus=4)
-    net = model_cls(sim, topo, NetworkConfig())
-    for r in range(topo.num_routers):
-        net.set_router_handler(r, lambda p: None)
-    rng = random.Random(seed)
-    size = 144
-    gpu_bytes_per_ps = 8 * 20.0 * (1 << 30) / 1e12
-    interval = max(1, round(size / (gpu_bytes_per_ps * load)))
-    for g in range(4):
-        t = rng.randrange(interval)
-        for _ in range(packets):
-            dst = rng.randrange(topo.num_routers)
-            packet = net.packet(PacketKind.WRITE_REQ, f"gpu{g}", dst, size)
-            sim.at(t, (lambda p=packet: net.send(p)))
-            t += interval
-    sim.run()
-    return net.stats.avg_latency_ps / 1e3
+MODELS = ("packet", "flit")
 
 
 def run(
@@ -62,6 +37,12 @@ def run(
 ) -> ExperimentResult:
     cfg = cfg or SystemConfig()
     executor = executor or SweepExecutor()
+    if executor.fidelity is not None:
+        raise ConfigError(
+            "it runs the packet and flit tiers side by side, so "
+            "--fidelity does not apply"
+        )
+    tiers = {model: cfg.scaled(network_model=model) for model in MODELS}
     result = ExperimentResult(
         "Ext: flit validation",
         "Packet-level vs flit-level network engines",
@@ -70,38 +51,29 @@ def run(
             "default is packet-level — this experiment bounds the error"
         ),
     )
-    for load in loads:
-        pkt = _latency(MemoryNetwork, topology, load, packets_per_gpu, seed)
-        flit = _latency(FlitNetwork, topology, load, packets_per_gpu, seed)
+    jobs = [
+        load_point(executor, topology, load, tiers[model], packets_per_gpu, seed)
+        for load in loads
+        for model in MODELS
+    ] + [
+        executor.job("GMN", name, tiers[model], scale=scale)
+        for name in workloads
+        for model in MODELS
+    ]
+    results = iter(run_jobs(jobs, executor, result))
+    points = [("latency-load", f"{x:.0%} load", "avg_net_latency_ps") for x in loads]
+    points += [("full-system", name, "kernel_ps") for name in workloads]
+    for study, point, metric in points:
+        pair = [next(results) for _ in MODELS]
+        if None in pair:
+            continue  # failed point (keep-going); reported on result
+        pkt, flit = (getattr(r, metric) / 1e3 for r in pair)
         result.add(
-            study="latency-load",
-            point=f"{load:.0%} load",
+            study=study,
+            point=point,
             packet_ns=round(pkt, 1),
             flit_ns=round(flit, 1),
             ratio=round(flit / pkt, 2) if pkt else 0.0,
-        )
-    jobs = [
-        executor.job(
-            "GMN",
-            name,
-            dataclasses.replace(cfg, network_model=model),
-            scale=scale,
-        )
-        for name in workloads
-        for model in ("packet", "flit")
-    ]
-    results = iter(run_jobs(jobs, executor, result))
-    for name in workloads:
-        pair = {model: next(results) for model in ("packet", "flit")}
-        if any(r is None for r in pair.values()):
-            continue  # failed point (keep-going); reported on result
-        runtimes = {model: r.kernel_ps for model, r in pair.items()}
-        result.add(
-            study="full-system",
-            point=name,
-            packet_ns=round(runtimes["packet"] / 1e3, 1),
-            flit_ns=round(runtimes["flit"] / 1e3, 1),
-            ratio=round(runtimes["flit"] / runtimes["packet"], 2),
         )
     result.note(
         "models agree at low load; near saturation wormhole backpressure "

@@ -15,7 +15,7 @@ from .flitnet import FlitNetwork
 from .metrics import TopologyMetrics, bisection_bandwidth_gbps, topology_metrics
 from .network import MemoryNetwork, NetworkStats
 from .traffic import PATTERNS, get_pattern
-from .trafficmatrix import Flow, FlowRouter, TrafficMatrix, pattern_matrix
+from .trafficmatrix import Flow, FlowRouter, TrafficMatrix
 from .packet import (
     MessageClass,
     Packet,
@@ -42,7 +42,6 @@ __all__ = [
     "Flow",
     "FlowRouter",
     "TrafficMatrix",
-    "pattern_matrix",
     "MessageClass",
     "Packet",
     "PacketKind",

@@ -12,17 +12,18 @@ standard ways:
 - ``hotspot``        — a fraction of traffic targets one endpoint, the rest
   uniform (models CG.S-like imbalance).
 
-Patterns are plain ``(src, n, rng) -> dst`` functions; to materialize one
-as offered load, :func:`repro.network.trafficmatrix.pattern_matrix` turns
-any pattern into a :class:`~repro.network.trafficmatrix.TrafficMatrix`,
-the shared representation consumed by both the latency-load harness and
-the analytic tier.
+Patterns are plain ``(src, n, rng) -> dst`` functions.  An
+:class:`OfferedLoad` turns one into an injection schedule at a given
+offered load: the workload of a network-only run, which
+:func:`repro.system.run.run_workload` drives through a bare memory network
+(``ext-latency-load``, ``ext-flit``).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Tuple
 
 from ..errors import ConfigError
 
@@ -81,3 +82,50 @@ def get_pattern(name: str) -> PatternFn:
         raise ConfigError(
             f"unknown traffic pattern {name!r}; available: {sorted(PATTERNS)}"
         ) from None
+
+
+#: Packet size of synthetic traffic: a read response (header + half a line).
+PACKET_BYTES = 144
+
+
+@dataclass(frozen=True)
+class OfferedLoad:
+    """``pattern`` traffic from every GPU at ``load``, a fraction of one
+    GPU's injection bandwidth: ``packets_per_gpu`` packets of
+    :data:`PACKET_BYTES`, destinations and phases drawn from ``seed``."""
+
+    load: float
+    pattern: str = "uniform"
+    packets_per_gpu: int = 400
+    seed: int = 5
+
+    def __post_init__(self) -> None:
+        if not self.load > 0:
+            raise ConfigError(f"offered load must be > 0, got {self.load}")
+
+    @property
+    def name(self) -> str:
+        return f"{self.pattern}@{self.load:.0%}"
+
+    def schedule(self, num_routers: int, cfg) -> List[Tuple[int, str, int]]:
+        """The injection schedule ``(time_ps, terminal, dst_router)`` of
+        ``cfg.num_gpus`` GPUs.
+
+        Each GPU injects one packet per interval from a random phase; the
+        interval makes ``load`` a fraction of the GPU's aggregate channel
+        bandwidth.  One rng draws each GPU's phase, then one destination
+        per packet, in GPU order.
+        """
+        gbps = cfg.gpu.num_channels * cfg.network.channel_gbps
+        interval = max(1, round(PACKET_BYTES / (gbps * (1 << 30) / 1e12 * self.load)))
+        pattern_fn = get_pattern(self.pattern)
+        rng = random.Random(self.seed)
+        schedule: List[Tuple[int, str, int]] = []
+        for g in range(cfg.num_gpus):
+            t = rng.randrange(interval)
+            for i in range(self.packets_per_gpu):
+                src_index = g * self.packets_per_gpu + i
+                dst = pattern_fn(src_index, num_routers, rng) % num_routers
+                schedule.append((t, f"gpu{g}", dst))
+                t += interval
+        return schedule

@@ -3,13 +3,11 @@
 A :class:`TrafficMatrix` is the fabric-independent description of offered
 load: how many requests, and how many request/response bytes, each source
 terminal sends toward each destination (an HMC router for memory requests,
-or a terminal for forwarded transfers).  Three consumers share it:
+or a terminal for forwarded transfers).  Two consumers share it:
 
 - the **analytic tier** (:mod:`repro.analytic`) derives one from a
   workload + :class:`~repro.system.spec.SystemSpec` without running the
   event engine and routes it over the topology to get per-channel loads;
-- the **synthetic patterns** of :mod:`repro.network.traffic` produce one
-  for latency-load characterization (``ext-latency-load``);
 - the Fig. 10 style ``[terminal][router]`` byte matrix is one view of it
   (:meth:`TrafficMatrix.bytes_matrix`), so measured and predicted traffic
   can be compared in the same format.
@@ -24,9 +22,8 @@ M/D/1 channel estimates.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Tuple, Union
 
 from .channel import Channel
 from .topology import Topology
@@ -121,37 +118,6 @@ class TrafficMatrix:
             ]
             for t in terminals
         ]
-
-
-# ---------------------------------------------------------------------------
-# Synthetic-pattern producer
-# ---------------------------------------------------------------------------
-def pattern_matrix(
-    pattern: Union[str, Callable[[int, int, random.Random], int]],
-    num_routers: int,
-    sources: Iterable[str],
-    packets_per_source: int = 1,
-    request_bytes: int = 144,
-    response_bytes: int = 0,
-    seed: int = 0,
-    rng: Optional[random.Random] = None,
-) -> TrafficMatrix:
-    """Build a :class:`TrafficMatrix` from a synthetic traffic pattern.
-
-    ``pattern`` is a name from :data:`repro.network.traffic.PATTERNS` or a
-    pattern function; source index ``s * packets_per_source + i`` follows
-    the latency-load harness convention so both produce the same flows.
-    """
-    from .traffic import get_pattern
-
-    fn = get_pattern(pattern) if isinstance(pattern, str) else pattern
-    rng = rng if rng is not None else random.Random(seed)
-    matrix = TrafficMatrix(num_routers)
-    for s, terminal in enumerate(sources):
-        for i in range(packets_per_source):
-            dst = fn(s * packets_per_source + i, num_routers, rng) % num_routers
-            matrix.add(terminal, dst, 1.0, float(request_bytes), float(response_bytes))
-    return matrix
 
 
 # ---------------------------------------------------------------------------

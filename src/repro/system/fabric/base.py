@@ -81,6 +81,26 @@ class NetEnvelope:
         return f"NetEnvelope({self.kind!r}, {self.access!r}, reply_to={self.reply_to!r})"
 
 
+def make_network(cfg, sim: Simulator, topo, routing: str) -> MemoryNetwork:
+    """Instantiate the network engine of ``cfg.network_model``: the fast
+    packet-level model or the flit-level wormhole/VC/credit model.  Every
+    event-driven run picks its engine here, full-system or network-only."""
+    model = cfg.network_model
+    if model == "flit":
+        from ...network.flitnet import FlitNetwork
+
+        return FlitNetwork(sim, topo, cfg.network, routing=routing)
+    if model == "analytic":
+        raise ConfigError(
+            "network model 'analytic' has no event-driven engine: "
+            "run_workload hands full-system workloads to "
+            "repro.analytic.analytic_run, and network-only traffic needs "
+            "the packet or flit tier"
+        )
+    # SystemConfig admits only NETWORK_MODELS, so this is "packet".
+    return MemoryNetwork(sim, topo, cfg.network, routing=routing)
+
+
 class DirectLink:
     """A device's point-to-point connection to one local HMC (no network)."""
 
@@ -180,32 +200,6 @@ class Fabric:
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-    def _make_network(self, topo, netcfg) -> MemoryNetwork:
-        """Instantiate the configured network engine: the fast packet-level
-        model (default) or the flit-level wormhole/VC/credit model."""
-        system = self.system
-        if system.cfg.network_model == "flit":
-            from ...network.flitnet import FlitNetwork
-
-            return FlitNetwork(system.sim, topo, netcfg, routing=system.spec.routing)
-        if system.cfg.network_model == "analytic":
-            # repro.system.run dispatches analytic runs to repro.analytic
-            # before any system is built; an analytic config reaching the
-            # fabric means someone constructed MultiGPUSystem directly.
-            raise ConfigError(
-                "network model 'analytic' has no event-driven engine; use "
-                "repro.analytic.analytic_run (or run_workload, which "
-                "dispatches automatically)"
-            )
-        if system.cfg.network_model != "packet":
-            from ...config import NETWORK_MODELS
-
-            raise ConfigError(
-                f"unknown network model {system.cfg.network_model!r}; "
-                f"valid: {sorted(NETWORK_MODELS)}"
-            )
-        return MemoryNetwork(system.sim, topo, netcfg, routing=system.spec.routing)
-
     def _build_pcie_switch(self) -> None:
         from ...pcie.pcie import PCIeSwitch
 

@@ -13,20 +13,19 @@ from typing import Callable
 
 from ...mem import MemoryAccess
 from ...network.topologies import build_cmn
-from .base import Fabric
+from .base import Fabric, make_network
 
 
 class CMNFabric(Fabric):
     def build(self) -> None:
         system = self.system
-        netcfg = system.cfg.network
         topo = build_cmn(
             system.num_gpus,
             hmcs_per_cpu=system.hmcs_per_cluster,
-            channel_gbps=netcfg.channel_gbps,
+            channel_gbps=system.cfg.network.channel_gbps,
             cpu_channels=system.cfg.cpu.num_channels,
         )
-        system.network = self._make_network(topo, netcfg)
+        system.network = make_network(system.cfg, system.sim, topo, system.spec.routing)
         for lc in range(system.hmcs_per_cluster):
             self._register_router(lc, system.hmcs[(system.cpu_cluster, lc)])
         for g in range(system.num_gpus):

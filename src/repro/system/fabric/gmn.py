@@ -10,22 +10,27 @@ from typing import Callable
 
 from ...mem import MemoryAccess
 from ...network.topologies import build_topology
-from .base import Fabric
+from .base import Fabric, make_network
+
+
+def gpu_network_topology(spec, cfg):
+    """The GPU-only memory network of ``spec.topology`` under ``cfg``: the
+    GMN interconnect, and the network a network-only run drives."""
+    return build_topology(
+        spec.topology,
+        num_gpus=cfg.num_gpus,
+        hmcs_per_gpu=cfg.gpu.hmcs_per_gpu,
+        include_cpu=False,
+        channel_gbps=cfg.network.channel_gbps,
+        gpu_channels=cfg.gpu.num_channels,
+    )
 
 
 class GMNFabric(Fabric):
     def build(self) -> None:
         system = self.system
-        netcfg = system.cfg.network
-        topo = build_topology(
-            system.spec.topology,
-            num_gpus=system.num_gpus,
-            hmcs_per_gpu=system.hmcs_per_cluster,
-            include_cpu=False,
-            channel_gbps=netcfg.channel_gbps,
-            gpu_channels=system.cfg.gpu.num_channels,
-        )
-        system.network = self._make_network(topo, netcfg)
+        topo = gpu_network_topology(system.spec, system.cfg)
+        system.network = make_network(system.cfg, system.sim, topo, system.spec.routing)
         for c in range(system.num_gpus):
             for lc in range(system.hmcs_per_cluster):
                 self._register_router(

@@ -11,23 +11,22 @@ from typing import Callable
 
 from ...mem import MemoryAccess
 from ...network.topologies import build_topology
-from .base import Fabric
+from .base import Fabric, make_network
 
 
 class UMNFabric(Fabric):
     def build(self) -> None:
         system = self.system
-        netcfg = system.cfg.network
         topo = build_topology(
             system.spec.topology,
             num_gpus=system.num_gpus,
             hmcs_per_gpu=system.hmcs_per_cluster,
             include_cpu=True,
-            channel_gbps=netcfg.channel_gbps,
+            channel_gbps=system.cfg.network.channel_gbps,
             gpu_channels=system.cfg.gpu.num_channels,
             cpu_channels=system.cfg.cpu.num_channels,
         )
-        system.network = self._make_network(topo, netcfg)
+        system.network = make_network(system.cfg, system.sim, topo, system.spec.routing)
         for c in range(system.num_gpus + 1):
             for lc in range(system.hmcs_per_cluster):
                 self._register_router(

@@ -5,29 +5,78 @@ semantics): an optional blocking host-to-device copy, then kernels on the
 virtual GPU interleaved with host-thread steps, then the device-to-host
 copy.  It returns a :class:`~repro.system.metrics.RunResult` with the
 Fig. 14 breakdown plus network/cache/energy statistics.
+
+Two other kinds of run share the entry point.  An analytic-tier config
+goes to :func:`repro.analytic.analytic_run`, and an
+:class:`~repro.network.traffic.OfferedLoad` workload (synthetic traffic,
+no GPUs or memory) to :func:`run_offered_load`, which drives it through
+the bare GPU memory network.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from functools import partial
+from typing import List, Optional, Union
 
 from ..config import SystemConfig
 from ..core.virtual_gpu import VirtualGPU
-from ..errors import SimulationError
+from ..errors import ConfigError, SimulationError
+from ..network.packet import PacketKind
+from ..network.traffic import PACKET_BYTES, OfferedLoad
 from ..obs.bind import Observability
+from ..sim.engine import Simulator
 from ..sim.watchdog import queue_depth_summary, resolve_limits, run_guarded
 from ..workloads.base import HostStep, KernelStep, Workload
 from .builder import MultiGPUSystem
 from .configs import ArchSpec
 from .energy import network_energy
+from .fabric.base import make_network
+from .fabric.gmn import gpu_network_topology
 from .memcpy import memcpy_time_ps
 from .metrics import RunResult
 
 
-def run_workload(
+def run_workload(spec: ArchSpec, workload, cfg=None, **options) -> RunResult:
+    """Simulate ``workload`` on the architecture described by ``spec``;
+    ``options`` as for :func:`run_workload_detailed`."""
+    return run_workload_detailed(spec, workload, cfg, **options)[0]
+
+
+def run_workload_detailed(
+    spec: ArchSpec,
+    workload: Union[Workload, OfferedLoad],
+    cfg: Optional[SystemConfig] = None,
+    **options,
+):
+    """Run ``workload`` on ``spec``; returns ``(RunResult, system)``, the
+    finished :class:`~repro.system.builder.MultiGPUSystem` for post-run
+    inspection (e.g. :func:`repro.system.report.system_report`), or
+    ``None`` when no system was built (analytic tier, network-only run).
+
+    ``options`` are :func:`_run_system`'s keyword arguments (the analytic
+    tier takes the same, except ``concurrent``); a network-only run
+    ignores them.
+    """
+    cfg = cfg or SystemConfig()
+    if isinstance(workload, OfferedLoad):
+        return run_offered_load(spec, workload, cfg), None
+    if cfg.network_model != "analytic":
+        return _run_system(spec, workload, cfg, **options)
+    # The analytic tier has no event engine and builds no system.
+    if options.pop("concurrent", False):
+        raise ConfigError(
+            "the analytic tier does not model concurrent kernels; run "
+            "at the packet or flit tier"
+        )
+    from ..analytic import analytic_run
+
+    return analytic_run(spec, workload, cfg=cfg, **options), None
+
+
+def _run_system(
     spec: ArchSpec,
     workload: Workload,
-    cfg: Optional[SystemConfig] = None,
+    cfg: SystemConfig,
     placement_policy: str = "random",
     placement_clusters: Optional[List[int]] = None,
     placement_weights: Optional[List[float]] = None,
@@ -35,66 +84,18 @@ def run_workload(
     collect_traffic: bool = False,
     seed: Optional[int] = None,
     obs: Optional[Observability] = None,
-) -> RunResult:
-    """Simulate ``workload`` on the architecture described by ``spec``.
+    concurrent: bool = False,
+):
+    """Build the full system and run ``workload``'s steps on it.
 
     ``num_active_gpus`` restricts kernel execution to the first N GPUs (all
     memory stays visible), as in the Fig. 7 remote-access study.
     ``placement_*`` override the page placement the transfer mode implies.
     ``obs`` attaches an :class:`~repro.obs.bind.Observability` bundle
-    (tracing / sampling / profiling) to the run.
+    (tracing / sampling / profiling) to the run.  ``concurrent`` launches
+    each run of consecutive kernel steps at once, as independent streams
+    on a ``VirtualGPU(concurrent=True)`` (the Section III extension).
     """
-    result, _ = run_workload_detailed(
-        spec,
-        workload,
-        cfg=cfg,
-        placement_policy=placement_policy,
-        placement_clusters=placement_clusters,
-        placement_weights=placement_weights,
-        num_active_gpus=num_active_gpus,
-        collect_traffic=collect_traffic,
-        seed=seed,
-        obs=obs,
-    )
-    return result
-
-
-def run_workload_detailed(
-    spec: ArchSpec,
-    workload: Workload,
-    cfg: Optional[SystemConfig] = None,
-    placement_policy: str = "random",
-    placement_clusters: Optional[List[int]] = None,
-    placement_weights: Optional[List[float]] = None,
-    num_active_gpus: Optional[int] = None,
-    collect_traffic: bool = False,
-    seed: Optional[int] = None,
-    obs: Optional[Observability] = None,
-):
-    """Like :func:`run_workload` but also returns the finished
-    :class:`~repro.system.builder.MultiGPUSystem` for post-run inspection
-    (e.g. :func:`repro.system.report.system_report`)."""
-    cfg = cfg or SystemConfig()
-    if cfg.network_model == "analytic":
-        # The analytic tier has no event engine and builds no system; the
-        # second element is None (there is nothing to post-inspect).
-        from ..analytic import analytic_run
-
-        return (
-            analytic_run(
-                spec,
-                workload,
-                cfg=cfg,
-                placement_policy=placement_policy,
-                placement_clusters=placement_clusters,
-                placement_weights=placement_weights,
-                num_active_gpus=num_active_gpus,
-                collect_traffic=collect_traffic,
-                seed=seed,
-                obs=obs,
-            ),
-            None,
-        )
     system = MultiGPUSystem(spec, cfg, obs=obs)
     system.install_page_table(
         policy=placement_policy,
@@ -109,12 +110,15 @@ def run_workload_detailed(
         sim.tracer.relabel_process(f"{spec.name}: {workload.name}")
 
     vgpu = system.vgpu
-    if num_active_gpus is not None:
-        if not 1 <= num_active_gpus <= cfg.num_gpus:
-            raise SimulationError(
-                f"num_active_gpus={num_active_gpus} outside [1, {cfg.num_gpus}]"
-            )
-        vgpu = VirtualGPU(sim, system.gpus[:num_active_gpus], policy=spec.cta_policy)
+    if num_active_gpus is not None or concurrent:
+        gpus = system.gpus
+        if num_active_gpus is not None:
+            if not 1 <= num_active_gpus <= cfg.num_gpus:
+                raise SimulationError(
+                    f"num_active_gpus={num_active_gpus} outside [1, {cfg.num_gpus}]"
+                )
+            gpus = gpus[:num_active_gpus]
+        vgpu = VirtualGPU(sim, gpus, policy=spec.cta_policy, concurrent=concurrent)
 
     result = RunResult(workload=workload.name, arch=spec.name)
     result.h2d_ps = memcpy_time_ps(spec, cfg, workload.h2d_bytes)
@@ -136,10 +140,14 @@ def run_workload_detailed(
             return
         state["idx"] = idx + 1
         step = steps[idx]
-        if isinstance(step, KernelStep):
-            launch = vgpu.launch(step.kernel, on_done=run_step)
-            result.kernel_breakdown_ps.append(-1)  # patched in finish()
-            del launch
+        if isinstance(step, KernelStep) and concurrent:
+            # Streams: a run of kernel steps launches at once, and the
+            # next step waits until the virtual GPU is idle again.
+            vgpu.launch(step.kernel, on_done=lambda: vgpu.idle and run_step())
+            if idx + 1 < len(steps) and isinstance(steps[idx + 1], KernelStep):
+                run_step()
+        elif isinstance(step, KernelStep):
+            vgpu.launch(step.kernel, on_done=run_step)
         elif isinstance(step, HostStep):
             state["host_start"] = sim.now
 
@@ -166,11 +174,9 @@ def run_workload_detailed(
     # The watchdog runs the engine in bounded slices so a livelocked
     # configuration (events forever, no progress) dies with a diagnostic
     # instead of hanging the process; see repro.sim.watchdog.
-    max_events, wall_s = resolve_limits(cfg)
     run_guarded(
         sim,
-        max_events=max_events,
-        wall_s=wall_s,
+        *resolve_limits(cfg),
         label=f"{workload.name} on {spec.name}",
         describe=lambda: queue_depth_summary(system),
     )
@@ -183,6 +189,51 @@ def run_workload_detailed(
 
     _collect(result, system, vgpu, collect_traffic, state["end_ps"])
     return result, system
+
+
+def run_offered_load(
+    spec: ArchSpec, traffic: OfferedLoad, cfg: SystemConfig
+) -> RunResult:
+    """Drive ``traffic`` through the bare GPU memory network of ``spec``
+    (topology and routing) under ``cfg`` (engine tier, sizes, watchdog).
+
+    Routers sink every packet, so the measured latency is the network's
+    alone ([46]).  Raises :class:`~repro.errors.SimulationError` unless
+    every injected packet is delivered: a stalled network must not report
+    an average over only the packets that arrived.
+    """
+    sim = Simulator()
+    topo = gpu_network_topology(spec, cfg)
+    net = make_network(cfg, sim, topo, spec.routing)
+    for r in range(topo.num_routers):
+        net.set_router_handler(r, lambda packet: None)  # sink: arrived
+    schedule = traffic.schedule(topo.num_routers, cfg)
+    # Packets (and their ids) are created here, in schedule order.
+    for t, terminal, dst in schedule:
+        packet = net.packet(PacketKind.READ_REQ, terminal, dst, PACKET_BYTES)
+        sim.at(t, partial(net.send, packet))
+    stats = net.stats
+    label = f"{traffic.name} on {spec.topology}"
+    run_guarded(
+        sim,
+        *resolve_limits(cfg),
+        label=label,
+        describe=lambda: f"net in-flight={stats.injected - stats.delivered}",
+    )
+    if stats.delivered != len(schedule):
+        raise SimulationError(
+            f"{label}: delivered {stats.delivered} of {len(schedule)} "
+            "injected packets"
+        )
+    return RunResult(
+        workload=traffic.name,
+        arch=spec.name,
+        net_delivered=stats.delivered,
+        avg_net_latency_ps=stats.avg_latency_ps,
+        avg_hops=stats.avg_hops,
+        events_executed=sim.events_executed,
+        peak_pending_events=sim.peak_pending_events,
+    )
 
 
 def _collect(

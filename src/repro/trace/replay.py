@@ -18,6 +18,7 @@ from ..config import SystemConfig
 from ..errors import SimulationError
 from ..mem import MemoryAccess
 from ..system.builder import MultiGPUSystem
+from ..sim.watchdog import queue_depth_summary, resolve_limits, run_guarded
 from ..system.configs import ArchSpec
 from .recorder import TraceEvent
 
@@ -46,7 +47,9 @@ def replay_trace(
     """Replay ``trace`` on the architecture described by ``spec``.
 
     ``time_scale`` stretches (>1) or compresses (<1) the injection
-    schedule, turning one trace into a load sweep.
+    schedule, turning one trace into a load sweep.  The replay drains
+    under the watchdog budgets of ``cfg`` and raises
+    :class:`~repro.errors.SimulationError` unless every request completes.
     """
     cfg = cfg or SystemConfig()
     system = MultiGPUSystem(spec, cfg)
@@ -88,6 +91,14 @@ def replay_trace(
     for event in trace:
         when = round((event.t_ps - base) * time_scale)
         sim.at(when, (lambda e=event: issue(e)))
-    sim.run()
+    label = f"trace replay on {spec.name}"
+    run_guarded(
+        sim, *resolve_limits(cfg), label, lambda: queue_depth_summary(system)
+    )
+    if result.completed < result.requests:
+        raise SimulationError(
+            f"{label}: {result.completed} of {result.requests} requests "
+            f"completed; {queue_depth_summary(system)}"
+        )
     result.makespan_ps = sim.now
     return result

@@ -17,8 +17,11 @@ from repro.network.topologies import (
     build_storus_2x,
 )
 from repro.network.topology import Topology
+from repro.system.configs import get_spec
+from repro.system.run import run_workload
 from repro.network.traffic import (
     PATTERNS,
+    OfferedLoad,
     bit_complement,
     get_pattern,
     make_hotspot,
@@ -122,17 +125,16 @@ class TestTrafficPatterns:
         assert seen == set(range(8))
 
 
+def _latency(topology, pattern):
+    """Average latency of ``pattern`` at 50% load on a bare network."""
+    spec = get_spec("GMN").with_(topology=topology)
+    traffic = OfferedLoad(0.5, pattern, packets_per_gpu=150, seed=3)
+    return run_workload(spec, traffic).avg_net_latency_ps
+
+
 class TestPatternedLatencyLoad:
     def test_hotspot_hurts_more_than_uniform(self):
-        from repro.experiments.ext_latency_load import _measure
-
-        uni = _measure("sfbfly", 0.5, 4, 150, seed=3, pattern="uniform")
-        hot = _measure("sfbfly", 0.5, 4, 150, seed=3, pattern="hotspot")
-        assert hot > uni
+        assert _latency("sfbfly", "hotspot") > _latency("sfbfly", "uniform")
 
     def test_neighbor_is_cheap(self):
-        from repro.experiments.ext_latency_load import _measure
-
-        uni = _measure("smesh", 0.5, 4, 150, seed=3, pattern="uniform")
-        near = _measure("smesh", 0.5, 4, 150, seed=3, pattern="neighbor")
-        assert near <= uni * 1.1
+        assert _latency("smesh", "neighbor") <= _latency("smesh", "uniform") * 1.1

@@ -1,5 +1,7 @@
 """Tests for trace recording and trace-driven replay."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import SimulationError
@@ -103,3 +105,24 @@ class TestReplay:
         bad = [TraceEvent(t_ps=0, requester="tpu0", paddr=0, size=128, type="read")]
         with pytest.raises(SimulationError):
             replay_trace(bad, TABLE_III["UMN"], tiny_system_config())
+
+    def test_watchdog_trips_replay(self):
+        recorder, _ = record_run()
+        cfg = dataclasses.replace(tiny_system_config(), watchdog_max_events=50)
+        with pytest.raises(SimulationError, match="watchdog: trace replay on UMN"):
+            replay_trace(recorder.events, TABLE_III["UMN"], cfg)
+
+    def test_lost_request_raises(self, monkeypatch):
+        recorder, _ = record_run()
+        forward = MultiGPUSystem._gpu_request
+        seen = []
+
+        def lossy(self, gpu_id, access, on_done):
+            seen.append(access)
+            if len(seen) > 1:  # the first request is never served
+                forward(self, gpu_id, access, on_done)
+
+        monkeypatch.setattr(MultiGPUSystem, "_gpu_request", lossy)
+        total = recorder.num_events
+        with pytest.raises(SimulationError, match=f"{total - 1} of {total} requests"):
+            replay_trace(recorder.events, TABLE_III["UMN"], tiny_system_config())
