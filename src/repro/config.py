@@ -151,11 +151,6 @@ class HMCConfig:
     #: Internal vault data bus width in bytes per DRAM cycle.
     vault_bus_bytes_per_cycle: int = 16
     num_channels: int = 8
-    #: Use the bucketed FR-FCFS scheduler fast path (per-bank request
-    #: queues + per-kick bank-state snapshot).  ``False`` selects the
-    #: reference flat-queue scan; both produce identical schedules (the
-    #: identity tests in ``tests/exec`` hold that bar).
-    frfcfs_fast_scan: bool = True
     #: Vault scheduling policy, a key in :data:`repro.hmc.sched.SCHEDULERS`
     #: ("frfcfs" is Table I's FR-FCFS; "fcfs", "frfcfs_cap", and
     #: "qos_staged" are the shipped alternatives).  Part of the canonical
@@ -193,11 +188,6 @@ class NetworkConfig:
     vc_buffer_bytes: int = 512
     #: Read/write request header size (HMC-style packetized interface).
     header_bytes: int = 16
-    #: Use frozen-topology route tables (cached injection/ejection
-    #: choices, destination-router estimates, and attachment lookups) in
-    #: the packet-level network.  ``False`` recomputes every routing
-    #: decision from scratch; results are byte-identical either way.
-    route_cache: bool = True
 
     @property
     def hop_latency_ps(self) -> int:

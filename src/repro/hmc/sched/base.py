@@ -61,7 +61,7 @@ class QueuedRequest:
         self.arrived_ps = arrived_ps
         #: Admission order within the vault.  The queue preserves
         #: admission order, so sorting by ``seq`` is identical to sorting
-        #: by queue index — which lets the bucketed fast path reproduce
+        #: by queue index — which lets the bucketed FR-FCFS reproduce
         #: the flat scan's FR-FCFS tie-break exactly.
         self.seq = seq
 
@@ -124,9 +124,10 @@ class FlatQueueScheduler(VaultScheduler):
     """Shared machinery for policies over a single flat queue.
 
     Subclasses supply :meth:`key`; the smallest key among ready requests
-    issues.  The scan, readiness check, and horizon are identical to the
-    reference FR-FCFS flat scan, so alternative policies differ from the
-    default only in their ordering rule.
+    issues.  With the key ``(is_hit, req.arrived_ps, idx)`` this scan is
+    FR-FCFS itself: the tests keep that subclass as the oracle for the
+    bucketed :class:`~.frfcfs.FRFCFSScheduler`, so alternative policies
+    differ from the default only in their ordering rule.
     """
 
     def __init__(self, cfg: "HMCConfig") -> None:

@@ -1,18 +1,11 @@
 """FR-FCFS: first-ready, row hits preferred, ties broken by age.
 
-The default policy (Table I: FR-FCFS [48]) in both of its historically
-equivalent implementations, selected by ``HMCConfig.frfcfs_fast_scan``:
-
-- the flat reference scan over one queue (``O(queue)`` per issue), and
-- the bucketed fast path (per-bank queues + the per-kick bank-state
-  snapshot), which skips not-ready banks without touching their requests.
-
-Both produce identical schedules; the identity tests in ``tests/exec``
-hold that bar against committed reference rows.  The two code paths are
-verbatim moves of the original ``Vault._try_issue`` /
-``Vault._try_issue_fast`` loops.  The variant is bound once at
-construction (``admit``/``pick``/``horizon`` become the chosen path's
-methods), so the per-issue calls do not branch on it.
+The default policy (Table I: FR-FCFS [48]).  Requests are bucketed per
+bank, each bucket in admission order, and ``pick`` consults the vault's
+per-kick bank-state snapshot, so not-ready banks are skipped without
+touching their requests.  The schedule equals a flat scan of one queue
+by the key ``(is_hit, arrived_ps, queue index)`` — the oracle tests in
+``tests/hmc/test_frfcfs_oracle.py`` hold that bar against such a scan.
 """
 
 from __future__ import annotations
@@ -27,35 +20,21 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class FRFCFSScheduler(VaultScheduler):
-    """First-ready FCFS over the vault's banks (flat or bucketed scan)."""
+    """First-ready FCFS over the vault's banks (bucketed scan)."""
 
     name = "frfcfs"
 
     def __init__(self, cfg: "HMCConfig") -> None:
         super().__init__(cfg)
-        self.queue: List[QueuedRequest] = []
-        #: Fast path: requests bucketed per bank, each bucket in admission
-        #: order.
+        #: Requests bucketed per bank, each bucket in admission order.
         self._buckets: Dict[int, List[QueuedRequest]] = {}
-        #: Admitted entries (across buckets on the fast path).
+        #: Admitted entries across buckets.
         self._queue_len = 0
-        if cfg.frfcfs_fast_scan:
-            self.admit = self._admit_fast
-            self.pick = self._pick_fast
-            self.horizon = self._horizon_fast
-        else:
-            self.admit = self._admit_flat
-            self.pick = self._pick_flat
-            self.horizon = self._horizon_flat
 
     def __len__(self) -> int:
         return self._queue_len
 
-    def _admit_flat(self, req: QueuedRequest) -> None:
-        self.queue.append(req)
-        self._queue_len += 1
-
-    def _admit_fast(self, req: QueuedRequest) -> None:
+    def admit(self, req: QueuedRequest) -> None:
         bank = req.access.decoded.bank
         bucket = self._buckets.get(bank)
         if bucket is None:
@@ -63,37 +42,10 @@ class FRFCFSScheduler(VaultScheduler):
         bucket.append(req)
         self._queue_len += 1
 
-    # ------------------------------------------------------------------
-    def _pick_flat(
+    def pick(
         self, bank_state: BankState, now: int, banks: List["Bank"]
     ) -> Optional[QueuedRequest]:
-        """The FR-FCFS-preferred ready request, by flat queue scan."""
-        best_idx: Optional[int] = None
-        best_key: Optional[Tuple[int, int, int]] = None
-        for idx, req in enumerate(self.queue):
-            decoded = req.access.decoded
-            state = bank_state.get(decoded.bank)
-            if state is None:
-                bank = banks[decoded.bank]
-                state = (bank.earliest_issue(now) <= now, bank.open_row)
-                bank_state[decoded.bank] = state
-            if not state[0]:
-                continue
-            is_hit = 0 if state[1] == decoded.row else 1
-            key = (is_hit, req.arrived_ps, idx)
-            if best_key is None or key < best_key:
-                best_key, best_idx = key, idx
-        if best_idx is None:
-            return None
-        req = self.queue.pop(best_idx)
-        self._queue_len -= 1
-        bank_state.pop(req.access.decoded.bank, None)
-        return req
-
-    def _pick_fast(
-        self, bank_state: BankState, now: int, banks: List["Bank"]
-    ) -> Optional[QueuedRequest]:
-        """Bucketed FR-FCFS issue: equivalent to :meth:`_pick_flat`.
+        """The FR-FCFS-preferred ready request.
 
         Within one bank the flat scan's best candidate is the oldest row
         hit, or the oldest request if none hits (the key is hits-first,
@@ -136,14 +88,7 @@ class FRFCFSScheduler(VaultScheduler):
         bank_state.pop(best_bank, None)
         return best_req
 
-    # ------------------------------------------------------------------
-    def _horizon_flat(self, now: int, banks: List["Bank"]) -> int:
-        return min(
-            banks[req.access.decoded.bank].earliest_issue(now)
-            for req in self.queue
-        )
-
-    def _horizon_fast(self, now: int, banks: List["Bank"]) -> int:
+    def horizon(self, now: int, banks: List["Bank"]) -> int:
         return min(
             banks[bank_id].ready_at
             for bank_id, bucket in self._buckets.items()

@@ -170,40 +170,30 @@ class FlitNetwork:
     def send(self, packet: Packet) -> None:
         packet.injected_at_ps = self.sim.now
         self.stats.injected += 1
-        if isinstance(packet.dst, int):
-            self.stats.traffic_bytes[(str(packet.src), packet.dst)] += packet.size_bytes
-        if isinstance(packet.src, str):
-            dst_router = self._dst_router(packet)
-            att = self.routing.select_injection(self.topo, packet, dst_router, self.sim.now)
-            packet.eject_router = dst_router if not isinstance(packet.dst, int) else None
+        src, dst, topo = packet.src, packet.dst, self.topo
+        if isinstance(dst, int):
+            self.stats.traffic_bytes[(str(src), dst)] += packet.size_bytes
+            dst_router = dst
+        elif isinstance(src, str):
+            dst_router = packet.eject_router = topo.destination_router(src, str(dst))
+        else:
+            dst_router = packet.eject_router = topo.nearest_attachment(
+                str(dst), int(src)
+            ).router
+        if isinstance(src, str):
+            att = self.routing.select_injection(topo, packet, dst_router, self.sim.now)
             self._enqueue_source(packet, att.inject, dst_router)
         else:
             # Response injected by an HMC at its own router: feed it into
             # the router through a zero-length virtual source on any of its
             # outgoing directions — modeled by enqueuing at the router's
             # loopback source.
-            router = int(packet.src)
-            dst_router = self._dst_router(packet)
-            packet.eject_router = dst_router if not isinstance(packet.dst, int) else None
-            self._enqueue_router_source(packet, router, dst_router)
+            self._enqueue_router_source(packet, int(src), dst_router)
         self._ensure_running()
 
     # ------------------------------------------------------------------
     # Sources
     # ------------------------------------------------------------------
-    def _dst_router(self, packet: Packet) -> int:
-        if isinstance(packet.dst, int):
-            return packet.dst
-        atts = self.topo.attachments(str(packet.dst))
-        if isinstance(packet.src, str):
-            src_atts = self.topo.attachments(str(packet.src))
-            return min(
-                (att.router for att in atts),
-                key=lambda r: min(self.topo.distance(a.router, r) for a in src_atts),
-            )
-        src = int(packet.src)
-        return min((att.router for att in atts), key=lambda r: self.topo.distance(src, r))
-
     def _flits_of(self, packet: Packet, dst_router: int) -> List[_Flit]:
         n = max(1, -(-packet.size_bytes // FLIT_BYTES))
         flits = []
@@ -283,16 +273,10 @@ class FlitNetwork:
         if router == final:
             if isinstance(packet.dst, int):
                 return None, ("deliver", router)
-            att = self._attachment_at(str(packet.dst), router)
+            att = self.topo.attachment_at(str(packet.dst), router)
             return None, ("eject", att.eject)
         nbr, ch = self.routing.next_hop(self.topo, packet, router, final, self.sim.now)
         return nbr, ch
-
-    def _attachment_at(self, terminal: str, router: int):
-        for att in self.topo.attachments(terminal):
-            if att.router == router:
-                return att
-        raise SimulationError(f"{terminal} not attached to router {router}")
 
     # -- switch traversal --------------------------------------------------
     def _forward_flits(self, bucket: List[Tuple[int, int, _Flit]]) -> None:

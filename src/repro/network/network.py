@@ -21,7 +21,7 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..config import NetworkConfig
-from ..errors import RoutingError, SimulationError
+from ..errors import SimulationError
 from ..sim.engine import Simulator
 from .channel import Channel
 from .packet import Packet, PacketKind
@@ -66,9 +66,7 @@ class MemoryNetwork:
         self.sim = sim
         self.topo = topo
         self.cfg = cfg or NetworkConfig()
-        self.routing = make_routing(
-            routing, self.cfg.hop_latency_ps, use_cache=self.cfg.route_cache
-        )
+        self.routing = make_routing(routing, self.cfg.hop_latency_ps)
         self.stats = NetworkStats()
         self._router_handlers: Dict[int, PacketHandler] = {}
         self._terminal_handlers: Dict[str, PacketHandler] = {}
@@ -78,12 +76,6 @@ class MemoryNetwork:
         self._serdes_ps = self.cfg.serdes_ps
         self._passthrough_ps = self.cfg.passthrough_ps
         self._switch_ps = self.cfg.pipeline_stages * self.cfg.router_cycle_ps
-        self._use_cache = self.cfg.route_cache
-        #: (src terminal, dst terminal) -> nearest destination router, valid
-        #: for one topology version (the estimate is a pure topology
-        #: function; see `_destination_router_estimate`).
-        self._dst_cache: Dict[Tuple[str, str], int] = {}
-        self._dst_cache_version: Optional[int] = None
         #: This network's packet-id sequence (ids break routing ties).
         self._pids = itertools.count()
 
@@ -138,15 +130,16 @@ class MemoryNetwork:
     def _inject_from_terminal(self, packet: Packet) -> None:
         terminal = str(packet.src)
         dst = packet.dst
+        topo = self.topo
         dst_router = (
-            dst if isinstance(dst, int) else self._destination_router_estimate(packet)
+            dst if isinstance(dst, int) else topo.destination_router(terminal, str(dst))
         )
         sim = self.sim
         if packet.pass_through:
             chain_plan = self._passthrough_injection_plan(packet, terminal, dst_router)
             if chain_plan is not None:
                 att_router, channels = chain_plan
-                att = self._attachment_at(terminal, att_router)
+                att = topo.attachment_at(terminal, att_router)
                 arrive = att.inject.transmit(
                     packet.size_bytes, sim.now + self._serdes_ps
                 )
@@ -156,47 +149,10 @@ class MemoryNetwork:
                 )
                 return
 
-        att = self.routing.select_injection(self.topo, packet, dst_router, sim.now)
+        att = self.routing.select_injection(topo, packet, dst_router, sim.now)
         arrive = att.inject.transmit(packet.size_bytes, sim.now + self._serdes_ps)
         packet.hops += 1
         sim.at(arrive, partial(self._at_router, packet, att.router))
-
-    def _destination_router_estimate(self, packet: Packet) -> int:
-        """The router the packet must reach (exact for router destinations,
-        the nearest attachment for terminal destinations).
-
-        For terminal destinations this is a pure function of the topology,
-        so it is memoized per (src terminal, dst terminal) pair until the
-        topology version changes.
-        """
-        if isinstance(packet.dst, int):
-            return packet.dst
-        dst = str(packet.dst)
-        src = str(packet.src)
-        if self._use_cache:
-            if self._dst_cache_version != self.topo.version:
-                self._dst_cache.clear()
-                self._dst_cache_version = self.topo.version
-            cached = self._dst_cache.get((src, dst))
-            if cached is not None:
-                return cached
-        atts = self.topo.attachments(dst)
-        src_atts = self.topo.attachments(src)
-        best = min(
-            (att.router for att in atts),
-            key=lambda r: min(self.topo.distance(a.router, r) for a in src_atts),
-        )
-        if self._use_cache:
-            self._dst_cache[(src, dst)] = best
-        return best
-
-    def _attachment_at(self, terminal: str, router: int):
-        if self._use_cache:
-            return self.topo.attachment_at(terminal, router)
-        for att in self.topo.attachments(terminal):
-            if att.router == router:
-                return att
-        raise RoutingError(f"{terminal} is not attached to router {router}")
 
     # ------------------------------------------------------------------
     # Pass-through (overlay) paths
@@ -293,7 +249,7 @@ class MemoryNetwork:
                     self.topo, packet, router, self.sim.now
                 ).router
             if router == dst_router:
-                self._eject(packet, self._attachment_at(str(dst), router))
+                self._eject(packet, self.topo.attachment_at(str(dst), router))
                 return
         now = self.sim.now
         nbr, ch = self.routing.next_hop(self.topo, packet, router, dst_router, now)

@@ -16,7 +16,7 @@ point when the minimal one is congested (Section VI-B1 / Fig. 15).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Tuple
 
 from ..errors import RoutingError
 from .channel import Channel
@@ -28,66 +28,21 @@ class MinimalRouting:
     """Deterministic minimal routing with oblivious load spreading.
 
     Injection and ejection choices are pure functions of the topology (ties
-    break on attachment order / first minimum), so with ``use_cache`` they
-    are memoized per ``(terminal, router)`` pair.  Caches are invalidated
-    by comparing :attr:`Topology.version` on every lookup, which makes a
-    topology "frozen" simply by no longer mutating it.
+    break on attachment order / first minimum), so the policy asks the
+    topology's memoized :meth:`~Topology.nearest_attachment` for both.
     """
 
     name = "min"
 
-    def __init__(self, use_cache: bool = True) -> None:
-        self.use_cache = use_cache
-        self._topo_version: Optional[int] = None
-        self._inj_cache: Dict[Tuple[str, int], TerminalAttachment] = {}
-        self._ej_cache: Dict[Tuple[str, int], TerminalAttachment] = {}
-
-    def _sync(self, topo: Topology) -> None:
-        version = topo.version
-        if version != self._topo_version:
-            self._clear_caches()
-            self._topo_version = version
-
-    def _clear_caches(self) -> None:
-        self._inj_cache.clear()
-        self._ej_cache.clear()
-
     def select_injection(
         self, topo: Topology, packet: Packet, dst_router: int, now_ps: int
     ) -> TerminalAttachment:
-        src = str(packet.src)
-        if self.use_cache:
-            self._sync(topo)
-            cached = self._inj_cache.get((src, dst_router))
-            if cached is not None:
-                return cached
-        atts = topo.attachments(src)
-        best = None
-        best_dist = None
-        for att in atts:
-            d = topo.distance(att.router, dst_router)
-            if best_dist is None or d < best_dist:
-                best, best_dist = att, d
-        if best is None:  # pragma: no cover - attachments() raises first
-            raise RoutingError(f"terminal {packet.src} has no attachments")
-        if self.use_cache:
-            self._inj_cache[(src, dst_router)] = best
-        return best
+        return topo.nearest_attachment(str(packet.src), dst_router)
 
     def select_ejection(
         self, topo: Topology, packet: Packet, cur_router: int, now_ps: int
     ) -> TerminalAttachment:
-        dst = str(packet.dst)
-        if self.use_cache:
-            self._sync(topo)
-            cached = self._ej_cache.get((dst, cur_router))
-            if cached is not None:
-                return cached
-        atts = topo.attachments(dst)
-        best = min(atts, key=lambda att: topo.distance(cur_router, att.router))
-        if self.use_cache:
-            self._ej_cache[(dst, cur_router)] = best
-        return best
+        return topo.nearest_attachment(str(packet.dst), cur_router)
 
     def next_hop(
         self, topo: Topology, packet: Packet, cur: int, dst: int, now_ps: int
@@ -107,33 +62,8 @@ class UGALRouting(MinimalRouting):
 
     name = "ugal"
 
-    def __init__(self, hop_latency_ps: int = 6400, use_cache: bool = True) -> None:
-        super().__init__(use_cache=use_cache)
+    def __init__(self, hop_latency_ps: int = 6400) -> None:
         self.hop_latency_ps = hop_latency_ps
-        #: Static minimum distance from a terminal's attachment set to a
-        #: destination router; the queue-sensitive costs stay dynamic.
-        self._min_dist_cache: Dict[Tuple[str, int], int] = {}
-
-    def _clear_caches(self) -> None:
-        super()._clear_caches()
-        self._min_dist_cache.clear()
-
-    def _min_dist(
-        self,
-        topo: Topology,
-        src: str,
-        atts: List[TerminalAttachment],
-        dst_router: int,
-    ) -> int:
-        if self.use_cache:
-            self._sync(topo)
-            cached = self._min_dist_cache.get((src, dst_router))
-            if cached is not None:
-                return cached
-        md = min(topo.distance(att.router, dst_router) for att in atts)
-        if self.use_cache:
-            self._min_dist_cache[(src, dst_router)] = md
-        return md
 
     def _path_cost(
         self,
@@ -198,7 +128,8 @@ class UGALRouting(MinimalRouting):
     ) -> TerminalAttachment:
         src = str(packet.src)
         atts = topo.attachments(src)
-        min_dist = self._min_dist(topo, src, atts, dst_router)
+        nearest = topo.nearest_attachment(src, dst_router)
+        min_dist = topo.distance(nearest.router, dst_router)
         return min(
             atts,
             key=lambda att: (
@@ -248,7 +179,7 @@ ROUTING_POLICIES = {
 }
 
 
-def make_routing(name: str, hop_latency_ps: int = 6400, use_cache: bool = True):
+def make_routing(name: str, hop_latency_ps: int = 6400):
     """Instantiate a routing policy by name."""
     try:
         cls = ROUTING_POLICIES[name]
@@ -257,5 +188,5 @@ def make_routing(name: str, hop_latency_ps: int = 6400, use_cache: bool = True):
             f"unknown routing policy {name!r}; available: {sorted(ROUTING_POLICIES)}"
         ) from None
     if cls is UGALRouting:
-        return cls(hop_latency_ps, use_cache=use_cache)
-    return cls(use_cache=use_cache)
+        return cls(hop_latency_ps)
+    return cls()

@@ -6,7 +6,10 @@ the CPU) attach to routers through injection/ejection channels; the
 is modeled by one attachment per local HMC with ``width=2``.
 
 Routing tables are all-pairs BFS next-hop sets computed once after
-construction; see :mod:`repro.network.routing` for the routing policies that
+construction, plus the static routing answers derived from them (which
+attachment is nearest a router, which router a terminal-to-terminal packet
+heads for).  The topology owns all of them and forgets them whenever it
+mutates; see :mod:`repro.network.routing` for the routing policies that
 consume them.
 """
 
@@ -82,16 +85,7 @@ class Topology:
         #: Overlay pass-through chains: terminal -> slice -> ordered channel
         #: lists (forward direction); reverse channels are stored alongside.
         self.passthrough_chains: Dict[str, Dict[int, "PassthroughChain"]] = {}
-        self._dist: Optional[List[List[int]]] = None
-        self._next_hops: Optional[List[List[List[Tuple[int, Channel]]]]] = None
-        #: Monotonic mutation counter.  Every structural change (links,
-        #: terminal attachments, overlay chains) bumps it; route caches in
-        #: :mod:`repro.network.routing` and :class:`MemoryNetwork` compare
-        #: it against the version they were built at and rebuild on
-        #: mismatch.  A topology that stops mutating is thereby "frozen"
-        #: without an explicit freeze call.
-        self.version: int = 0
-        self._att_index: Optional[Dict[Tuple[str, int], TerminalAttachment]] = None
+        self._clear_routes()
 
         if len(self.cluster_of) != num_routers or len(self.slice_of) != num_routers:
             raise TopologyError("cluster/slice labels must cover all routers", topology=name)
@@ -111,7 +105,7 @@ class Topology:
         self.channels.extend((fwd, rev))
         self.adj[a].append((b, fwd))
         self.adj[b].append((a, rev))
-        self._invalidate()
+        self._clear_routes()
 
     def has_link(self, a: int, b: int) -> bool:
         return any(nbr == b for nbr, _ in self.adj[a])
@@ -126,8 +120,7 @@ class Topology:
         eject = Channel(f"r{router}->{terminal}", router, terminal, rate, width)
         att = TerminalAttachment(terminal, router, inject, eject)
         self.terminals.setdefault(terminal, []).append(att)
-        self.version += 1
-        self._att_index = None
+        self._clear_routes()
         return att
 
     def add_passthrough_chain(self, terminal: str, slice_id: int, routers: Sequence[int]) -> None:
@@ -150,15 +143,22 @@ class Topology:
             reverse.append(rev)
         chain = PassthroughChain(list(routers), forward, reverse)
         self.passthrough_chains.setdefault(terminal, {})[slice_id] = chain
-        self.version += 1
+        self._clear_routes()
 
     # ------------------------------------------------------------------
     # Routing tables
     # ------------------------------------------------------------------
-    def _invalidate(self) -> None:
-        self._dist = None
-        self._next_hops = None
-        self.version += 1
+    def _clear_routes(self) -> None:
+        """Forget the routing tables and every memoized routing answer.
+
+        Every mutator calls this, so the memos are always those of the
+        current structure; a topology that stops mutating keeps them.
+        """
+        self._dist: Optional[List[List[int]]] = None
+        self._next_hops: Optional[List[List[List[Tuple[int, Channel]]]]] = None
+        self._att_index: Optional[Dict[Tuple[str, int], TerminalAttachment]] = None
+        self._nearest: Dict[Tuple[str, int], TerminalAttachment] = {}
+        self._dst_routers: Dict[Tuple[str, str], int] = {}
 
     def _structure_key(self) -> tuple:
         """The adjacency structure as a hashable key: distances depend
@@ -249,9 +249,8 @@ class Topology:
     def attachment_at(self, terminal: str, router: int) -> TerminalAttachment:
         """The attachment of ``terminal`` at ``router`` (first match wins).
 
-        Indexed lookup over a ``(terminal, router)`` dict rebuilt whenever
-        the topology mutates; semantics match a linear first-match scan of
-        :meth:`attachments`.
+        Indexed lookup over a ``(terminal, router)`` dict; semantics match
+        a linear first-match scan of :meth:`attachments`.
         """
         index = self._att_index
         if index is None:
@@ -267,9 +266,40 @@ class Topology:
                 f"{terminal} is not attached to router {router}"
             ) from None
 
+    def nearest_attachment(self, terminal: str, router: int) -> TerminalAttachment:
+        """The terminal's attachment closest to ``router`` (the first
+        minimum in attachment order).
+
+        One table answers both directions: :meth:`add_link` is the only
+        constructor of router edges and always adds both, so ``dist`` is
+        symmetric and the nearest entry toward ``router`` is also the
+        nearest exit from it.
+        """
+        key = (terminal, router)
+        att = self._nearest.get(key)
+        if att is None:
+            row = self.dist[router]
+            att = min(self.attachments(terminal), key=lambda a: row[a.router])
+            self._nearest[key] = att
+        return att
+
+    def destination_router(self, src_terminal: str, dst_terminal: str) -> int:
+        """The router a ``src_terminal`` -> ``dst_terminal`` packet heads
+        for: the destination attachment nearest any source attachment
+        (first minimum in attachment order)."""
+        key = (src_terminal, dst_terminal)
+        router = self._dst_routers.get(key)
+        if router is None:
+            router = min(
+                self.terminal_routers(dst_terminal),
+                key=lambda r: self.terminal_distance(src_terminal, r),
+            )
+            self._dst_routers[key] = router
+        return router
+
     def terminal_distance(self, terminal: str, router: int) -> int:
         """Minimum network distance from any of the terminal's routers."""
-        return min(self.dist[r][router] for r in self.terminal_routers(terminal))
+        return self.dist[self.nearest_attachment(terminal, router).router][router]
 
     def routers_in_cluster(self, cluster: int) -> List[int]:
         return [r for r in range(self.num_routers) if self.cluster_of[r] == cluster]

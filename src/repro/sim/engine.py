@@ -8,6 +8,7 @@ Ties are broken by insertion order so runs are fully deterministic.
 from __future__ import annotations
 
 import heapq
+import sys
 from typing import Callable, Optional
 
 from ..errors import SimulationError
@@ -17,6 +18,10 @@ Callback = Callable[[], None]
 # at()/after() are the hottest call sites in the simulator; binding heappush
 # at module level skips the heapq attribute chase on every schedule.
 _heappush = heapq.heappush
+
+#: The budget of an unbounded :meth:`Simulator.run`: an int, so the loop
+#: condition stays an int comparison.
+_UNBOUNDED = sys.maxsize
 
 
 class Simulator:
@@ -70,63 +75,37 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self, until_ps: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Run until the event queue drains (or a limit is hit).
+    def run(self, max_events: Optional[int] = None) -> int:
+        """Run until the event queue drains or ``max_events`` have run.
 
         Returns the number of events executed during this call.
         """
+        budget = _UNBOUNDED if max_events is None else max_events
         executed = 0
         self._running = True
         profiler = self.profiler
         queue = self._queue
         pop = heapq.heappop
         try:
-            if until_ps is None and max_events is None and profiler is None:
-                # Fast path: no per-event limit/profiler checks.  This loop
-                # executes every event of every simulation — keeping it to a
-                # pop, a store, and a call is a measurable whole-run win.
-                while queue:
-                    entry = pop(queue)
-                    self.now = entry[0]
-                    entry[2]()
-                    executed += 1
-            elif until_ps is None and profiler is None:
-                # Bounded fast path: only an event budget.  The watchdog
-                # (repro.sim.watchdog) runs every simulation in slices of
-                # ``max_events``, so this loop is as hot as the one above —
-                # it adds a single integer comparison per event.
-                while queue and executed < max_events:
+            if profiler is None:
+                # This loop executes every event of every simulation (the
+                # watchdog, repro.sim.watchdog, runs it in budgeted
+                # slices): a pop, a store, a call and one comparison.
+                while queue and executed < budget:
                     entry = pop(queue)
                     self.now = entry[0]
                     entry[2]()
                     executed += 1
             else:
-                while queue:
-                    if until_ps is not None and queue[0][0] > until_ps:
-                        break
-                    if max_events is not None and executed >= max_events:
-                        break
-                    time_ps, _, fn = pop(queue)
-                    self.now = time_ps
-                    if profiler is None:
-                        fn()
-                    else:
-                        profiler.record(fn)
+                while queue and executed < budget:
+                    entry = pop(queue)
+                    self.now = entry[0]
+                    profiler.record(entry[2])
                     executed += 1
         finally:
             self._running = False
         self._events_executed += executed
         return executed
-
-    def step(self) -> bool:
-        """Execute a single event. Returns False if the queue was empty."""
-        if not self._queue:
-            return False
-        time_ps, _, fn = heapq.heappop(self._queue)
-        self.now = time_ps
-        fn()
-        self._events_executed += 1
-        return True
 
     # ------------------------------------------------------------------
     # Introspection

@@ -18,7 +18,8 @@ pending-event count, the simulated time, and per-component queue depths —
 enough to see *where* the simulation is spinning.  Slicing never perturbs
 results: the event heap and tie-break sequence carry across ``run`` calls
 untouched, so a guarded run executes the exact same event order as an
-unguarded one (the fast-path identity tests hold that bar).
+unguarded one (``test_engine_slicing_preserves_event_order`` holds that
+bar).
 
 Limits travel with each run's config: the CLI's flags fill the fields
 a config leaves unset (:meth:`repro.config.SystemConfig.with_watchdog`),
@@ -97,7 +98,7 @@ def run_guarded(
     """Drain ``sim``'s event queue under the given budgets.
 
     Returns the number of events executed.  With both budgets ``None``
-    this is exactly ``sim.run()`` (single call, engine fast path).
+    this is exactly ``sim.run()`` (one call with no budget).
     """
     if max_events is None and wall_s is None:
         return sim.run()

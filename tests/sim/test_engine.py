@@ -70,14 +70,15 @@ class TestScheduling:
 
 
 class TestRunLimits:
-    def test_run_until_stops_before_later_events(self, sim):
+    def test_budget_leaves_later_events_pending(self, sim):
         ran = []
         sim.at(100, lambda: ran.append(100))
         sim.at(200, lambda: ran.append(200))
-        executed = sim.run(until_ps=150)
+        executed = sim.run(max_events=1)
         assert executed == 1
         assert ran == [100]
         assert sim.pending_events == 1
+        assert sim.now == 100
 
     def test_max_events_limit(self, sim):
         for t in range(10):
@@ -85,12 +86,29 @@ class TestRunLimits:
         assert sim.run(max_events=4) == 4
         assert sim.pending_events == 6
 
-    def test_step_executes_one_event(self, sim):
+    def test_budgeted_run_on_empty_queue_executes_nothing(self, sim):
         ran = []
         sim.at(5, lambda: ran.append(1))
-        assert sim.step() is True
+        assert sim.run(max_events=1) == 1
         assert ran == [1]
-        assert sim.step() is False
+        assert sim.run(max_events=1) == 0
+        assert sim.events_executed == 1
+
+    def test_profiler_loop_honours_the_budget(self, sim):
+        recorded = []
+
+        class Recorder:
+            def record(self, fn):
+                recorded.append(fn)
+                fn()
+
+        sim.profiler = Recorder()
+        for t in range(5):
+            sim.at(t, lambda: None)
+        assert sim.run(max_events=3) == 3
+        assert len(recorded) == 3
+        assert sim.run() == 2
+        assert len(recorded) == 5
 
     def test_events_executed_accumulates(self, sim):
         sim.at(1, lambda: None)

@@ -165,7 +165,7 @@ def test_livelock_workload_trips_watchdog():
 def test_deadlock_message_names_queue_depths(monkeypatch):
     # Force the "queue drained but workload unfinished" branch by making
     # the engine drop all pending events instead of running them.
-    def drain(self, until_ps=None, max_events=None):
+    def drain(self, max_events=None):
         self._queue.clear()
         return 0
 
