@@ -121,7 +121,7 @@ _SCALED = {
 }
 
 #: CLI commands whose RUNLOG name differs from the command, aligned with
-#: the benchmark modules (``bench_fig07_remote_access``).
+#: the experiment modules (``fig07_remote_access``).
 _RUNLOG_ALIAS = {"fig7": "fig07"}
 
 

@@ -14,6 +14,7 @@ from ..exec.jobs import JobFailure, SweepJob, job_for  # noqa: F401  (re-export)
 from ..exec.planner import prefilter_jobs
 from ..obs.telemetry import JobTelemetry, flight_summary
 from ..system.metrics import RunResult
+from .claims import evaluate
 
 
 @dataclass
@@ -22,7 +23,8 @@ class ExperimentResult:
 
     ``rows`` are flat dicts (one per reported data point); ``paper_note``
     records what the paper claims so reports can show paper-vs-measured
-    side by side.
+    side by side, and ``render()`` adds a verdict for every claim in
+    :mod:`repro.experiments.claims` that reads ``experiment_id``'s rows.
     """
 
     experiment: str
@@ -36,6 +38,8 @@ class ExperimentResult:
     #: (see :mod:`repro.obs.telemetry`); observational only — never part
     #: of rows, exports, or cache identity.
     telemetry: List[JobTelemetry] = field(default_factory=list)
+    #: Registry id whose claims read these rows (never exported).
+    experiment_id: str = ""
 
     def add(self, **fields: object) -> None:
         self.rows.append(fields)
@@ -86,14 +90,12 @@ class ExperimentResult:
                 )
         for note in self.notes:
             lines.append(f"note: {note}")
+        lines += [v.render() for v in evaluate(self.experiment_id, self.rows)]
         if self.failures:
             lines.append(f"FAILED sweep points ({len(self.failures)}):")
             for failure in self.failures:
                 lines.append(f"  {failure.summary()}")
         return "\n".join(lines)
-
-    def print(self) -> None:  # pragma: no cover - console convenience
-        print(self.render())
 
     # ------------------------------------------------------------------
     # Export
@@ -206,11 +208,3 @@ def run_jobs(
             f"{len(jobs)} points as dominated: {listing}"
         )
     return results
-
-
-def normalize(values: Sequence[float], to: Optional[float] = None) -> List[float]:
-    """Normalize a series to its first element (or an explicit baseline)."""
-    base = values[0] if to is None else to
-    if base == 0:
-        raise ZeroDivisionError("cannot normalize to zero")
-    return [v / base for v in values]

@@ -64,6 +64,7 @@ def run(
         "Sequential vs concurrent kernel execution (extension; Section III "
         "future work)",
         paper_note="the paper defers concurrent kernel execution to future work",
+        experiment_id="ext-concurrent",
     )
     refs = [
         WorkloadRef(

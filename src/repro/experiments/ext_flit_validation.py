@@ -50,6 +50,7 @@ def run(
             "the authors used a cycle-accurate NoC simulator [51]; our "
             "default is packet-level — this experiment bounds the error"
         ),
+        experiment_id="ext-flit",
     )
     jobs = [
         load_point(executor, topology, load, tiers[model], packets_per_gpu, seed)

@@ -77,6 +77,7 @@ def run(
             "methodology from [46]; explains the Fig. 16 ordering — sFBFLY "
             "has the flattest curve among sliced designs"
         ),
+        experiment_id="ext-latency-load",
     )
     cfg = SystemConfig(num_gpus=num_gpus)
     jobs = [

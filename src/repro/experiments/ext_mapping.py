@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 from ..config import SystemConfig
 from ..exec import SweepExecutor
+from . import claims
 from .common import ExperimentResult, run_jobs
 
 DEFAULT_WORKLOADS = ("BP", "SCAN", "3DFD", "SRAD", "KMN", "CG.S")
@@ -39,6 +40,7 @@ def run(
             "the paper uses random placement and notes locality-aware "
             "mapping as future work"
         ),
+        experiment_id="ext-mapping",
     )
     jobs = [
         executor.job(arch, name, cfg, scale=scale, placement_policy=policy)
@@ -61,12 +63,8 @@ def run(
             )
     if not result.complete:
         return result  # summary notes need both placements per workload
-    speedups = []
-    for name in workloads:
-        rnd = [x for x in result.rows if x["workload"] == name and x["placement"] == "random"][0]
-        ft = [x for x in result.rows if x["workload"] == name and x["placement"] == "first_touch"][0]
-        speedups.append((name, rnd["kernel_us"] / ft["kernel_us"]))
-    gains = ", ".join(f"{n}: {s:.2f}x" for n, s in speedups)
+    speedups = claims.first_touch_speedups(result.rows)
+    gains = ", ".join(f"{n}: {s:.2f}x" for n, s in speedups.items())
     result.note(f"first-touch kernel speedup over random: {gains}")
     result.note(
         "streaming workloads gain (pages become local); imbalanced CG.S "

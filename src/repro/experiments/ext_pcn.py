@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from ..config import SystemConfig
 from ..exec import SweepExecutor
-from ..system.metrics import geometric_mean
+from . import claims
 from .common import ExperimentResult, run_jobs
 
 ARCHS = ("PCIe", "NVLink", "GMN", "UMN")
@@ -38,33 +38,29 @@ def run(
             "NVLink provides high processor-to-processor bandwidth but stays "
             "processor-centric: remote memory still crosses the remote GPU"
         ),
+        experiment_id="ext-pcn",
     )
     jobs = [
         executor.job(arch, name, cfg, scale=scale)
         for name in workloads
         for arch in ARCHS
     ]
-    totals = {a: {} for a in ARCHS}
     for job, r in zip(jobs, run_jobs(jobs, executor, result)):
         if r is None:
             continue  # failed point (keep-going); reported on result
-        name, arch = job.workload.name, job.spec.name
-        totals[arch][name] = r.kernel_ps + r.memcpy_ps
         result.add(
-                workload=name,
-                arch=arch,
-                kernel_us=r.kernel_ps / 1e6,
-                memcpy_us=r.memcpy_ps / 1e6,
-                total_us=(r.kernel_ps + r.memcpy_ps) / 1e6,
-            )
+            workload=job.workload.name,
+            arch=job.spec.name,
+            kernel_us=r.kernel_ps / 1e6,
+            memcpy_us=r.memcpy_ps / 1e6,
+            total_us=(r.kernel_ps + r.memcpy_ps) / 1e6,
+        )
 
     if not result.complete:
         return result  # summary notes need every (workload, arch) point
 
     def geo(arch: str) -> float:
-        return geometric_mean(
-            [totals["PCIe"][w] / totals[arch][w] for w in workloads]
-        )
+        return claims.speedup(result.rows, arch)
 
     result.note(
         f"speedup over PCIe (geomean): NVLink {geo('NVLink'):.1f}x, "

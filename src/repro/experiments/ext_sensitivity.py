@@ -72,6 +72,7 @@ def run(
             "robustness check: UMN > PCIe and sFBFLY > sMESH must survive "
             "every perturbation"
         ),
+        experiment_id="ext-sensitivity",
     )
     variants = list(_variants(base))
     ref = WorkloadRef(workload, scale)

@@ -20,6 +20,7 @@ from typing import Optional
 
 from ..config import SystemConfig
 from ..exec import SweepExecutor, WorkloadRef
+from . import claims
 from .common import ExperimentResult, run_jobs
 
 #: (label, per-cluster page weights) for the distribution sweep.
@@ -45,6 +46,7 @@ def run(
             "PCIe degrades up to 11.7x with 4-way distribution; GMN improves "
             "at 50% remote and saturates at 75%"
         ),
+        experiment_id="fig7",
     )
     workload = WorkloadRef(
         "vectoradd",
@@ -87,14 +89,13 @@ def run(
                 avg_hops=round(r.avg_hops, 2),
             )
     if result.complete:
-        pcie_rows = [r for r in result.rows if r["system"] == "PCIe"]
+        pcie = claims.measure("fig7.pcie-4way-slowdown", result.rows)
         result.note(
-            "PCIe degradation at 4-way distribution: "
-            f"{pcie_rows[-1]['normalized_runtime']:.1f}x (paper: 11.7x)"
+            f"PCIe degradation at 4-way distribution: {pcie:.1f}x (paper: 11.7x)"
         )
-        gmn_rows = [r for r in result.rows if r["system"] == "GMN"]
+        gmn = claims.measure("fig7.gmn-50pct-faster", result.rows)
         result.note(
-            f"GMN at 50% remote runs at {gmn_rows[1]['normalized_runtime']:.2f}x "
+            f"GMN at 50% remote runs at {gmn:.2f}x "
             "of all-local (paper: < 1.0, i.e. faster)"
         )
     return result

@@ -47,6 +47,7 @@ def run(
             "traffic; intra-cluster variance is low due to cache-line "
             "interleaving"
         ),
+        experiment_id="fig10",
     )
     interleaves = ("line", "page") if include_ablation else ("line",)
     jobs = [

@@ -18,6 +18,7 @@ def run(gpu_counts: Sequence[int] = (2, 4, 8, 16)) -> ExperimentResult:
         "Fig. 12",
         "Bidirectional memory-network channels, dFBFLY vs sFBFLY",
         paper_note="sFBFLY saves 50% at 4 GPUs and 43% at 8 GPUs",
+        experiment_id="fig12",
     )
     for g in gpu_counts:
         d = build_dfbfly(num_gpus=g)

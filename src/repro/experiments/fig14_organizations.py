@@ -12,13 +12,13 @@ kernel / memcpy / host breakdown.  The paper's headline claims:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..config import SystemConfig
 from ..exec import SweepExecutor
 from ..system.configs import TABLE_III
-from ..system.metrics import RunResult, geometric_mean
 from ..workloads.suite import WORKLOAD_NAMES
+from . import claims
 from .common import ExperimentResult, run_jobs
 
 ARCHS = list(TABLE_III)
@@ -40,21 +40,19 @@ def run(
             "UMN fastest (8.5x vs PCIe overall); GMN kernel up to 8.8x (BP), "
             "3.5x avg; CMN/CMN-ZC 1.8x/2.2x; GMN-ZC == PCIe-ZC"
         ),
+        experiment_id="fig14",
     )
     jobs = [
         executor.job(arch, name, cfg, scale=scale)
         for name in workloads
         for arch in ARCHS
     ]
-    by_arch: Dict[str, Dict[str, RunResult]] = {a: {} for a in ARCHS}
     for job, r in zip(jobs, run_jobs(jobs, executor, result)):
         if r is None:
             continue  # failed point (keep-going); reported on result
-        name, arch = job.workload.name, job.spec.name
-        by_arch[arch][name] = r
         result.add(
-            workload=name,
-            arch=arch,
+            workload=job.workload.name,
+            arch=job.spec.name,
             kernel_us=r.kernel_ps / 1e6,
             memcpy_us=r.memcpy_ps / 1e6,
             # Fig. 14 reports kernel + memcpy; host time is Fig. 18's
@@ -68,28 +66,19 @@ def run(
         # the per-point rows above are all that can be reported honestly.
         return result
 
-    def _total(arch: str, w: str) -> int:
-        r = by_arch[arch][w]
-        return r.kernel_ps + r.memcpy_ps
+    def value(claim_id: str) -> float:
+        return claims.measure(claim_id, result.rows)
 
-    def geo_speedup(arch: str) -> float:
-        return geometric_mean(
-            [_total("PCIe", w) / _total(arch, w) for w in workloads]
-        )
-
-    result.note(f"UMN total-runtime speedup over PCIe (geomean): {geo_speedup('UMN'):.1f}x (paper: 8.5x)")
-    result.note(f"CMN: {geo_speedup('CMN'):.1f}x, CMN-ZC: {geo_speedup('CMN-ZC'):.1f}x (paper: 1.8x / 2.2x)")
-    kernel_speedups = [
-        by_arch["PCIe"][w].kernel_ps / by_arch["GMN"][w].kernel_ps for w in workloads
-    ]
+    result.note(f"UMN total-runtime speedup over PCIe (geomean): {value('fig14.umn-speedup'):.1f}x (paper: 8.5x)")
+    result.note(f"CMN: {value('fig14.cmn-speedup'):.1f}x, CMN-ZC: {value('fig14.cmn-zc-speedup'):.1f}x (paper: 1.8x / 2.2x)")
     result.note(
-        f"GMN kernel speedup vs PCIe: max {max(kernel_speedups):.1f}x, "
-        f"geomean {geometric_mean(kernel_speedups):.1f}x (paper: 8.8x max, 3.5x avg)"
+        f"GMN kernel speedup vs PCIe: max {value('fig14.gmn-kernel-max'):.1f}x, "
+        f"geomean {value('fig14.gmn-kernel-geomean'):.1f}x (paper: 8.8x max, 3.5x avg)"
     )
     if "BP" in workloads:
-        bp = by_arch["PCIe"]["BP"]
+        bp = claims.memcpy_over_kernel(result.rows, "PCIe", "BP")
         result.note(
-            f"BP memcpy/kernel ratio on PCIe: {bp.memcpy_ps / bp.kernel_ps:.2f} "
+            f"BP memcpy/kernel ratio on PCIe: {bp:.2f} "
             "(paper: > 1, so zero-copy wins for BP/SCAN/3DFD)"
         )
     return result

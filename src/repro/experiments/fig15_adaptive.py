@@ -36,6 +36,7 @@ def run(
         paper_note=(
             "~1-2% for uniform workloads (KMN, CP); 9.5% for CG.S on dFBFLY"
         ),
+        experiment_id="fig15",
     )
     jobs = [
         executor.job(

@@ -9,12 +9,12 @@ active/idle model over the kernel-execution window.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..config import SystemConfig
 from ..exec import SweepExecutor
 from ..system.configs import get_spec
-from ..system.metrics import geometric_mean
+from . import claims
 from .common import ExperimentResult, run_jobs
 
 TOPOLOGIES = ("smesh", "storus", "smesh-2x", "storus-2x", "sfbfly")
@@ -36,23 +36,19 @@ def run(
             "sFBFLY best or comparable performance; lowest energy (up to "
             "50.7% less than sMESH for BP, 20.3% avg)"
         ),
+        experiment_id="fig16",  # its claims include Fig. 17's
     )
     jobs = [
         executor.job(get_spec("GMN").with_(topology=topology), name, cfg, scale=scale)
         for name in workloads
         for topology in TOPOLOGIES
     ]
-    energies: Dict[str, Dict[str, float]] = {t: {} for t in TOPOLOGIES}
-    runtimes: Dict[str, Dict[str, int]] = {t: {} for t in TOPOLOGIES}
     for job, r in zip(jobs, run_jobs(jobs, executor, result)):
         if r is None:
             continue  # failed point (keep-going); reported on result
-        name, topology = job.workload.name, job.spec.topology
-        energies[topology][name] = r.energy.total_uj
-        runtimes[topology][name] = r.kernel_ps
         result.add(
-            workload=name,
-            topology=topology,
+            workload=job.workload.name,
+            topology=job.spec.topology,
             kernel_us=r.kernel_ps / 1e6,
             avg_hops=round(r.avg_hops, 2),
             energy_uj=r.energy.total_uj,
@@ -62,16 +58,13 @@ def run(
     if not result.complete:
         return result  # summary notes need every (workload, topology) point
 
-    perf_vs_mesh = geometric_mean(
-        [runtimes["smesh"][w] / runtimes["sfbfly"][w] for w in workloads]
-    )
-    energy_savings = [
-        100 * (1 - energies["sfbfly"][w] / energies["smesh"][w]) for w in workloads
-    ]
+    perf_vs_mesh = claims.measure("fig16.sfbfly-speedup", result.rows)
+    max_saving = claims.measure("fig17.energy-saving-max", result.rows)
+    mean_saving = claims.measure("fig17.energy-saving-mean", result.rows)
     result.note(f"sFBFLY speedup over sMESH (geomean): {perf_vs_mesh:.2f}x")
     result.note(
-        f"sFBFLY energy vs sMESH: max saving {max(energy_savings):.1f}%, "
-        f"mean {sum(energy_savings) / len(energy_savings):.1f}% "
+        f"sFBFLY energy vs sMESH: max saving {max_saving:.1f}%, "
+        f"mean {mean_saving:.1f}% "
         "(paper: 50.7% max on BP, 20.3% avg)"
     )
     return result

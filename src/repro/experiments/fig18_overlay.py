@@ -33,6 +33,7 @@ def run(
         "Fig. 18",
         "Host-thread performance on UMN designs (1CPU-3GPU-16HMC)",
         paper_note="overlay > sFBFLY > sMESH for CG.S and FT.S host threads",
+        experiment_id="fig18",
     )
     jobs = [
         executor.job(get_spec("UMN").with_(topology=topology), name, cfg, scale=scale)

@@ -17,7 +17,7 @@ from typing import Dict, Optional, Sequence
 
 from ..config import SystemConfig
 from ..exec import SweepExecutor
-from ..system.metrics import geometric_mean
+from . import claims
 from .common import ExperimentResult, run_jobs
 
 #: Input scale per workload (FWT deliberately small, per the paper).
@@ -50,6 +50,7 @@ def run(
             "geomean 13.5x at 16 GPUs; CP near-ideal (super-linear at 8), "
             "FWT lowest at 11.2x"
         ),
+        experiment_id="fig19",
     )
     jobs = [
         executor.job("UMN", name, base_cfg.scaled(num_gpus=n), scale=scale)
@@ -57,7 +58,6 @@ def run(
         for n in gpu_counts
     ]
     results = run_jobs(jobs, executor, result)
-    final: Dict[str, float] = {}
     for i, name in enumerate(scales):
         workload_base = None
         row = {"workload": name}
@@ -68,14 +68,14 @@ def run(
             if workload_base is None:
                 workload_base = r.kernel_ps
             row[f"x{n}"] = round(workload_base / r.kernel_ps, 2)
-        if f"x{gpu_counts[-1]}" in row:
-            final[name] = row[f"x{gpu_counts[-1]}"]
         result.add(**row)
-    if result.complete and final:
+    if result.complete and result.rows:
+        column = f"x{gpu_counts[-1]}"
         result.note(
             f"geomean speedup at {gpu_counts[-1]} GPUs: "
-            f"{geometric_mean(list(final.values())):.1f}x (paper: 13.5x)"
+            f"{claims.scaling_geomean(result.rows, column):.1f}x (paper: 13.5x)"
         )
+        final = claims.final_speedups(result.rows, column)
         best = max(final, key=final.get)
         worst = min(final, key=final.get)
         result.note(f"best scaling: {best} ({final[best]}x); worst: {worst} ({final[worst]}x)")

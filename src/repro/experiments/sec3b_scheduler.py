@@ -8,12 +8,12 @@ up to +43%, L2 up to +20%) and <1% gain from stealing.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..config import SystemConfig
 from ..exec import SweepExecutor
 from ..system.configs import get_spec
-from ..system.metrics import RunResult, geometric_mean
+from . import claims
 from .common import ExperimentResult, run_jobs
 
 POLICIES = ("static", "round_robin", "stealing")
@@ -35,26 +35,23 @@ def run(
             "static 8% faster than round-robin overall; L1 +43% / L2 +20% "
             "max; stealing < 1%"
         ),
+        experiment_id="sec3b",
     )
     jobs = [
         executor.job(get_spec("UMN").with_(cta_policy=policy), name, cfg, scale=scale)
         for name in workloads
         for policy in POLICIES
     ]
-    runs: Dict[str, Dict[str, RunResult]] = {p: {} for p in POLICIES}
-    for job, r in zip(jobs, run_jobs(jobs, executor, result)):
-        if r is None:
-            continue  # failed point (keep-going); reported on result
-        runs[job.spec.cta_policy][job.workload.name] = r
+    results = iter(run_jobs(jobs, executor, result))
     for name in workloads:
-        if any(name not in runs[p] for p in POLICIES):
+        s, rr, st = (next(results) for _ in POLICIES)
+        if None in (s, rr, st):
             continue  # a policy's point failed; the row needs all three
-        s, rr = runs["static"][name], runs["round_robin"][name]
         result.add(
             workload=name,
             static_us=s.kernel_ps / 1e6,
             round_robin_us=rr.kernel_ps / 1e6,
-            stealing_us=runs["stealing"][name].kernel_ps / 1e6,
+            stealing_us=st.kernel_ps / 1e6,
             l2_hit_static=round(s.l2_hit_rate, 3),
             l2_hit_rr=round(rr.l2_hit_rate, 3),
             l1_hit_static=round(s.l1_hit_rate, 3),
@@ -62,22 +59,9 @@ def run(
         )
     if not result.complete:
         return result  # summary notes need every (workload, policy) point
-    overall = geometric_mean(
-        [
-            runs["round_robin"][w].kernel_ps / runs["static"][w].kernel_ps
-            for w in workloads
-        ]
-    )
-    stealing = geometric_mean(
-        [
-            runs["static"][w].kernel_ps / runs["stealing"][w].kernel_ps
-            for w in workloads
-        ]
-    )
-    l2_gain = max(
-        runs["static"][w].l2_hit_rate - runs["round_robin"][w].l2_hit_rate
-        for w in workloads
-    )
+    overall = claims.measure("sec3b.static-vs-rr", result.rows)
+    stealing = claims.measure("sec3b.stealing-vs-static", result.rows)
+    l2_gain = max(claims.l2_gains(result.rows).values())
     result.note(f"static vs round-robin speedup (geomean): {overall:.3f}x (paper: 1.08x)")
     result.note(f"max L2 hit-rate gain: +{100 * l2_gain:.0f}pp (paper: up to +20%)")
     result.note(f"stealing vs static: {stealing:.3f}x (paper: < 1.01x)")

@@ -4,8 +4,6 @@ Full-scale sweeps live in ``benchmarks/``; here each harness runs at a tiny
 scale to verify it produces well-formed rows, notes, and renderings.
 """
 
-import pytest
-
 from repro.experiments import (
     EXPERIMENTS,
     ext_concurrent,
@@ -21,7 +19,7 @@ from repro.experiments import (
     fig19_scaling,
     sec3b_scheduler,
 )
-from repro.experiments.common import ExperimentResult, normalize
+from repro.experiments.common import ExperimentResult
 from tests.conftest import tiny_system_config
 
 
@@ -39,12 +37,6 @@ class TestCommon:
 
     def test_empty_result_renders(self):
         assert "empty" in ExperimentResult("e", "empty").render()
-
-    def test_normalize(self):
-        assert normalize([2.0, 4.0]) == [1.0, 2.0]
-        assert normalize([4.0], to=2.0) == [2.0]
-        with pytest.raises(ZeroDivisionError):
-            normalize([0.0, 1.0])
 
 
 class TestRegistry:
