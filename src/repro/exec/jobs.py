@@ -22,6 +22,7 @@ its siblings' results are salvaged.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import os
 import time
 import traceback as _traceback
@@ -215,6 +216,7 @@ def execute_job(job: SweepJob, obs=None) -> JobOutcome:
         from ..obs.bind import Observability
 
         obs = Observability(trace=True)
+    collections = _gc_collections()
     start = time.perf_counter()
     try:
         result = job.system.run(obs=obs)
@@ -227,6 +229,7 @@ def execute_job(job: SweepJob, obs=None) -> JobOutcome:
                 source="failed",
                 wall_s=wall,
                 worker_pid=os.getpid(),
+                gc_collections=_gc_collections() - collections,
             ),
         )
     wall = time.perf_counter() - start
@@ -242,8 +245,14 @@ def execute_job(job: SweepJob, obs=None) -> JobOutcome:
             events=result.events_executed,
             peak_pending=result.peak_pending_events,
             worker_pid=os.getpid(),
+            gc_collections=_gc_collections() - collections,
         ),
     )
+
+
+def _gc_collections() -> int:
+    """Cyclic-GC collections so far in this process, all generations."""
+    return sum(generation["collections"] for generation in gc.get_stats())
 
 
 def _worker_initializer() -> None:

@@ -97,7 +97,12 @@ class UGALRouting(MinimalRouting):
             memo[cur] = cost
             return cost
 
-        return best(start)
+        # ``best`` holds itself through its closure cell; deleting it breaks
+        # that cycle, so refcounting frees it instead of the cyclic GC.
+        try:
+            return best(start)
+        finally:
+            del best
 
     def _candidate_cost(
         self,
@@ -106,7 +111,6 @@ class UGALRouting(MinimalRouting):
         dst_router: int,
         size_bytes: int,
         now_ps: int,
-        min_dist: int,
     ) -> int:
         if not topo.reachable(att.router, dst_router):
             # e.g. sFBFLY: a non-matching-slice local HMC has no path to the
@@ -118,24 +122,19 @@ class UGALRouting(MinimalRouting):
         # Bias toward the minimal path: queue estimates are stale by the
         # time the packet reaches the later hops, so a non-minimal route
         # must promise more than its extra hops' worth of savings (the
-        # standard UGAL minimal-preference threshold).
-        extra_hops = topo.distance(att.router, dst_router) - min_dist
-        cost += extra_hops * self.hop_latency_ps
+        # standard UGAL minimal-preference threshold).  Charging every
+        # hop, not just the extra ones, adds the same constant to every
+        # reachable candidate, so the choice is the same.
+        cost += topo.distance(att.router, dst_router) * self.hop_latency_ps
         return cost
 
     def select_injection(
         self, topo: Topology, packet: Packet, dst_router: int, now_ps: int
     ) -> TerminalAttachment:
-        src = str(packet.src)
-        atts = topo.attachments(src)
-        nearest = topo.nearest_attachment(src, dst_router)
-        min_dist = topo.distance(nearest.router, dst_router)
         return min(
-            atts,
+            topo.attachments(str(packet.src)),
             key=lambda att: (
-                self._candidate_cost(
-                    topo, att, dst_router, packet.size_bytes, now_ps, min_dist
-                ),
+                self._candidate_cost(topo, att, dst_router, packet.size_bytes, now_ps),
                 att.router,
             ),
         )

@@ -53,7 +53,8 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, TextIO
 #: summary gained ``pruned``, ``prediction``, and ``pool_spawns``.
 #: 3: the summary's ``cache`` section gained ``evicted`` (size-cap LRU
 #: eviction counts; see docs/serving.md).
-TELEMETRY_SCHEMA = 3
+#: 4: jobs gained ``gc_collections``.
+TELEMETRY_SCHEMA = 4
 
 #: Job state transitions a sweep can emit, in lifecycle order.
 #: ``planned`` fires once per sweep, after submission under the LPT
@@ -105,6 +106,10 @@ class JobTelemetry:
     #: executor when a planned job lands; ``None`` when unplanned (FIFO,
     #: serial, cache hit).
     predicted_wall_s: Optional[float] = None
+    #: Cyclic-GC collections (all generations) while the job ran.  The
+    #: collector is process-wide, so a job sharing its process with other
+    #: threads also counts theirs.
+    gc_collections: int = 0
 
     @property
     def events_per_sec(self) -> float:
@@ -125,6 +130,7 @@ class JobTelemetry:
             "peak_pending": self.peak_pending,
             "worker_pid": self.worker_pid,
             "retries": self.retries,
+            "gc_collections": self.gc_collections,
         }
         if self.predicted_wall_s is not None:
             record["predicted_wall_s"] = round(self.predicted_wall_s, 6)

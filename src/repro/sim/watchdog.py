@@ -29,12 +29,23 @@ budget outright.
 Known limitation: the watchdog regains control only *between* events.  A
 single callback that never returns (an infinite Python loop inside one
 event) cannot be interrupted from within the process.
+
+:func:`collector_paused` keeps CPython's cyclic garbage collector out of
+a simulated point: automatic collections during a drain find almost
+nothing, and only full collections, which traverse every live object,
+would free a dead system.  With collection off for the whole point, its
+dead system is still in the youngest generation when the point returns,
+and one ``gc.collect(0)`` frees it (docs/performance.md, "Cyclic GC and
+the event loop").
 """
 
 from __future__ import annotations
 
+import contextlib
+import gc
+import threading
 import time
-from typing import Callable, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 from ..errors import SimulationError
 
@@ -62,6 +73,43 @@ def resolve_limits(cfg) -> Tuple[Optional[int], Optional[float]]:
     if wall_s == 0:
         wall_s = None
     return max_events, wall_s
+
+
+#: Threads currently inside :func:`collector_paused`, and whether the
+#: collector was enabled when the first of them entered.  Collector state
+#: is process-wide, so overlapping pauses share one; this is bookkeeping
+#: for that, not a run setting.
+_pause_lock = threading.Lock()
+_pause_depth = 0
+_pause_restore = False
+
+
+@contextlib.contextmanager
+def collector_paused() -> Iterator[None]:
+    """Run the body with the cyclic garbage collector off.
+
+    The first entry (in any thread) records whether collection was
+    enabled and disables it; the last exit runs one young collection
+    (``gc.collect(0)``) and restores the recorded state, also when the
+    body raises.  Pauses nest and overlap across threads: collection stays
+    off until every one of them has exited.  The body should drop its
+    cyclic garbage before it returns, so the young collection frees it.
+    """
+    global _pause_depth, _pause_restore
+    with _pause_lock:
+        if _pause_depth == 0:
+            _pause_restore = gc.isenabled()
+            gc.disable()
+        _pause_depth += 1
+    try:
+        yield
+    finally:
+        with _pause_lock:
+            _pause_depth -= 1
+            if _pause_depth == 0:
+                gc.collect(0)
+                if _pause_restore:
+                    gc.enable()
 
 
 def queue_depth_summary(system) -> str:

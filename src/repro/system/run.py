@@ -25,7 +25,12 @@ from ..network.packet import PacketKind
 from ..network.traffic import PACKET_BYTES, OfferedLoad
 from ..obs.bind import Observability
 from ..sim.engine import Simulator
-from ..sim.watchdog import queue_depth_summary, resolve_limits, run_guarded
+from ..sim.watchdog import (
+    collector_paused,
+    queue_depth_summary,
+    resolve_limits,
+    run_guarded,
+)
 from ..workloads.base import HostStep, KernelStep, Workload
 from .builder import MultiGPUSystem
 from .configs import ArchSpec
@@ -38,8 +43,18 @@ from .metrics import RunResult
 
 def run_workload(spec: ArchSpec, workload, cfg=None, **options) -> RunResult:
     """Simulate ``workload`` on the architecture described by ``spec``;
-    ``options`` as for :func:`run_workload_detailed`."""
-    return run_workload_detailed(spec, workload, cfg, **options)[0]
+    ``options`` as for :func:`run_workload_detailed`.
+
+    An event-engine run builds, drains and drops its system with the
+    cyclic GC paused (:func:`~repro.sim.watchdog.collector_paused`): the
+    system is unreachable before the pause ends, so the pause's one young
+    collection frees it.  The analytic tier builds no graph and skips it.
+    """
+    cfg = cfg or SystemConfig()
+    if cfg.network_model == "analytic" and not isinstance(workload, OfferedLoad):
+        return run_workload_detailed(spec, workload, cfg, **options)[0]
+    with collector_paused():
+        return run_workload_detailed(spec, workload, cfg, **options)[0]
 
 
 def run_workload_detailed(

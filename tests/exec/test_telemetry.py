@@ -101,6 +101,20 @@ def test_execute_job_telemetry_on_failure():
     assert "(after" in outcome.failure.summary()
 
 
+def test_serial_packet_job_records_its_few_gc_collections():
+    # The collector is paused for the point and runs once as it ends, so
+    # a job records a handful of collections, not one per few hundred
+    # allocations.
+    job = SweepJob.make(get_spec("GMN"), WorkloadRef("BP", 0.25), _cfg(4))
+    outcome = execute_job(job)
+    assert outcome.ok
+    assert outcome.result.events_executed > 10_000
+    assert 1 <= outcome.telemetry.gc_collections < 5
+    assert outcome.telemetry.to_record()["gc_collections"] == (
+        outcome.telemetry.gc_collections
+    )
+
+
 def test_peak_pending_stays_out_of_rows():
     # The new engine counter is observational: it must never surface in
     # as_row(), which feeds the byte-identical figure tables.
