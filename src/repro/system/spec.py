@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import importlib
 import json
 import typing
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple, Union
 
 from ..config import SystemConfig
 from ..errors import ConfigError
@@ -116,9 +117,8 @@ def _encode_dataclass(value: Any) -> Dict[str, Any]:
     of the canonical form so they never perturb cache keys; ``from_dict``
     still accepts them when present."""
     return {
-        f.name: _encode(getattr(value, f.name))
-        for f in dataclasses.fields(value)
-        if f.init and f.metadata.get("identity", True)
+        name: _encode(getattr(value, name))
+        for name in _codec(type(value)).identity
     }
 
 
@@ -131,45 +131,81 @@ def _reject_unknown_keys(cls, data: Dict[str, Any], known: set) -> None:
         )
 
 
+class _Codec:
+    """One dataclass's static (de)serialization plan."""
+
+    __slots__ = ("known", "identity", "decoders")
+
+    def __init__(self, known, identity, decoders) -> None:
+        #: Init field names: the keys a dict may carry.
+        self.known: FrozenSet[str] = known
+        #: Init fields in the canonical form, in declaration order.
+        self.identity: Tuple[str, ...] = identity
+        #: Decoder per init field whose value is not kept as is.
+        self.decoders: Tuple[Tuple[str, Callable[[Any], Any]], ...] = decoders
+
+
+@functools.cache
+def _codec(cls) -> _Codec:
+    """Built on a class's first (de)serialization, then reused: resolving
+    type hints re-evaluates every string annotation, which costs far more
+    than the decode itself."""
+    hints = typing.get_type_hints(cls)
+    init = [f for f in dataclasses.fields(cls) if f.init]
+    decoders = ((f.name, _decoder(hints[f.name])) for f in init)
+    return _Codec(
+        known=frozenset(f.name for f in init),
+        identity=tuple(f.name for f in init if f.metadata.get("identity", True)),
+        decoders=tuple((name, dec) for name, dec in decoders if dec is not None),
+    )
+
+
 def _decode_dataclass(cls, data: Any):
     """Rebuild a (possibly nested) dataclass from its ``_encode`` dict."""
     if not isinstance(data, dict):
         raise ConfigError(f"expected a dict for {cls.__name__}, got {data!r}")
-    hints = typing.get_type_hints(cls)
-    init_fields = {f.name for f in dataclasses.fields(cls) if f.init}
-    _reject_unknown_keys(cls, data, init_fields)
-    kwargs = {
-        name: _decode(hints[name], data[name]) for name in init_fields if name in data
-    }
+    codec = _codec(cls)
+    if not codec.known.issuperset(data):
+        _reject_unknown_keys(cls, data, codec.known)
+    kwargs = dict(data)
+    for name, decode in codec.decoders:
+        if name in kwargs:
+            kwargs[name] = decode(kwargs[name])
     return cls(**kwargs)
 
 
-def _decode(hint: Any, value: Any) -> Any:
+def _decoder(hint: Any) -> Optional[Callable[[Any], Any]]:
+    """The decoder for values of type ``hint``; ``None`` keeps them as is."""
     origin = typing.get_origin(hint)
     if origin is Union:
-        if value is None:
-            return None
         arms = [a for a in typing.get_args(hint) if a is not type(None)]
-        if len(arms) == 1:
-            return _decode(arms[0], value)
-        return value
+        inner = _decoder(arms[0]) if len(arms) == 1 else None
+        if inner is None:
+            return None
+        return lambda value: None if value is None else inner(value)
     if dataclasses.is_dataclass(hint):
-        return _decode_dataclass(hint, value)
+        return functools.partial(_decode_dataclass, hint)
     if isinstance(hint, type) and issubclass(hint, enum.Enum):
-        if isinstance(hint, type) and isinstance(value, hint):
-            return value
-        try:
-            return hint(value)
-        except ValueError:
-            # Extension organizations may key the fabric registry with
-            # values outside the built-in enum; keep them verbatim.
-            return value
+        return functools.partial(_decode_enum, hint)
     if origin is tuple:
         args = typing.get_args(hint)
         if len(args) == 2 and args[1] is Ellipsis:
-            return tuple(_decode(args[0], v) for v in value)
-        return tuple(value)
-    return value
+            item = _decoder(args[0])
+            if item is not None:
+                return lambda value: tuple(item(v) for v in value)
+        return tuple
+    return None
+
+
+def _decode_enum(hint: type, value: Any) -> Any:
+    if isinstance(value, hint):
+        return value
+    try:
+        return hint(value)
+    except ValueError:
+        # Extension organizations may key the fabric registry with
+        # values outside the built-in enum; keep them verbatim.
+        return value
 
 
 # ---------------------------------------------------------------------------
