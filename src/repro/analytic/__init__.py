@@ -30,7 +30,7 @@ from .calibrate import (
     load_calibration,
     reset_calibration_cache,
 )
-from .model import analytic_cost, analytic_run
+from .model import analytic_cost, analytic_run, profile_for
 from .profile import WorkloadProfile, profile_workload
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "calibration_key",
     "fit_coefficients",
     "load_calibration",
+    "profile_for",
     "reset_calibration_cache",
     "WorkloadProfile",
     "profile_workload",

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..config import SystemConfig
 from ..errors import ConfigError, SimulationError
@@ -51,6 +51,7 @@ from ..system.fabric.base import GPU_FORWARD_PS
 from ..system.memcpy import memcpy_time_ps
 from ..system.metrics import RunResult
 from ..units import bytes_per_ps
+from ..workloads.base import Workload
 from .calibrate import Calibration, calibration_key, load_calibration
 from .profile import GPU_LINE_BYTES, WorkloadProfile, profile_workload
 
@@ -200,6 +201,38 @@ def _model_for(
         )
         _MODEL_CACHE[key] = model
     return model
+
+
+#: Process-wide memo of workload profiles, keyed by the (frozen, hashable)
+#: :class:`~repro.system.spec.WorkloadRef` recipe.  A profile depends on
+#: nothing but the workload the recipe builds, and a sweep asks for the
+#: same workload on every architecture, so each recipe is built and
+#: profiled once.  Like the model memo it holds only immutable values
+#: derived from an immutable key, never run state.
+_PROFILE_CACHE: Dict[Any, WorkloadProfile] = {}
+_PROFILE_CACHE_MAX = 256
+
+
+def profile_for(ref) -> Any:
+    """The memoized :class:`WorkloadProfile` of ``ref``'s workload.
+
+    A recipe that does not build a :class:`~repro.workloads.base.Workload`
+    (an :class:`~repro.network.traffic.OfferedLoad` factory, which runs
+    network-only) is neither profiled nor memoized: the built object
+    itself is returned.
+    """
+    profile = _PROFILE_CACHE.get(ref)
+    if profile is None:
+        workload = ref.build()
+        if not isinstance(workload, Workload):
+            return workload
+        # Looked up by name at call time, so a wrapper bound to this
+        # module's ``profile_workload`` sees every miss.
+        profile = profile_workload(workload)
+        if len(_PROFILE_CACHE) >= _PROFILE_CACHE_MAX:
+            _PROFILE_CACHE.clear()
+        _PROFILE_CACHE[ref] = profile
+    return profile
 
 
 class _CapacityModel:
@@ -575,7 +608,7 @@ def _net_bandwidth_bound_ps(loads: Dict) -> float:
 # ---------------------------------------------------------------------------
 def analytic_run(
     spec: ArchSpec,
-    workload,
+    workload: Union[Workload, WorkloadProfile],
     cfg: Optional[SystemConfig] = None,
     placement_policy: str = "random",
     placement_clusters: Optional[List[int]] = None,
@@ -588,6 +621,8 @@ def analytic_run(
 ) -> RunResult:
     """Predict ``workload`` on ``spec`` with the calibrated capacity model.
 
+    ``workload`` is a :class:`~repro.workloads.base.Workload`, profiled
+    here, or its profile (:func:`profile_for` memoizes one per recipe).
     Accepts the same keyword surface as
     :func:`repro.system.run.run_workload` so sweep jobs and cached spec
     identities carry over unchanged; ``seed`` and ``obs`` are accepted for
@@ -616,12 +651,16 @@ def analytic_run(
     model = _model_for(
         spec, cfg, placement_policy, placement_clusters, placement_weights
     )
-    profile = profile_workload(workload)
+    profile = (
+        workload
+        if isinstance(workload, WorkloadProfile)
+        else profile_workload(workload)
+    )
     active = num_active_gpus if num_active_gpus is not None else cfg.num_gpus
 
-    result = RunResult(workload=workload.name, arch=spec.name)
-    result.h2d_ps = memcpy_time_ps(spec, cfg, workload.h2d_bytes)
-    result.d2h_ps = memcpy_time_ps(spec, cfg, workload.d2h_bytes)
+    result = RunResult(workload=profile.name, arch=spec.name)
+    result.h2d_ps = memcpy_time_ps(spec, cfg, profile.h2d_bytes)
+    result.d2h_ps = memcpy_time_ps(spec, cfg, profile.d2h_bytes)
 
     net_stats = _NetStats()
     energy_matrix = (

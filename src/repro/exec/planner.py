@@ -168,13 +168,13 @@ def analytic_estimate(job: SweepJob) -> Optional[AnalyticEstimate]:
     if key in _ESTIMATES:
         return _ESTIMATES[key]
     try:
-        from ..analytic import analytic_cost
+        from ..analytic import analytic_cost, profile_for
 
         kwargs = {
             k: v for k, v in job.run_kwargs if k in _ESTIMATE_KWARGS
         }
         cost = analytic_cost(
-            job.spec, job.workload.build(), cfg=job.cfg, **kwargs
+            job.spec, profile_for(job.workload), cfg=job.cfg, **kwargs
         )
         estimate: Optional[AnalyticEstimate] = AnalyticEstimate(
             units=max(float(cost["units"]), 1.0),

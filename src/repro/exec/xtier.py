@@ -1,13 +1,16 @@
 """Cross-tier validation harness (``python -m repro.exec xtier``).
 
 The analytic tier is only useful while it stays honest against the
-packet model it abstracts.  This harness enforces that, two ways:
+packet model it abstracts.  This harness enforces that, three ways:
 
 - **Tolerance**: it re-runs the validation figures (Fig. 7, Fig. 14,
   Fig. 16) at analytic fidelity and compares every row, column by
   column, against the packet-fidelity reference rows committed in the
   calibration artifact.  Any column drifting past its per-figure
   tolerance band fails the run.
+- **Claims**: every paper claim over those figures (Fig. 17's read the
+  Fig. 16 rows) must get the same verdict from the analytic rows as from
+  the committed packet rows.
 - **Staleness**: it refits the calibration coefficients in memory from a
   fresh packet sweep and compares them to the committed ones.  A drift
   beyond :data:`~repro.analytic.calibrate.STALE_DRIFT` means the
@@ -41,6 +44,7 @@ from ..analytic import (
     calibration_key,
     fit_coefficients,
     load_calibration,
+    profile_for,
     reset_calibration_cache,
 )
 from ..analytic.calibrate import PATH_ENV, STALE_DRIFT, resolve_path
@@ -134,7 +138,7 @@ def refit(scale: float, executor=None) -> Calibration:
             )
         raw = analytic_run(
             job.spec,
-            job.workload.build(),
+            profile_for(job.workload),
             cfg=job.cfg,
             calibration=Calibration(),
             **dict(job.run_kwargs),
@@ -247,6 +251,29 @@ def compare_rows(
     return worst, breaches
 
 
+def claim_mismatches(
+    figure: str,
+    reference: Sequence[Dict[str, Any]],
+    candidate: Sequence[Dict[str, Any]],
+) -> List[str]:
+    """One line per paper claim over ``figure``'s rows (Fig. 17's claims
+    read Fig. 16's) whose verdict differs between the packet reference
+    rows and the analytic rows.  Rows can sit inside every tolerance band
+    and still reorder two organizations; this catches that."""
+    from ..experiments.claims import evaluate
+
+    def word(holds: Optional[bool]) -> str:
+        return "n/a" if holds is None else "holds" if holds else "FAILS"
+
+    packet = {v.claim.id: v.holds for v in evaluate(figure, reference)}
+    return [
+        f"claim {v.claim.id} {word(v.holds)} on analytic rows but "
+        f"{word(packet[v.claim.id])} on packet rows"
+        for v in evaluate(figure, candidate)
+        if v.holds != packet[v.claim.id]
+    ]
+
+
 def tolerance_from_errors(worst: Dict[str, float]) -> Dict[str, float]:
     """Turn observed residuals into the committed tolerance bands."""
     return {
@@ -310,14 +337,17 @@ def check(
         worst, breaches = compare_rows(
             reference.rows, candidate, reference.tolerance
         )
+        mismatches = claim_mismatches(figure, reference.rows, candidate)
         report["figures"][figure] = {
             "rows": len(candidate),
             "worst_error": {c: round(e, 4) for c, e in sorted(worst.items())},
             "tolerance": reference.tolerance,
             "breaches": breaches,
+            "claim_mismatches": mismatches,
         }
         if breaches:
             problems.append(f"{figure}: {len(breaches)} tolerance breach(es)")
+        problems += [f"{figure}: {line}" for line in mismatches]
     fresh = refit(scale, executor)
     stale = committed.stale_keys(fresh)
     report["stale"] = {key: round(drift, 4) for key, drift in sorted(stale.items())}
@@ -393,7 +423,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             continue
         worst = entry["worst_error"]
         worst_col = max(worst, key=worst.get) if worst else "-"
-        status = "ok" if not entry["breaches"] else f"{len(entry['breaches'])} BREACH(ES)"
+        status = ", ".join(
+            f"{len(entry[key])} {label}"
+            for key, label in (
+                ("breaches", "BREACH(ES)"),
+                ("claim_mismatches", "CLAIM MISMATCH(ES)"),
+            )
+            if entry.get(key)
+        ) or "ok"
         print(
             f"{figure}: {entry['rows']} rows, worst {worst_col} "
             f"{worst.get(worst_col, 0.0):.1%}, {status}"

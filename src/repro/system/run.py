@@ -70,7 +70,8 @@ def run_workload_detailed(
 
     ``options`` are :func:`_run_system`'s keyword arguments (the analytic
     tier takes the same, except ``concurrent``); a network-only run
-    ignores them.
+    ignores them.  The analytic tier also takes a workload's
+    :class:`~repro.analytic.profile.WorkloadProfile` in its place.
     """
     cfg = cfg or SystemConfig()
     if isinstance(workload, OfferedLoad):

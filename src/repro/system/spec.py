@@ -52,6 +52,9 @@ class WorkloadRef:
     factory: Optional[str] = None
     kwargs: Tuple[Tuple[str, Any], ...] = ()
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "kwargs", _frozen_items(self.kwargs))
+
     def build(self):
         if self.factory is not None:
             module_name, _, func_name = self.factory.partition(":")
@@ -83,6 +86,19 @@ class WorkloadRef:
             factory=data.get("factory"),
             kwargs=tuple(sorted(dict(data.get("kwargs") or {}).items())),
         )
+
+
+def _frozen_items(items) -> Tuple[Tuple[str, Any], ...]:
+    """``(key, value)`` pairs with every list value (at any depth) made a
+    tuple: a JSON round trip then gives back an equal, hashable value, and
+    ``_encode`` writes both the same way, so canonical keys do not move."""
+    return tuple((key, _frozen(value)) for key, value in items)
+
+
+def _frozen(value: Any) -> Any:
+    if isinstance(value, (list, tuple)):
+        return tuple(_frozen(v) for v in value)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +236,9 @@ class SystemSpec:
     cfg: SystemConfig = field(default_factory=SystemConfig)
     run_kwargs: Tuple[Tuple[str, Any], ...] = ()
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "run_kwargs", _frozen_items(self.run_kwargs))
+
     @classmethod
     def make(
         cls,
@@ -302,13 +321,22 @@ class SystemSpec:
 
     # -- execution -------------------------------------------------------
     def run(self, obs=None):
-        """Run this spec to completion in-process (one ``run_workload``)."""
+        """Run this spec to completion in-process (one ``run_workload``).
+
+        The analytic tier gets the workload's memoized profile, so a
+        recipe is built once per process however many points run it."""
         from .run import run_workload
 
         kwargs = dict(self.run_kwargs)
         if obs is not None:
             kwargs["obs"] = obs
-        return run_workload(self.arch, self.workload.build(), cfg=self.cfg, **kwargs)
+        if self.cfg.network_model == "analytic":
+            from ..analytic import profile_for
+
+            workload = profile_for(self.workload)
+        else:
+            workload = self.workload.build()
+        return run_workload(self.arch, workload, cfg=self.cfg, **kwargs)
 
     @property
     def label(self) -> str:

@@ -1,13 +1,18 @@
-"""The cross-tier harness: row comparison, tolerances and CLI dispatch."""
+"""The cross-tier harness: row comparison, tolerances, claim verdicts and
+CLI dispatch."""
 
+import copy
 import json
 
 import pytest
 
+from repro.analytic.calibrate import DEFAULT_PATH, load_calibration
 from repro.exec.xtier import (
     DEFAULT_TOLERANCE,
     TOLERANCE_FLOOR,
     TOLERANCE_MARGIN,
+    check,
+    claim_mismatches,
     compare_rows,
     relative_error,
     tolerance_from_errors,
@@ -62,6 +67,76 @@ class TestCompareRows:
         reference = [{"flag": True}]
         _, breaches = compare_rows(reference, [{"flag": False}], {})
         assert breaches and "identity mismatch" in breaches[0]["note"]
+
+
+def _swapped_fig14(rows):
+    """Fig. 14 rows with UMN's and PCIe's totals swapped on BP."""
+    rows = copy.deepcopy(rows)
+    umn, pcie = (
+        next(r for r in rows if r["workload"] == "BP" and r["arch"] == arch)
+        for arch in ("UMN", "PCIe")
+    )
+    umn["total_us"], pcie["total_us"] = pcie["total_us"], umn["total_us"]
+    return rows
+
+
+class TestClaimVerdicts:
+    """``check`` fails when an analytic row set flips a paper claim's
+    verdict against the committed packet rows.  The packet refit is
+    stubbed with the committed coefficients (no drift)."""
+
+    @pytest.fixture
+    def committed(self, monkeypatch):
+        from repro.exec import xtier
+
+        artifact = load_calibration(DEFAULT_PATH)
+        monkeypatch.setattr(xtier, "refit", lambda scale, executor=None: artifact)
+        return artifact
+
+    def test_same_rows_have_no_mismatch(self, committed):
+        for figure, reference in committed.figures.items():
+            assert claim_mismatches(figure, reference.rows, reference.rows) == []
+
+    def test_swapped_rows_name_the_flipped_claim(self, committed):
+        rows = committed.figures["fig14"].rows
+        mismatches = claim_mismatches("fig14", rows, _swapped_fig14(rows))
+        assert any(
+            line.startswith("claim fig14.umn-fastest FAILS on analytic rows")
+            and line.endswith("holds on packet rows")
+            for line in mismatches
+        )
+
+    def test_fig17_claims_are_checked_with_fig16(self, committed):
+        rows = copy.deepcopy(committed.figures["fig16"].rows)
+        for row in rows:
+            if row["topology"] == "sfbfly":
+                row["energy_uj"] *= 3
+        mismatches = claim_mismatches("fig16", committed.figures["fig16"].rows, rows)
+        assert any("claim fig17.sfbfly-lowest-energy" in line for line in mismatches)
+
+    def test_fresh_analytic_rows_pass_the_gate(self, committed):
+        report = check(["fig7", "fig14", "fig16"], 0.25, str(DEFAULT_PATH))
+        assert report["ok"], report["problems"]
+        assert all(not e["claim_mismatches"] for e in report["figures"].values())
+
+    def test_check_fails_on_a_flipped_verdict(self, committed, monkeypatch):
+        from repro.exec import xtier
+
+        monkeypatch.setattr(
+            xtier,
+            "run_figure_rows",
+            lambda figure, scale, fidelity, executor=None: _swapped_fig14(
+                committed.figures[figure].rows
+            ),
+        )
+        report = check(["fig14"], 0.25, str(DEFAULT_PATH))
+        assert not report["ok"]
+        flipped = [p for p in report["problems"] if "fig14.umn-fastest" in p]
+        assert flipped == [
+            "fig14: claim fig14.umn-fastest FAILS on analytic rows but "
+            "holds on packet rows"
+        ]
+        assert report["figures"]["fig14"]["claim_mismatches"]
 
 
 class TestToleranceFromErrors:

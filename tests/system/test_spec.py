@@ -48,6 +48,20 @@ class TestMake:
         assert spec_for().label == "bprop@UMN"
 
 
+class TestFrozenKwargs:
+    def test_list_values_become_tuples_at_any_depth(self):
+        spec = spec_for(placement_clusters=[0, [1, 2]])
+        assert spec.run_kwargs == (("placement_clusters", (0, (1, 2))),)
+        ref = WorkloadRef("v", factory="m:f", kwargs=(("sizes", [4, [8]]),))
+        assert ref.kwargs == (("sizes", (4, (8,))),)
+
+    def test_decoded_tuples_equal_the_original(self):
+        spec = spec_for(placement_weights=(0.5, 0.5))
+        again = SystemSpec.from_json(spec.to_json())
+        assert again == spec and hash(again) == hash(spec)
+        assert again.canonical_json() == spec_for(placement_weights=[0.5, 0.5]).canonical_json()
+
+
 class TestRoundTrip:
     def test_dict_roundtrip_is_identity(self):
         spec = spec_for(seed=3)
@@ -280,6 +294,13 @@ _json_scalars = st.one_of(
     st.text(max_size=8),
     st.floats(allow_nan=False, allow_infinity=False),
 )
+#: Kwarg values: scalars and (nested) lists or tuples of them, which JSON
+#: hands back as lists.
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.tuples(inner, inner),
+    max_leaves=6,
+)
 
 
 def _changed(draw, default):
@@ -340,7 +361,7 @@ _workloads = st.one_of(
             factory="repro.workloads.vectoradd:make_vectoradd",
             kwargs=tuple(sorted(kwargs.items())),
         ),
-        st.dictionaries(st.text(max_size=12), _json_scalars, max_size=4),
+        st.dictionaries(st.text(max_size=12), _json_values, max_size=4),
     ),
 )
 
@@ -351,7 +372,7 @@ _specs = st.builds(
     _arches,
     _workloads,
     _configs(),
-    st.dictionaries(st.text(min_size=1, max_size=12), _json_scalars, max_size=4),
+    st.dictionaries(st.text(min_size=1, max_size=12), _json_values, max_size=4),
 )
 
 
@@ -371,6 +392,7 @@ class TestRoundTripProperty:
         assert "watchdog_wall_s" not in data["cfg"]
         again = SystemSpec.from_json(spec.to_json())
         assert again == _without_watchdog(spec)
+        assert hash(again) == hash(_without_watchdog(spec))
         assert again.to_dict() == data
 
     @settings(max_examples=50, deadline=None)

@@ -115,10 +115,11 @@ def test_canonical_form_decodes_to_same_spec(name):
     expected = json.loads(REFERENCE.read_text())[name]["canonical_json"]
     again = SystemSpec.from_json(expected)
     assert again.canonical_json() == expected
-    # The watchdog knobs are not in the canonical form, and tuple-valued
-    # run kwargs come back as JSON lists; every other spec is recovered.
-    if name not in ("cfg/watchdog", "workload/fig7-factory"):
+    # The watchdog knobs are not in the canonical form; every other spec,
+    # tuple-valued run kwargs included, is recovered.
+    if name != "cfg/watchdog":
         assert again == spec
+        assert hash(again) == hash(spec)
 
 
 def test_reference_covers_every_spec():
