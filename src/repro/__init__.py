@@ -36,11 +36,7 @@ from .errors import (
 )
 from .obs import (
     ChromeTracer,
-    Counter,
     EventLoopProfiler,
-    Gauge,
-    Histogram,
-    MetricRegistry,
     Observability,
     Sampler,
 )
@@ -68,12 +64,8 @@ __all__ = [
     "AddressError",
     "ChromeTracer",
     "ConfigError",
-    "Counter",
     "EventLoopProfiler",
-    "Gauge",
-    "Histogram",
     "MetricError",
-    "MetricRegistry",
     "Observability",
     "ReproError",
     "Sampler",

@@ -36,15 +36,6 @@ STALE_DRIFT = 0.10
 #: The committed artifact, shipped inside the package.
 DEFAULT_PATH = os.path.join(os.path.dirname(__file__), "calibration.json")
 
-#: Environment override for the artifact path (tests, ``xtier --artifact``).
-PATH_ENV = "REPRO_CALIBRATION"
-
-
-def resolve_path(path: Optional[str] = None) -> str:
-    """The artifact path a ``None`` request resolves to: explicit path,
-    else ``$REPRO_CALIBRATION``, else the committed one."""
-    return path or os.environ.get(PATH_ENV) or DEFAULT_PATH
-
 
 def calibration_key(spec: ArchSpec, cfg: SystemConfig) -> str:
     """Coefficient bucket for one run: architecture x topology x the one
@@ -176,14 +167,12 @@ _cached_path: Optional[str] = None
 
 def load_calibration(path: Optional[str] = None) -> Calibration:
     """Load the calibration artifact (the committed one by default,
-    cached process-wide; a missing file yields identity coefficients).
-    The default resolves through ``$REPRO_CALIBRATION`` when set."""
+    cached process-wide; a missing file yields identity coefficients)."""
     global _cached, _cached_path
     if path is None:
-        resolved = resolve_path()
-        if _cached is None or _cached_path != resolved:
-            _cached = _load(resolved)
-            _cached_path = resolved
+        if _cached is None or _cached_path != DEFAULT_PATH:
+            _cached = _load(DEFAULT_PATH)
+            _cached_path = DEFAULT_PATH
         return _cached
     return _load(path)
 
@@ -201,7 +190,7 @@ def calibration_digest(path: Optional[str] = None) -> str:
     the artifact must invalidate cached analytic rows, which the code
     digest alone cannot see."""
     try:
-        with open(resolve_path(path), "rb") as handle:
+        with open(path or DEFAULT_PATH, "rb") as handle:
             return hashlib.sha256(handle.read()).hexdigest()[:16]
     except OSError:
         return "missing"

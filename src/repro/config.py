@@ -163,10 +163,6 @@ class HMCConfig:
     #: bandwidth (GPU) class.
     qos_batch_quantum: int = 8
 
-    @property
-    def bytes_per_vault(self) -> int:
-        return self.capacity_bytes // self.num_vaults
-
 
 @dataclass(frozen=True)
 class NetworkConfig:

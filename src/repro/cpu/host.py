@@ -150,7 +150,3 @@ class HostCPU:
         )
         assert self.memory_port is not None
         self.memory_port(request, complete)
-
-    @property
-    def outstanding(self) -> int:
-        return self._outstanding

@@ -198,12 +198,6 @@ class CostBookStats:
     corrupt: int = 0  # unreadable books dropped and restarted empty
     observed: int = 0  # wall times fed back this process
 
-    def as_note(self) -> str:
-        note = f"costbook: {self.hits} observed, {self.misses} estimated"
-        if self.corrupt:
-            note += f", {self.corrupt} corrupt book(s) dropped"
-        return note
-
 
 @dataclass
 class CostBook:

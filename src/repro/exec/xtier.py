@@ -47,7 +47,7 @@ from ..analytic import (
     profile_for,
     reset_calibration_cache,
 )
-from ..analytic.calibrate import PATH_ENV, STALE_DRIFT, resolve_path
+from ..analytic import calibrate
 from ..config import SystemConfig
 from ..errors import SimulationError
 from ..system.spec import WorkloadRef
@@ -356,7 +356,7 @@ def check(
         problems.append(
             f"calibration stale for {len(stale)} key(s) "
             f"(worst {worst_key}: {stale[worst_key]:.0%} drift, "
-            f"limit {STALE_DRIFT:.0%}); refit with --recalibrate and commit"
+            f"limit {calibrate.STALE_DRIFT:.0%}); refit with --recalibrate and commit"
         )
     report["problems"] = problems
     report["ok"] = not problems
@@ -391,11 +391,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--jobs", type=int, default=None, help="packet sweep workers")
     parser.add_argument("--cache", default=None, help="result cache directory")
     parser.add_argument(
-        "--artifact",
-        default=None,
-        help="calibration artifact path (default: the committed one)",
-    )
-    parser.add_argument(
         "--recalibrate",
         action="store_true",
         help="refit coefficients, reference rows, and tolerance bands, "
@@ -404,12 +399,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--out", default=None, help="write the JSON report here")
     args = parser.parse_args(argv)
 
-    path = resolve_path(args.artifact)
-    if args.artifact:
-        # Nested analytic runs load the artifact through this override.
-        import os
-
-        os.environ[PATH_ENV] = args.artifact
+    path = calibrate.DEFAULT_PATH
     cache = ResultCache(args.cache) if args.cache else None
     executor = SweepExecutor(jobs=args.jobs, cache=cache)
     if args.recalibrate:

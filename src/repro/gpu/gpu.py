@@ -198,10 +198,6 @@ class GPU:
         ctx.on_done()
 
     @property
-    def kernel_active(self) -> bool:
-        return bool(self._contexts)
-
-    @property
     def active_kernels(self) -> int:
         return len(self._contexts)
 
@@ -318,9 +314,6 @@ class GPU:
         hits = sum(sm.l1.stats.hits for sm in self.sms)
         accesses = sum(sm.l1.stats.accesses for sm in self.sms)
         return hits / accesses if accesses else 0.0
-
-    def l2_hit_rate(self) -> float:
-        return self.l2.stats.hit_rate
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"GPU({self.name}, {self.cfg.num_sms} SMs)"

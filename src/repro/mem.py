@@ -19,10 +19,6 @@ class AccessType(enum.Enum):
     WRITE = "write"
     ATOMIC = "atomic"
 
-    @property
-    def is_write(self) -> bool:
-        return self is AccessType.WRITE
-
 
 class DecodedAddress:
     """A physical address decoded through the memory address mapping
@@ -97,10 +93,6 @@ class MemoryAccess:
         self.vaddr = vaddr
         self.decoded = decoded
         self.aid = next(_access_ids) if aid is None else aid
-
-    @property
-    def is_write(self) -> bool:
-        return self.type is AccessType.WRITE
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"MemoryAccess#{self.aid}({self.type.value} {self.size}B @0x{self.paddr:x})"

@@ -70,10 +70,6 @@ class _VC:
         self.out_vc: Optional[int] = None
         self.max_flits = max_flits
 
-    @property
-    def free_slots(self) -> int:
-        return self.max_flits - len(self.fifo)
-
 
 class FlitNetwork:
     """Cycle-driven flit-level network with the MemoryNetwork interface."""

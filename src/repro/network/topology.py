@@ -301,9 +301,6 @@ class Topology:
         """Minimum network distance from any of the terminal's routers."""
         return self.dist[self.nearest_attachment(terminal, router).router][router]
 
-    def routers_in_cluster(self, cluster: int) -> List[int]:
-        return [r for r in range(self.num_routers) if self.cluster_of[r] == cluster]
-
     def count_network_links(self) -> int:
         """Number of bidirectional router-router links (Fig. 12 metric).
 

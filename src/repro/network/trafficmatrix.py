@@ -81,9 +81,6 @@ class TrafficMatrix:
             )
         ]
 
-    def sources(self) -> List[str]:
-        return sorted({src for src, _ in self._flows})
-
     def __len__(self) -> int:
         return len(self._flows)
 

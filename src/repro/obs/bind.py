@@ -1,12 +1,10 @@
 """Wiring between the observability primitives and a built system.
 
-:func:`register_system_metrics` walks a ``MultiGPUSystem`` (duck-typed, so
-this module never imports the system layer) and registers gauges over the
-components' existing ``stats`` objects — the one queryable tree promised
-by the registry, with zero steady-state overhead because values are read
-lazily.  :func:`install_default_probes` arms a :class:`~repro.obs.sampler.
-Sampler` with the standard congestion series (channel utilization,
-in-flight packets, vault queue depth, SM occupancy).
+:func:`install_default_probes` arms a :class:`~repro.obs.sampler.Sampler`
+with the standard congestion series (channel utilization, in-flight
+packets, vault queue depth, SM occupancy) over a ``MultiGPUSystem``
+(duck-typed, so this module never imports the system layer).  The
+post-run totals per component are :func:`repro.system.report.system_report`.
 
 :class:`Observability` bundles the per-run configuration (trace on/off,
 sampling cadence, profiling on/off) and is what flows from the CLI into
@@ -21,91 +19,12 @@ from typing import List, Optional
 
 from ..errors import MetricError
 from .profiler import EventLoopProfiler
-from .registry import MetricRegistry
 from .sampler import Sampler
 from .tracer import ChromeTracer
 
 #: Default sampling cadence: 0.25 simulated microseconds (the CLI default;
 #: short enough that even sub-microsecond microbenchmark runs get samples).
 DEFAULT_SAMPLE_INTERVAL_PS = 250_000
-
-
-def register_system_metrics(registry: MetricRegistry, system) -> None:
-    """Expose every component's ad-hoc stats through one registry tree."""
-    for gpu in system.gpus:
-        g = gpu.name
-        stats = gpu.stats
-        registry.gauge(f"{g}.kernel_launches", fn=lambda s=stats: s.kernel_launches)
-        registry.gauge(f"{g}.memory_requests", fn=lambda s=stats: s.memory_requests)
-        registry.gauge(f"{g}.reads", fn=lambda s=stats: s.reads)
-        registry.gauge(f"{g}.writes", fn=lambda s=stats: s.writes)
-        registry.gauge(f"{g}.atomics", fn=lambda s=stats: s.atomics)
-        registry.gauge(f"{g}.merged_misses", fn=lambda s=stats: s.merged_misses)
-        registry.gauge(
-            f"{g}.l1.hits",
-            fn=lambda gg=gpu: sum(sm.l1.stats.hits for sm in gg.sms),
-        )
-        registry.gauge(
-            f"{g}.l1.accesses",
-            fn=lambda gg=gpu: sum(sm.l1.stats.accesses for sm in gg.sms),
-        )
-        registry.gauge(f"{g}.l2.hits", fn=lambda gg=gpu: gg.l2.stats.hits)
-        registry.gauge(f"{g}.l2.accesses", fn=lambda gg=gpu: gg.l2.stats.accesses)
-        registry.gauge(
-            f"{g}.resident_ctas",
-            fn=lambda gg=gpu: sum(sm.resident_ctas for sm in gg.sms),
-        )
-
-    for (cluster, local), hmc in system.hmcs.items():
-        h = f"hmc.c{cluster}.{local}"
-        registry.gauge(f"{h}.served", fn=lambda hh=hmc: hh.total_served)
-        registry.gauge(f"{h}.bytes_read", fn=lambda hh=hmc: hh.stats.bytes_read)
-        registry.gauge(f"{h}.bytes_written", fn=lambda hh=hmc: hh.stats.bytes_written)
-        registry.gauge(f"{h}.row_hit_rate", fn=lambda hh=hmc: hh.row_hit_rate)
-        for vault in hmc.vaults:
-            registry.gauge(
-                f"{h}.vault{vault.vault_id}.queue_depth",
-                fn=lambda v=vault: v.occupancy,
-            )
-            registry.gauge(
-                f"{h}.vault{vault.vault_id}.overflow_peak",
-                fn=lambda v=vault: v.stats.overflow_peak,
-            )
-            registry.gauge(
-                f"{h}.vault{vault.vault_id}.queue_wait_ps",
-                fn=lambda v=vault: v.stats.total_queue_wait_ps,
-            )
-        # Per requester class (QoS policies): how much service and queue
-        # wait each traffic source class accumulated at this cube.
-        for cls in ("cpu", "gpu", "other"):
-            registry.gauge(
-                f"{h}.class.{cls}.served",
-                fn=lambda hh=hmc, c=cls: sum(
-                    v.stats.class_served.get(c, 0) for v in hh.vaults
-                ),
-            )
-            registry.gauge(
-                f"{h}.class.{cls}.queue_wait_ps",
-                fn=lambda hh=hmc, c=cls: sum(
-                    v.stats.class_queue_wait_ps.get(c, 0) for v in hh.vaults
-                ),
-            )
-
-    if system.network is not None:
-        stats = system.network.stats
-        registry.gauge("net.injected", fn=lambda s=stats: s.injected)
-        registry.gauge("net.delivered", fn=lambda s=stats: s.delivered)
-        registry.gauge("net.in_flight", fn=lambda s=stats: s.injected - s.delivered)
-        registry.gauge("net.avg_latency_ps", fn=lambda s=stats: s.avg_latency_ps)
-        registry.gauge("net.avg_hops", fn=lambda s=stats: s.avg_hops)
-    if system.pcie is not None:
-        stats = system.pcie.stats
-        registry.gauge("pcie.transactions", fn=lambda s=stats: s.transactions)
-        registry.gauge("pcie.bytes", fn=lambda s=stats: s.bytes)
-    if system.pcn is not None:
-        stats = system.pcn.stats
-        registry.gauge("pcn.transactions", fn=lambda s=stats: s.transactions)
-        registry.gauge("pcn.bytes", fn=lambda s=stats: s.bytes)
 
 
 def install_default_probes(sampler: Sampler, system) -> None:
@@ -174,14 +93,6 @@ class Observability:
         )
         #: One sampler per bound system, in bind order.
         self.samplers: List[Sampler] = []
-
-    @property
-    def enabled(self) -> bool:
-        return (
-            self.tracer is not None
-            or self.profiler is not None
-            or self.sample_interval_ps > 0
-        )
 
     # ------------------------------------------------------------------
     def bind(self, system) -> None:

@@ -19,7 +19,7 @@ under the spans in Perfetto.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from ..errors import MetricError
 
@@ -107,9 +107,3 @@ class Sampler:
             "t_ps": list(self.t_ps),
             "series": {name: list(vals) for name, vals in self.series.items()},
         }
-
-    def last(self, name: str) -> Optional[float]:
-        values = self.series.get(name)
-        if values is None:
-            raise MetricError(f"no sampled series named {name!r}")
-        return values[-1] if values else None

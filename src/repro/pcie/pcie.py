@@ -43,9 +43,6 @@ class PCIeSwitch:
         self._up[device] = Channel(f"pcie:{device}->sw", device, "switch", self.cfg.gbps)
         self._down[device] = Channel(f"pcie:sw->{device}", "switch", device, self.cfg.gbps)
 
-    def devices(self):
-        return list(self._up)
-
     # ------------------------------------------------------------------
     def transaction(
         self,
@@ -95,6 +92,3 @@ class PCIeSwitch:
         if elapsed_ps <= 0:
             return 0.0
         return min(1.0, self._up[device].stats.busy_ps / elapsed_ps)
-
-    def total_bytes(self) -> int:
-        return self.stats.bytes

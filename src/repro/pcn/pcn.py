@@ -76,8 +76,5 @@ class PCNFabric:
         self.sim.at(arrive, on_done)
 
     # ------------------------------------------------------------------
-    def channels(self) -> List[Channel]:
-        return list(self._links.values())
-
     def bidirectional_link_count(self) -> int:
         return len(self._links) // 2

@@ -26,13 +26,13 @@ UMN               everything: one unified memory network; CPU requests may
 ================  =======================================================
 
 :class:`MultiGPUSystem` itself only constructs the shared components
-(HMCs, GPUs, CPU, address mapping, metrics) and delegates to the fabric
+(HMCs, GPUs, CPU, address mapping) and delegates to the fabric
 the registry hands it — it contains no per-organization branches.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..config import SystemConfig
@@ -46,8 +46,7 @@ from ..hmc.hmc import HMC
 from ..mem import MemoryAccess
 from ..network.channel import Channel
 from ..network.network import MemoryNetwork
-from ..obs.bind import Observability, register_system_metrics
-from ..obs.registry import MetricRegistry
+from ..obs.bind import Observability
 from ..obs.sampler import Sampler
 from ..pcie.pcie import PCIeSwitch
 from ..pcn.pcn import PCNFabric as PCNLinks
@@ -116,18 +115,6 @@ class MultiGPUSystem:
         self.obs = obs
         if self.obs is not None:
             self.obs.bind(self)
-
-    @cached_property
-    def metrics(self) -> MetricRegistry:
-        """Every component's stats behind one queryable tree (repro.obs).
-
-        Built on first access: a system has over a thousand gauges and most
-        runs (every sweep point) never read them.  The gauges read live
-        stats, so building late sees the same values as building early.
-        """
-        registry = MetricRegistry()
-        register_system_metrics(registry, self)
-        return registry
 
     # ------------------------------------------------------------------
     # Page table / placement

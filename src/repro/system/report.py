@@ -2,9 +2,11 @@
 
 ``system_report(system)`` walks a :class:`MultiGPUSystem` after a run and
 returns a nested, JSON-serializable dict — per-GPU cache hit rates and SM
-occupancy, per-HMC service counts and row-hit rates, vault queue pressure,
-channel utilization, PCIe/PCN/network aggregates.  Useful for debugging
-workload calibrations and for research on top of the simulator.
+occupancy, per-HMC service counts and row-hit rates, vault queue pressure
+and service per requester class, channel utilization, PCIe/PCN/network
+aggregates.  It is the one post-run tree of component counters (``repro
+run --report``); useful for debugging workload calibrations and for
+research on top of the simulator.
 """
 
 from __future__ import annotations
@@ -34,6 +36,15 @@ def _gpu_report(gpu) -> Dict:
     }
 
 
+def _class_totals(vaults, field: str) -> Dict[str, int]:
+    """One per-requester-class counter summed over ``vaults``."""
+    totals: Dict[str, int] = {}
+    for v in vaults:
+        for cls, value in getattr(v.stats, field).items():
+            totals[cls] = totals.get(cls, 0) + value
+    return dict(sorted(totals.items()))
+
+
 def _hmc_report(hmc) -> Dict:
     waits = sum(v.stats.total_queue_wait_ps for v in hmc.vaults)
     served = hmc.total_served
@@ -46,6 +57,8 @@ def _hmc_report(hmc) -> Dict:
         "row_hit_rate": round(hmc.row_hit_rate, 4),
         "avg_queue_wait_ps": round(waits / served, 1) if served else 0.0,
         "overflow_peak": max((v.stats.overflow_peak for v in hmc.vaults), default=0),
+        "class_served": _class_totals(hmc.vaults, "class_served"),
+        "class_queue_wait_ps": _class_totals(hmc.vaults, "class_queue_wait_ps"),
     }
 
 
@@ -60,7 +73,7 @@ def _channel_report(channels, elapsed_ps: int) -> List[Dict]:
                 "name": ch.name,
                 "bytes": ch.stats.bytes,
                 "packets": ch.stats.packets,
-                "utilization": round(min(1.0, utilization), 4),
+                "utilization": round(utilization, 4),
             }
         )
     rows.sort(key=lambda r: -r["bytes"])

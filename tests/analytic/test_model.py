@@ -144,11 +144,11 @@ class TestFidelitySelection:
         assert job_key(_job(fidelity="packet")) != job_key(_job(fidelity="analytic"))
 
     def test_analytic_fingerprint_tracks_calibration(self, tmp_path, monkeypatch):
-        from repro.analytic.calibrate import PATH_ENV
+        from repro.analytic import calibrate
 
         artifact = tmp_path / "calibration.json"
         artifact.write_text(json.dumps({"schema": 1, "coefficients": {}}))
-        monkeypatch.setenv(PATH_ENV, str(artifact))
+        monkeypatch.setattr(calibrate, "DEFAULT_PATH", str(artifact))
         job = _job(fidelity="analytic")
         first = job_fingerprint(job)
         assert "calibration" in first

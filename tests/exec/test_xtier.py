@@ -157,16 +157,15 @@ class TestMainDispatch:
         assert "usage: python -m repro.exec xtier" in capsys.readouterr().err
 
     def test_xtier_reports_missing_reference(self, tmp_path, capsys, monkeypatch):
-        from repro.analytic import Calibration
-        from repro.analytic.calibrate import PATH_ENV
+        from repro.analytic import Calibration, calibrate
         from repro.exec import xtier
         from repro.exec.__main__ import main
 
         artifact = tmp_path / "calibration.json"
         artifact.write_text(json.dumps({"schema": 1, "coefficients": {}}))
-        # Pre-set the env override through monkeypatch so teardown undoes
-        # the assignment main() makes; stub out the (packet-sweep) refit.
-        monkeypatch.setenv(PATH_ENV, str(artifact))
+        # Point the committed-artifact path at an empty artifact and stub
+        # out the (packet-sweep) refit.
+        monkeypatch.setattr(calibrate, "DEFAULT_PATH", str(artifact))
         monkeypatch.setattr(
             xtier, "refit", lambda scale, executor=None: Calibration()
         )
@@ -176,8 +175,6 @@ class TestMainDispatch:
                 "xtier",
                 "--figures",
                 "fig14",
-                "--artifact",
-                str(artifact),
                 "--out",
                 str(out),
             ]

@@ -1,4 +1,4 @@
-"""End-to-end observability: tracing, sampling, metrics on real runs."""
+"""End-to-end observability: tracing, sampling, reports on real runs."""
 
 import json
 import os
@@ -14,33 +14,31 @@ from repro import (
     system_report,
 )
 from repro.exec import SweepExecutor, job_for
-from repro.obs.bind import register_system_metrics
-from repro.obs.registry import MetricRegistry
-from repro.system.builder import MultiGPUSystem
 
 
-class TestSystemMetricsTree:
-    def test_every_system_exposes_a_registry(self):
+class TestSystemReportTree:
+    """``system_report`` is the one post-run tree of component counters;
+    it must agree with the other walk, ``run._collect``'s RunResult."""
+
+    def test_class_totals_conserved_against_run_result(self):
+        # CG.S on UMN has both CPU (host steps) and GPU requester classes.
+        result, system = run_workload_detailed(
+            get_spec("UMN"), get_workload("CG.S", 0.05)
+        )
+        hmcs = system_report(system)["hmcs"].values()
+        for field in ("class_served", "class_queue_wait_ps"):
+            totals = {}
+            for hmc in hmcs:
+                for cls, value in hmc[field].items():
+                    totals[cls] = totals.get(cls, 0) + value
+            assert totals == getattr(result, field), field
+        assert {"cpu", "gpu"} <= set(result.class_served)
+
+    def test_network_delivered_matches_live_stats(self):
         _, system = run_workload_detailed(get_spec("UMN"), get_workload("VEC", 0.05))
-        tree = system.metrics.collect()
-        assert "gpu0" in tree and "hmc" in tree and "net" in tree
-        flat = system.metrics.as_flat()
-        assert flat["gpu0.memory_requests"] > 0
-        # The registry reads the live stats, not a snapshot.
-        assert flat["net.delivered"] == system.network.stats.delivered
-
-    def test_registry_is_built_on_first_access(self):
-        system = MultiGPUSystem(get_spec("UMN"))
-        assert "metrics" not in vars(system)
-        eager = MetricRegistry()
-        register_system_metrics(eager, system)
-        assert system.metrics.names() == eager.names()
-        assert system.metrics is system.metrics
-
-    def test_vault_queue_gauges_registered(self):
-        _, system = run_workload_detailed(get_spec("UMN"), get_workload("VEC", 0.05))
-        names = system.metrics.names("hmc")
-        assert any(".vault0.queue_depth" in n for n in names)
+        report = system_report(system)
+        assert report["network"]["delivered"] == system.network.stats.delivered
+        assert report["network"]["delivered"] > 0
 
 
 class TestTracedRun:

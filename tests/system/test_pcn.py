@@ -1,14 +1,17 @@
 """Tests for the NVLink-style processor-centric network (extension)."""
 
+import math
+
 import pytest
 
+from repro.analytic import analytic_run
 from repro.config import PCNConfig
 from repro.errors import SimulationError
 from repro.mem import AccessType, MemoryAccess
 from repro.pcn.pcn import PCNFabric
 from repro.sim.engine import Simulator
 from repro.system.builder import MultiGPUSystem
-from repro.system.configs import EXTENSION_ARCHS, get_spec
+from repro.system.configs import EXTENSION_ARCHS, TransferMode, get_spec
 from repro.system.run import run_workload
 from repro.workloads import get_workload
 from tests.conftest import tiny_system_config
@@ -101,3 +104,30 @@ class TestNVLinkArchitecture:
         )
         assert r.memcpy_ps == 0
         assert r.kernel_ps > 0
+
+
+class TestNVLinkHostAndAnalyticPaths:
+    """The NVLink paths no figure sweep runs: host steps over the PCN in
+    the packet tier, and the analytic tier's PCN routes.  No ratio is
+    pinned: there are no NVLink calibration coefficients."""
+
+    def test_packet_host_steps_cross_the_pcn(self):
+        # CG.S has host steps; on NVLink they dispatch through the fabric.
+        r = run_workload(
+            get_spec("NVLink"), get_workload("CG.S", 0.1), cfg=tiny_system_config()
+        )
+        assert r.host_ps > 0
+        assert r.class_served.get("cpu", 0) > 0
+
+    @pytest.mark.parametrize("workload", ["BP", "CG.S"])
+    @pytest.mark.parametrize("arch", ["NVLink", "NVLink-ZC"])
+    def test_analytic_rows_complete_and_positive(self, arch, workload):
+        spec = get_spec(arch)
+        row = analytic_run(spec, get_workload(workload, 0.25)).as_row()
+        assert (row["workload"], row["arch"]) == (workload, arch)
+        numbers = {k: v for k, v in row.items() if k not in ("workload", "arch")}
+        assert all(math.isfinite(v) and v >= 0 for v in numbers.values()), row
+        for column in ("kernel_us", "total_us", "memory_requests", "hmc_row_hit"):
+            assert row[column] > 0, (column, row)
+        assert (row["memcpy_us"] > 0) == (spec.transfer is TransferMode.MEMCPY)
+        assert (row["host_us"] > 0) == (workload == "CG.S")

@@ -3,7 +3,7 @@
 import json
 
 from repro.system import run_workload_detailed
-from repro.system.configs import TABLE_III
+from repro.system.configs import get_spec
 from repro.system.report import report_json, system_report
 from repro.workloads import get_workload
 from tests.conftest import tiny_system_config
@@ -11,7 +11,7 @@ from tests.conftest import tiny_system_config
 
 def detailed_run(arch="UMN", workload="KMN", scale=0.1):
     return run_workload_detailed(
-        TABLE_III[arch], get_workload(workload, scale), cfg=tiny_system_config()
+        get_spec(arch), get_workload(workload, scale), cfg=tiny_system_config()
     )
 
 
@@ -43,12 +43,15 @@ class TestSystemReport:
         assert "network" not in report
 
     def test_hottest_channels_sorted_and_capped(self):
-        _, system = detailed_run()
-        report = system_report(system, top_channels=5)
-        chans = report["hottest_channels"]
-        assert len(chans) <= 5
-        assert chans == sorted(chans, key=lambda c: -c["bytes"])
-        assert all(0 <= c["utilization"] <= 1 for c in chans)
+        for arch in ("PCIe", "CMN", "GMN", "UMN", "NVLink"):
+            _, system = detailed_run(arch=arch)
+            report = system_report(system, top_channels=5)
+            chans = report["hottest_channels"]
+            assert 0 < len(chans) <= 5, arch
+            assert chans == sorted(chans, key=lambda c: -c["bytes"]), arch
+            # Utilization is reported unclamped, so busy time beyond the
+            # simulated time would show here.
+            assert all(0 <= c["utilization"] <= 1 for c in chans), (arch, chans)
 
     def test_json_serializable(self):
         _, system = detailed_run()
