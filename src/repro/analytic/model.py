@@ -43,11 +43,14 @@ from ..network.packet import (
     response_kind,
     response_size_bytes,
 )
-from ..network.topologies import build_cmn, build_topology
 from ..network.trafficmatrix import FlowRouter, TrafficMatrix
+from ..pcn.pcn import link_width as pcn_link_width
 from ..system.configs import ArchSpec, Organization, TransferMode
-from ..system.energy import EnergyBreakdown
-from ..system.fabric.base import GPU_FORWARD_PS
+from ..system.energy import EnergyBreakdown, network_energy
+from ..system.fabric.base import GPU_FORWARD_PS, direct_link_width
+from ..system.fabric.cmn import cpu_network_topology
+from ..system.fabric.gmn import gpu_network_topology
+from ..system.fabric.umn import unified_network_topology
 from ..system.memcpy import memcpy_time_ps
 from ..system.metrics import RunResult
 from ..units import bytes_per_ps
@@ -66,6 +69,16 @@ RHO_CAP = 0.95
 
 #: Rounds of the kernel-time <-> queueing-wait fixed point.
 FIXED_POINT_ROUNDS = 3
+
+#: The organizations this tier models, each with the memory-network
+#: builder its fabric wires (PCIe and PCN have no network).
+_NETWORKS = {
+    Organization.PCIE: None,
+    Organization.PCN: None,
+    Organization.CMN: cpu_network_topology,
+    Organization.GMN: gpu_network_topology,
+    Organization.UMN: unified_network_topology,
+}
 
 _KIND_REQ = {
     "read": PacketKind.READ_REQ,
@@ -256,13 +269,20 @@ class _CapacityModel:
         )
         self._route_cache: Dict[Tuple[str, int, int, str, int], _Route] = {}
 
-        self.topo = self._build_topology()
+        try:
+            network = _NETWORKS[self.org]
+        except KeyError:
+            raise ConfigError(
+                f"no analytic model for organization {self.org!r}; "
+                "use the packet or flit tier"
+            ) from None
+        self.topo = network(spec, cfg) if network is not None else None
         self.flow_router = FlowRouter(self.topo) if self.topo else None
 
         clusters = (
             list(placement_clusters)
             if placement_clusters is not None
-            else self._data_clusters()
+            else spec.data_clusters(cfg.num_gpus)
         )
         self.placement_policy = placement_policy
         self.placement_clusters = clusters
@@ -283,48 +303,6 @@ class _CapacityModel:
             raise ConfigError(f"unknown placement policy {placement_policy!r}")
 
     # -- system shape ----------------------------------------------------
-    def _data_clusters(self) -> List[int]:
-        if self.spec.transfer is TransferMode.MEMCPY:
-            return list(range(self.num_gpus))
-        if self.spec.transfer is TransferMode.ZERO_COPY:
-            return [self.cpu_cluster]
-        return list(range(self.num_gpus + 1))
-
-    def _build_topology(self):
-        cfg = self.cfg
-        if self.org is Organization.CMN:
-            return build_cmn(
-                self.num_gpus,
-                hmcs_per_cpu=self.hmcs_per_cluster,
-                channel_gbps=self.netcfg.channel_gbps,
-                cpu_channels=cfg.cpu.num_channels,
-            )
-        if self.org is Organization.GMN:
-            return build_topology(
-                self.spec.topology,
-                num_gpus=self.num_gpus,
-                hmcs_per_gpu=self.hmcs_per_cluster,
-                include_cpu=False,
-                channel_gbps=self.netcfg.channel_gbps,
-                gpu_channels=cfg.gpu.num_channels,
-            )
-        if self.org is Organization.UMN:
-            return build_topology(
-                self.spec.topology,
-                num_gpus=self.num_gpus,
-                hmcs_per_gpu=self.hmcs_per_cluster,
-                include_cpu=True,
-                channel_gbps=self.netcfg.channel_gbps,
-                gpu_channels=cfg.gpu.num_channels,
-                cpu_channels=cfg.cpu.num_channels,
-            )
-        if self.org in (Organization.PCIE, Organization.PCN):
-            return None
-        raise ConfigError(
-            f"no analytic model for organization {self.org!r}; "
-            "use the packet or flit tier"
-        )
-
     def placement_fractions(self, requester_cluster: int) -> Dict[int, float]:
         """Fraction of the requester's pages backed by each cluster."""
         clusters = self.placement_clusters
@@ -349,17 +327,9 @@ class _CapacityModel:
         return self.placement_fractions(self.cpu_cluster)
 
     # -- transport building blocks --------------------------------------
-    def _dlink_width(self, terminal: str) -> int:
-        channels = (
-            self.cfg.cpu.num_channels
-            if terminal == "cpu"
-            else self.cfg.gpu.num_channels
-        )
-        return max(1, channels // self.hmcs_per_cluster)
-
     def _direct(self, route: _Route, terminal: str, kind: str, size: int) -> None:
         req_b, resp_b = _packet_sizes(kind, size, self.netcfg.header_bytes)
-        gbps = self.netcfg.channel_gbps * self._dlink_width(terminal)
+        gbps = self.netcfg.channel_gbps * direct_link_width(self.cfg, terminal)
         ser_req = _ser_ps(req_b, gbps)
         ser_resp = _ser_ps(resp_b, gbps)
         route.fixed_ps += 2 * self.netcfg.serdes_ps + ser_req + ser_resp
@@ -385,11 +355,8 @@ class _CapacityModel:
 
     def _pcn_txn(self, route: _Route, src: str, dst: str, payload: float) -> None:
         cfg = self.cfg.pcn
-        width = (
-            cfg.cpu_links_per_gpu if "cpu" in (src, dst) else cfg.links_per_pair
-        )
         size = payload + cfg.header_bytes
-        ser = _ser_ps(size, cfg.link_gbps * width)
+        ser = _ser_ps(size, cfg.link_gbps * pcn_link_width(cfg, src, dst))
         route.fixed_ps += cfg.latency_ps + ser
         route.visits.append((f"pcn:{src}>{dst}", 1, ser))
 
@@ -529,7 +496,7 @@ class _CapacityModel:
                 self._net_request(route, terminal, cluster, kind, size)
         elif org is Organization.UMN:
             self._net_request(route, terminal, cluster, kind, size)
-        else:  # pragma: no cover - _build_topology already rejected it
+        else:  # pragma: no cover - the constructor already rejected it
             raise ConfigError(f"no analytic model for organization {org!r}")
         # Every path ends in one vault access at the destination cluster.
         timing = self.cfg.hmc.timing
@@ -1004,26 +971,18 @@ def _network_energy(
     window_ps: int,
     coefficient: float,
 ) -> EnergyBreakdown:
-    """Energy over the network channels (Fig. 17 scope: topology links
-    plus terminal inject/eject), from predicted per-channel byte loads."""
-    cfg = model.cfg.energy
+    """Fig. 17 energy of the network's channels from predicted per-channel
+    byte loads, scaled by the calibration coefficient."""
     loads = (
         model.flow_router.channel_loads(matrix)
         if matrix is not None and len(matrix)
         else {}
     )
-    channels = list(model.topo.channels)
-    for atts in model.topo.terminals.values():
-        for att in atts:
-            channels.extend((att.inject, att.eject))
-    active = 0.0
-    idle = 0.0
-    for ch in channels:
-        load_bytes = loads.get(ch, 0.0)
-        active_bits = load_bytes * 8
-        active += active_bits * cfg.active_pj_per_bit
-        capacity_bits = bytes_per_ps(ch.effective_gbps) * window_ps * 8
-        idle += max(0.0, capacity_bits - active_bits) * cfg.idle_pj_per_bit
+    raw = network_energy(
+        ((ch, loads.get(ch, 0.0)) for ch in model.topo.all_channels()),
+        window_ps,
+        model.cfg.energy,
+    )
     return EnergyBreakdown(
-        active_pj=active * coefficient, idle_pj=idle * coefficient
+        active_pj=raw.active_pj * coefficient, idle_pj=raw.idle_pj * coefficient
     )

@@ -1,4 +1,4 @@
-"""Directed channels with serialization delay, contention, and energy stats.
+"""Directed channels with serialization delay, contention, and traffic stats.
 
 A channel transmits one packet at a time; a packet occupies the channel for
 its serialization time (size / bandwidth).  Contention is modeled by the
@@ -90,19 +90,6 @@ class Channel:
         stats.bytes += num_bytes
         stats.busy_ps += ser
         return end
-
-    def reset_stats(self) -> None:
-        self.stats = ChannelStats()
-
-    # ------------------------------------------------------------------
-    def active_energy_pj(self, pj_per_bit: float) -> float:
-        return self.stats.bytes * 8 * pj_per_bit
-
-    def idle_energy_pj(self, elapsed_ps: int, pj_per_bit: float) -> float:
-        """Energy of idle bit-slots over ``elapsed_ps`` of simulated time."""
-        total_bits = bytes_per_ps(self.effective_gbps) * elapsed_ps * 8
-        active_bits = self.stats.bytes * 8
-        return max(0.0, total_bits - active_bits) * pj_per_bit
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Channel({self.name}, {self.src}->{self.dst}, x{self.width})"

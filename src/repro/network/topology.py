@@ -301,6 +301,16 @@ class Topology:
         """Minimum network distance from any of the terminal's routers."""
         return self.dist[self.nearest_attachment(terminal, router).router][router]
 
+    def all_channels(self) -> List[Channel]:
+        """Every channel of the network, each once: the router links
+        (pass-through overlay included), then each terminal attachment's
+        inject and eject channels.  This is the Fig. 17 energy scope."""
+        channels = list(self.channels)
+        for atts in self.terminals.values():
+            for att in atts:
+                channels.extend((att.inject, att.eject))
+        return channels
+
     def count_network_links(self) -> int:
         """Number of bidirectional router-router links (Fig. 12 metric).
 

@@ -66,7 +66,7 @@ def install_default_probes(sampler: Sampler, system) -> None:
                 scale=scale,
             )
     if system.pcie is not None:
-        sampler.add_delta("pcie.bytes_per_window", lambda: system.pcie.stats.bytes)
+        sampler.add_delta("pcie.bytes_per_window", lambda: system.pcie.bytes)
 
 
 class Observability:

@@ -1,5 +1,5 @@
 """PCIe interconnect substrate."""
 
-from .pcie import PCIeStats, PCIeSwitch
+from .pcie import PCIeSwitch
 
-__all__ = ["PCIeStats", "PCIeSwitch"]
+__all__ = ["PCIeSwitch"]

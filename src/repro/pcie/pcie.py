@@ -10,20 +10,13 @@ system builder charges that forwarding cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..config import PCIeConfig
 from ..errors import SimulationError
 from ..network.channel import Channel
 from ..sim.engine import Simulator
-
-
-@dataclass
-class PCIeStats:
-    transactions: int = 0
-    bytes: int = 0
 
 
 class PCIeSwitch:
@@ -34,7 +27,6 @@ class PCIeSwitch:
         self.cfg = cfg or PCIeConfig()
         self._up: Dict[str, Channel] = {}
         self._down: Dict[str, Channel] = {}
-        self.stats = PCIeStats()
 
     # ------------------------------------------------------------------
     def attach(self, device: str) -> None:
@@ -42,6 +34,21 @@ class PCIeSwitch:
             raise SimulationError(f"PCIe device {device!r} already attached")
         self._up[device] = Channel(f"pcie:{device}->sw", device, "switch", self.cfg.gbps)
         self._down[device] = Channel(f"pcie:sw->{device}", "switch", device, self.cfg.gbps)
+
+    def channels(self) -> List[Channel]:
+        """Every link of the switch: each device's upstream then downstream."""
+        return [ch for dev in self._up for ch in (self._up[dev], self._down[dev])]
+
+    # Every transaction crosses exactly one upstream link once, so the
+    # switch's totals are its upstream channels' counters.
+    @property
+    def transactions(self) -> int:
+        return sum(ch.stats.packets for ch in self._up.values())
+
+    @property
+    def bytes(self) -> int:
+        """Bytes moved through the switch, headers included."""
+        return sum(ch.stats.bytes for ch in self._up.values())
 
     # ------------------------------------------------------------------
     def transaction(
@@ -61,8 +68,6 @@ class PCIeSwitch:
         except KeyError as exc:
             raise SimulationError(f"PCIe device not attached: {exc}") from None
         size = payload_bytes + self.cfg.header_bytes
-        self.stats.transactions += 1
-        self.stats.bytes += size
         at_switch = up.transmit(size, self.sim.now + self.cfg.latency_ps // 2)
         tracer = self.sim.tracer
         if tracer is not None:
@@ -85,10 +90,3 @@ class PCIeSwitch:
     def _forward(self, down: Channel, size: int, on_done: Callable[[], None]) -> None:
         arrive = down.transmit(size, self.sim.now + self.cfg.latency_ps // 2)
         self.sim.at(arrive, on_done)
-
-    # ------------------------------------------------------------------
-    def link_utilization(self, device: str, elapsed_ps: int) -> float:
-        """Fraction of ``elapsed_ps`` the device's upstream link was busy."""
-        if elapsed_ps <= 0:
-            return 0.0
-        return min(1.0, self._up[device].stats.busy_ps / elapsed_ps)

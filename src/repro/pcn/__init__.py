@@ -1,5 +1,5 @@
 """NVLink-style processor-centric network substrate (extension)."""
 
-from .pcn import PCNFabric, PCNStats
+from .pcn import PCNFabric
 
-__all__ = ["PCNFabric", "PCNStats"]
+__all__ = ["PCNFabric"]

@@ -10,7 +10,6 @@ GPUs plus CPU-GPU links.  Unlike the PCIe switch there is no shared fabric
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..config import PCNConfig
@@ -19,10 +18,9 @@ from ..network.channel import Channel
 from ..sim.engine import Simulator
 
 
-@dataclass
-class PCNStats:
-    transactions: int = 0
-    bytes: int = 0
+def link_width(cfg: PCNConfig, a: str, b: str, cpu_name: str = "cpu") -> int:
+    """Parallel links between processors ``a`` and ``b``."""
+    return cfg.cpu_links_per_gpu if cpu_name in (a, b) else cfg.links_per_pair
 
 
 class PCNFabric:
@@ -39,19 +37,34 @@ class PCNFabric:
         self.cfg = cfg or PCNConfig()
         self.cpu_name = cpu_name
         self._links: Dict[Tuple[str, str], Channel] = {}
-        self.stats = PCNStats()
         for a, b in itertools.combinations(gpu_names, 2):
-            self._add_pair(a, b, self.cfg.links_per_pair)
+            self._add_pair(a, b)
         for gpu in gpu_names:
-            self._add_pair(cpu_name, gpu, self.cfg.cpu_links_per_gpu)
+            self._add_pair(cpu_name, gpu)
 
-    def _add_pair(self, a: str, b: str, width: int) -> None:
+    def _add_pair(self, a: str, b: str) -> None:
+        width = link_width(self.cfg, a, b, self.cpu_name)
         self._links[(a, b)] = Channel(
             f"pcn:{a}->{b}", a, b, self.cfg.link_gbps, width
         )
         self._links[(b, a)] = Channel(
             f"pcn:{b}->{a}", b, a, self.cfg.link_gbps, width
         )
+
+    def channels(self) -> List[Channel]:
+        """Every directed link, each pair's two directions together."""
+        return list(self._links.values())
+
+    # Every transaction crosses exactly one link once, so the fabric's
+    # totals are its links' counters.
+    @property
+    def transactions(self) -> int:
+        return sum(ch.stats.packets for ch in self._links.values())
+
+    @property
+    def bytes(self) -> int:
+        """Bytes moved over the links, headers included."""
+        return sum(ch.stats.bytes for ch in self._links.values())
 
     # ------------------------------------------------------------------
     def link(self, src: str, dst: str) -> Channel:
@@ -70,11 +83,5 @@ class PCNFabric:
         """Move ``payload_bytes`` over the dedicated src->dst link."""
         channel = self.link(src, dst)
         size = payload_bytes + self.cfg.header_bytes
-        self.stats.transactions += 1
-        self.stats.bytes += size
         arrive = channel.transmit(size, self.sim.now + self.cfg.latency_ps)
         self.sim.at(arrive, on_done)
-
-    # ------------------------------------------------------------------
-    def bidirectional_link_count(self) -> int:
-        return len(self._links) // 2

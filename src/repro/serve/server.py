@@ -36,6 +36,7 @@ import socket
 import sys
 import threading
 import time
+import traceback
 from collections import deque
 from functools import partial
 from typing import Any, Dict, List, Optional
@@ -288,8 +289,14 @@ class SweepServer:
             except ProtocolError as exc:
                 write_message(stream, {"event": "error", "message": str(exc)})
                 return
-            handler = getattr(self, f"_op_{op}")
-            handler(stream, request)
+            try:
+                getattr(self, f"_op_{op}")(stream, request)
+            except (BrokenPipeError, ConnectionResetError):
+                raise
+            except Exception as exc:
+                if stream.closed:
+                    raise
+                self._fail_stream(stream, op, exc)
         except (BrokenPipeError, ConnectionResetError, OSError, ValueError):
             pass  # client went away mid-stream; its subscriptions are
             # cleaned up lazily (events to a dead queue are harmless)
@@ -302,6 +309,24 @@ class SweepServer:
                 conn.close()
             except OSError:
                 pass
+
+    def _fail_stream(self, stream, op: str, exc: Exception) -> None:
+        """A handler raised after reading its request: log the traceback
+        and end the stream with one terminal ``error`` event, so no client
+        waits for an ``end`` that never comes.  Call from the ``except``
+        block (the traceback is the one being handled)."""
+        print(f"repro serve: {op} request failed", file=sys.stderr)
+        traceback.print_exc()
+        try:
+            write_message(
+                stream,
+                {
+                    "event": "error",
+                    "message": f"server error: {type(exc).__name__}: {exc}",
+                },
+            )
+        except (OSError, ValueError):
+            pass  # the client is gone as well
 
     # -- submit ---------------------------------------------------------
     def _op_submit(self, stream, request: Dict[str, Any]) -> None:

@@ -130,9 +130,9 @@ def queue_depth_summary(system) -> str:
         stats = system.network.stats
         parts.append(f"net in-flight={stats.injected - stats.delivered}")
     if system.pcie is not None:
-        parts.append(f"pcie transactions={system.pcie.stats.transactions}")
+        parts.append(f"pcie transactions={system.pcie.transactions}")
     if system.pcn is not None:
-        parts.append(f"pcn transactions={system.pcn.stats.transactions}")
+        parts.append(f"pcn transactions={system.pcn.transactions}")
     return ", ".join(parts)
 
 

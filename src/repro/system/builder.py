@@ -51,7 +51,7 @@ from ..obs.sampler import Sampler
 from ..pcie.pcie import PCIeSwitch
 from ..pcn.pcn import PCNFabric as PCNLinks
 from ..sim.engine import Simulator
-from .configs import ArchSpec, TransferMode
+from .configs import ArchSpec
 from .fabric import make_fabric
 from .fabric.base import (  # noqa: F401  (re-exported for compatibility)
     GPU_FORWARD_PS,
@@ -120,13 +120,8 @@ class MultiGPUSystem:
     # Page table / placement
     # ------------------------------------------------------------------
     def data_clusters(self) -> List[int]:
-        """Clusters that back kernel data under this architecture's
-        transfer mode (Section VI-B)."""
-        if self.spec.transfer is TransferMode.MEMCPY:
-            return list(range(self.num_gpus))
-        if self.spec.transfer is TransferMode.ZERO_COPY:
-            return [self.cpu_cluster]
-        return list(range(self.num_gpus + 1))  # NO_COPY: all physical memory
+        """Clusters that back kernel data (:meth:`ArchSpec.data_clusters`)."""
+        return self.spec.data_clusters(self.num_gpus)
 
     def install_page_table(
         self,
@@ -181,26 +176,21 @@ class MultiGPUSystem:
     # ------------------------------------------------------------------
     # Introspection helpers
     # ------------------------------------------------------------------
-    def all_channels(self) -> List[Channel]:
-        """Every channel in the system (network + direct links)."""
-        channels: List[Channel] = []
-        if self.network is not None:
-            channels.extend(self.network.topo.channels)
-            for atts in self.network.topo.terminals.values():
-                for att in atts:
-                    channels.extend((att.inject, att.eject))
-        for link in self._direct_links.values():
-            channels.extend((link.req, link.resp))
-        return channels
-
     def network_channels(self) -> List[Channel]:
         """Channels of the memory network only (Fig. 17 energy scope)."""
-        if self.network is None:
-            return []
-        channels = list(self.network.topo.channels)
-        for atts in self.network.topo.terminals.values():
-            for att in atts:
-                channels.extend((att.inject, att.eject))
+        return self.network.topo.all_channels() if self.network is not None else []
+
+    def all_channels(self) -> List[Channel]:
+        """The interconnect inventory: every channel in the system, each
+        once — the memory network's (:meth:`network_channels`, first),
+        then the direct HMC links, the PCIe switch's and the PCN links."""
+        channels = self.network_channels()
+        for link in self._direct_links.values():
+            channels.extend((link.req, link.resp))
+        if self.pcie is not None:
+            channels.extend(self.pcie.channels())
+        if self.pcn is not None:
+            channels.extend(self.pcn.channels())
         return channels
 
     @property

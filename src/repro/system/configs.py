@@ -79,6 +79,15 @@ class ArchSpec:
     def has_network(self) -> bool:
         return self.organization is not Organization.PCIE
 
+    def data_clusters(self, num_gpus: int) -> List[int]:
+        """Clusters that back kernel data under this architecture's
+        transfer mode (Section VI-B); the CPU's cluster is ``num_gpus``."""
+        if self.transfer is TransferMode.MEMCPY:
+            return list(range(num_gpus))
+        if self.transfer is TransferMode.ZERO_COPY:
+            return [num_gpus]
+        return list(range(num_gpus + 1))  # NO_COPY: all physical memory
+
     def with_(self, **overrides) -> "ArchSpec":
         return replace(self, **overrides)
 

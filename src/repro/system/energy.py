@@ -10,10 +10,11 @@ Fig. 17 explores.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Tuple
 
 from ..config import EnergyConfig
 from ..network.channel import Channel
+from ..units import bytes_per_ps
 
 
 @dataclass(frozen=True)
@@ -36,14 +37,18 @@ class EnergyBreakdown:
 
 
 def network_energy(
-    channels: Iterable[Channel],
+    carried: Iterable[Tuple[Channel, float]],
     elapsed_ps: int,
     cfg: EnergyConfig = EnergyConfig(),
 ) -> EnergyBreakdown:
-    """Total energy of the given channels over an ``elapsed_ps`` window."""
+    """Total energy over an ``elapsed_ps`` window of ``(channel, bytes
+    carried)`` pairs: the channels' own byte counters on the packet tier,
+    predicted per-channel loads on the analytic tier."""
     active = 0.0
     idle = 0.0
-    for ch in channels:
-        active += ch.active_energy_pj(cfg.active_pj_per_bit)
-        idle += ch.idle_energy_pj(elapsed_ps, cfg.idle_pj_per_bit)
+    for ch, num_bytes in carried:
+        active_bits = num_bytes * 8
+        active += active_bits * cfg.active_pj_per_bit
+        capacity_bits = bytes_per_ps(ch.effective_gbps) * elapsed_ps * 8
+        idle += max(0.0, capacity_bits - active_bits) * cfg.idle_pj_per_bit
     return EnergyBreakdown(active_pj=active, idle_pj=idle)

@@ -101,6 +101,13 @@ def make_network(cfg, sim: Simulator, topo, routing: str) -> MemoryNetwork:
     return MemoryNetwork(sim, topo, cfg.network, routing=routing)
 
 
+def direct_link_width(cfg, terminal: str) -> int:
+    """Channel width of each of ``terminal``'s direct HMC links: its
+    channels (Table I) spread over one cluster's HMCs."""
+    channels = cfg.cpu.num_channels if terminal == "cpu" else cfg.gpu.num_channels
+    return max(1, channels // cfg.gpu.hmcs_per_gpu)
+
+
 class DirectLink:
     """A device's point-to-point connection to one local HMC (no network)."""
 
@@ -211,12 +218,7 @@ class Fabric:
 
     def _build_direct_links(self, terminal: str, cluster: int) -> None:
         system = self.system
-        channels = (
-            system.cfg.cpu.num_channels
-            if terminal == "cpu"
-            else system.cfg.gpu.num_channels
-        )
-        width = max(1, channels // system.hmcs_per_cluster)
+        width = direct_link_width(system.cfg, terminal)
         for lc in range(system.hmcs_per_cluster):
             system._direct_links[(terminal, cluster, lc)] = DirectLink(
                 system.sim,

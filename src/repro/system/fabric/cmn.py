@@ -16,15 +16,21 @@ from ...network.topologies import build_cmn
 from .base import Fabric, make_network
 
 
+def cpu_network_topology(spec, cfg):
+    """The CPU memory network under ``cfg``: the CPU's local HMCs with
+    every GPU and the CPU attached (``spec`` names no CMN topology)."""
+    return build_cmn(
+        cfg.num_gpus,
+        hmcs_per_cpu=cfg.gpu.hmcs_per_gpu,
+        channel_gbps=cfg.network.channel_gbps,
+        cpu_channels=cfg.cpu.num_channels,
+    )
+
+
 class CMNFabric(Fabric):
     def build(self) -> None:
         system = self.system
-        topo = build_cmn(
-            system.num_gpus,
-            hmcs_per_cpu=system.hmcs_per_cluster,
-            channel_gbps=system.cfg.network.channel_gbps,
-            cpu_channels=system.cfg.cpu.num_channels,
-        )
+        topo = cpu_network_topology(system.spec, system.cfg)
         system.network = make_network(system.cfg, system.sim, topo, system.spec.routing)
         for lc in range(system.hmcs_per_cluster):
             self._register_router(lc, system.hmcs[(system.cpu_cluster, lc)])

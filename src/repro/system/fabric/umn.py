@@ -14,18 +14,24 @@ from ...network.topologies import build_topology
 from .base import Fabric, make_network
 
 
+def unified_network_topology(spec, cfg):
+    """The unified memory network of ``spec.topology`` under ``cfg``:
+    every GPU cluster and the CPU's cluster on one network."""
+    return build_topology(
+        spec.topology,
+        num_gpus=cfg.num_gpus,
+        hmcs_per_gpu=cfg.gpu.hmcs_per_gpu,
+        include_cpu=True,
+        channel_gbps=cfg.network.channel_gbps,
+        gpu_channels=cfg.gpu.num_channels,
+        cpu_channels=cfg.cpu.num_channels,
+    )
+
+
 class UMNFabric(Fabric):
     def build(self) -> None:
         system = self.system
-        topo = build_topology(
-            system.spec.topology,
-            num_gpus=system.num_gpus,
-            hmcs_per_gpu=system.hmcs_per_cluster,
-            include_cpu=True,
-            channel_gbps=system.cfg.network.channel_gbps,
-            gpu_channels=system.cfg.gpu.num_channels,
-            cpu_channels=system.cfg.cpu.num_channels,
-        )
+        topo = unified_network_topology(system.spec, system.cfg)
         system.network = make_network(system.cfg, system.sim, topo, system.spec.routing)
         for c in range(system.num_gpus + 1):
             for lc in range(system.hmcs_per_cluster):

@@ -3,10 +3,11 @@
 ``system_report(system)`` walks a :class:`MultiGPUSystem` after a run and
 returns a nested, JSON-serializable dict — per-GPU cache hit rates and SM
 occupancy, per-HMC service counts and row-hit rates, vault queue pressure
-and service per requester class, channel utilization, PCIe/PCN/network
-aggregates.  It is the one post-run tree of component counters (``repro
-run --report``); useful for debugging workload calibrations and for
-research on top of the simulator.
+and service per requester class, the busiest channels of the whole
+interconnect inventory (network, direct, PCIe and PCN links), and
+PCIe/PCN/network aggregates.  It is the one post-run tree of component
+counters (``repro run --report``); useful for debugging workload
+calibrations and for research on top of the simulator.
 """
 
 from __future__ import annotations
@@ -63,21 +64,21 @@ def _hmc_report(hmc) -> Dict:
 
 
 def _channel_report(channels, elapsed_ps: int) -> List[Dict]:
-    rows = []
-    for ch in channels:
-        if ch.stats.bytes == 0:
-            continue
-        utilization = ch.stats.busy_ps / elapsed_ps if elapsed_ps else 0.0
-        rows.append(
-            {
-                "name": ch.name,
-                "bytes": ch.stats.bytes,
-                "packets": ch.stats.packets,
-                "utilization": round(utilization, 4),
-            }
-        )
-    rows.sort(key=lambda r: -r["bytes"])
-    return rows
+    """The channels that carried traffic, busiest (by utilization) first;
+    ties keep inventory order."""
+    used = [ch for ch in channels if ch.stats.bytes]
+    used.sort(key=lambda ch: -ch.stats.busy_ps)
+    return [
+        {
+            "name": ch.name,
+            "bytes": ch.stats.bytes,
+            "packets": ch.stats.packets,
+            "utilization": round(
+                ch.stats.busy_ps / elapsed_ps if elapsed_ps else 0.0, 4
+            ),
+        }
+        for ch in used
+    ]
 
 
 def system_report(system: MultiGPUSystem, top_channels: int = 16) -> Dict:
@@ -111,16 +112,10 @@ def system_report(system: MultiGPUSystem, top_channels: int = 16) -> Dict:
             "avg_latency_ps": round(stats.avg_latency_ps, 1),
             "avg_hops": round(stats.avg_hops, 3),
         }
-    if system.pcie is not None:
-        report["pcie"] = {
-            "transactions": system.pcie.stats.transactions,
-            "bytes": system.pcie.stats.bytes,
-        }
-    if system.pcn is not None:
-        report["pcn"] = {
-            "transactions": system.pcn.stats.transactions,
-            "bytes": system.pcn.stats.bytes,
-        }
+    for name in ("pcie", "pcn"):
+        links = getattr(system, name)
+        if links is not None:
+            report[name] = {"transactions": links.transactions, "bytes": links.bytes}
     sampler = getattr(system, "sampler", None)
     if sampler is not None and sampler.num_samples:
         # Windowed congestion series recorded by the obs sampler.

@@ -298,7 +298,9 @@ def _collect(
         result.avg_hops = stats.avg_hops
         window = max(1, result.kernel_ps)
         result.energy = network_energy(
-            system.network_channels(), window, system.cfg.energy
+            ((ch, ch.stats.bytes) for ch in system.network_channels()),
+            window,
+            system.cfg.energy,
         )
         if collect_traffic:
             terminals = [f"gpu{g}" for g in range(system.num_gpus)]

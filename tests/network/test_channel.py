@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.config import EnergyConfig
 from repro.network.channel import Channel
+from repro.system.energy import network_energy
 from repro.units import bytes_per_ps
 
 
@@ -65,30 +67,32 @@ class TestContention:
         assert ch.stats.bytes == 300
         assert ch.stats.busy_ps == ch.busy_until
 
-    def test_reset_stats(self):
-        ch = Channel("c", 0, 1)
-        ch.transmit(100, 0)
-        ch.reset_stats()
-        assert ch.stats.packets == 0
-        assert ch.stats.bytes == 0
+
+def _energy(ch, elapsed_ps):
+    """Fig. 17 energy of one channel over its own byte counter."""
+    return network_energy(
+        [(ch, ch.stats.bytes)],
+        elapsed_ps,
+        EnergyConfig(active_pj_per_bit=2.0, idle_pj_per_bit=1.5),
+    )
 
 
 class TestEnergy:
     def test_active_energy(self):
         ch = Channel("c", 0, 1)
         ch.transmit(1000, 0)
-        assert ch.active_energy_pj(2.0) == 1000 * 8 * 2.0
+        assert _energy(ch, 1_000_000).active_pj == 1000 * 8 * 2.0
 
     def test_idle_energy_is_capacity_minus_active(self):
         ch = Channel("c", 0, 1, gbps=20.0)
         elapsed = 1_000_000  # 1 us
         total_bits = bytes_per_ps(20.0) * elapsed * 8
-        assert ch.idle_energy_pj(elapsed, 1.5) == pytest.approx(total_bits * 1.5)
+        assert _energy(ch, elapsed).idle_pj == pytest.approx(total_bits * 1.5)
         ch.transmit(1000, 0)
         expected = (total_bits - 8000) * 1.5
-        assert ch.idle_energy_pj(elapsed, 1.5) == pytest.approx(expected)
+        assert _energy(ch, elapsed).idle_pj == pytest.approx(expected)
 
     def test_idle_energy_never_negative(self):
         ch = Channel("c", 0, 1, gbps=20.0)
         ch.transmit(10**9, 0)  # more traffic than a tiny window's capacity
-        assert ch.idle_energy_pj(10, 1.5) == 0.0
+        assert _energy(ch, 10).idle_pj == 0.0

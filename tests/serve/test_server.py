@@ -317,3 +317,43 @@ def test_pool_death_beyond_retries_fails_the_job(make_server):
     assert "worker pool died" in failed["message"]
     assert kinds[-1] == "end" and events[-1]["failed"] == 1
     assert len(server.cache.pinned()) == 0
+
+
+@pytest.mark.parametrize("exc_type", [RuntimeError, ValueError])
+def test_failure_after_acceptance_ends_with_error_event(
+    make_server, monkeypatch, tmp_path, capsys, exc_type
+):
+    """A submit handler that raises once the request was accepted still
+    ends the stream with one terminal ``error`` event, logs the traceback,
+    and ``repro submit`` exits non-zero."""
+    import json
+
+    from repro.cli import main
+    from repro.serve import server as server_module
+
+    real_write = server_module.write_message
+
+    def write_then_fail(stream, message):
+        real_write(stream, message)
+        if message.get("event") == "accepted":
+            raise exc_type("injected failure after acceptance")
+
+    monkeypatch.setattr(server_module, "write_message", write_then_fail)
+    server = make_server()
+    spec = _slow_spec()
+
+    events = list(_client(server).submit([spec], client="alice"))
+    kinds = [e["event"] for e in events]
+    assert kinds == ["accepted", "error"], events
+    assert "injected failure after acceptance" in events[-1]["message"]
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "injected failure after acceptance" in err
+
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    code = main(
+        ["submit", str(spec_file), "--socket", server.address.socket_path]
+    )
+    assert code != 0
+    out = capsys.readouterr().out.splitlines()
+    assert json.loads(out[-1])["event"] == "error"

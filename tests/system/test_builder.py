@@ -89,12 +89,12 @@ class TestRequestPaths:
         issue_gpu_read(system, 0, cluster=0)
         link = system._direct_links[("gpu0", 0, 0)]
         assert link.req.stats.packets == 1
-        assert system.pcie.stats.transactions == 0
+        assert system.pcie.transactions == 0
 
     def test_remote_access_crosses_pcie_twice(self):
         system = build("PCIe")
         issue_gpu_read(system, 0, cluster=1)
-        assert system.pcie.stats.transactions == 2  # request + response
+        assert system.pcie.transactions == 2  # request + response
         # Served by the owner's direct link.
         assert system._direct_links[("gpu1", 1, 0)].req.stats.packets == 1
 
@@ -106,13 +106,13 @@ class TestRequestPaths:
     def test_gmn_remote_skips_pcie(self):
         system = build("GMN")
         issue_gpu_read(system, 0, cluster=1)
-        assert system.pcie.stats.transactions == 0
+        assert system.pcie.transactions == 0
         assert system.network.stats.delivered > 0
 
     def test_gmn_cpu_memory_goes_over_pcie(self):
         system = build("GMN")
         issue_gpu_read(system, 0, cluster=4)
-        assert system.pcie.stats.transactions == 2
+        assert system.pcie.transactions == 2
 
     def test_cmn_remote_gpu_forwards_through_network(self):
         system = build("CMN")
@@ -157,7 +157,7 @@ class TestCpuPort:
         system = build("PCIe")
         self._cpu_read(system, cluster=1)
         # Redirected: served by a CPU-cluster direct link, no PCIe.
-        assert system.pcie.stats.transactions == 0
+        assert system.pcie.transactions == 0
         served = sum(
             link.req.stats.packets
             for (t, c, _), link in system._direct_links.items()

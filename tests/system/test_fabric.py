@@ -175,6 +175,17 @@ class TestToyOrganization:
         assert result.total_ps > 0
         assert result.h2d_ps == 0  # zero-copy: no blocking copies
 
+    def test_analytic_tier_rejects_it(self, tsm):
+        # The analytic tier models the built-in organizations only.
+        from repro.analytic import analytic_run
+
+        with pytest.raises(ConfigError, match="no analytic model"):
+            analytic_run(
+                tsm,
+                make_vectoradd(num_ctas=8, lines_per_cta=2),
+                cfg=tiny_system_config(2),
+            )
+
     def test_spec_roundtrip_preserves_extension_org(self, tsm):
         spec = SystemSpec.make(tsm, WorkloadRef("vectoradd", 0.1))
         again = SystemSpec.from_dict(spec.to_dict())

@@ -56,24 +56,29 @@ class TestMemcpyModel:
             memcpy_bandwidth_gbps(TABLE_III["UMN"], CFG)
 
 
+def _carried(channels):
+    """Each channel paired with its own byte counter (the packet tier)."""
+    return [(ch, ch.stats.bytes) for ch in channels]
+
+
 class TestEnergyModel:
     def test_idle_only_channel(self):
         ch = Channel("c", 0, 1, gbps=20.0)
-        e = network_energy([ch], elapsed_ps=1_000_000)
+        e = network_energy(_carried([ch]), elapsed_ps=1_000_000)
         assert e.active_pj == 0
         assert e.idle_pj > 0
 
     def test_active_energy_proportional_to_bytes(self):
         ch = Channel("c", 0, 1)
         ch.transmit(1000, 0)
-        e = network_energy([ch], elapsed_ps=1_000_000, cfg=EnergyConfig())
+        e = network_energy(_carried([ch]), elapsed_ps=1_000_000, cfg=EnergyConfig())
         assert e.active_pj == 1000 * 8 * 2.0
 
     def test_more_channels_more_idle_energy(self):
         chans2 = [Channel(f"c{i}", 0, 1) for i in range(2)]
         chans4 = [Channel(f"c{i}", 0, 1) for i in range(4)]
-        e2 = network_energy(chans2, 10**6)
-        e4 = network_energy(chans4, 10**6)
+        e2 = network_energy(_carried(chans2), 10**6)
+        e4 = network_energy(_carried(chans4), 10**6)
         assert e4.idle_pj == pytest.approx(2 * e2.idle_pj)
 
     def test_shorter_runtime_lower_energy(self):
@@ -81,8 +86,8 @@ class TestEnergyModel:
         # idle energy.
         ch = Channel("c", 0, 1)
         ch.transmit(1000, 0)
-        slow = network_energy([ch], 10**7)
-        fast = network_energy([ch], 10**6)
+        slow = network_energy(_carried([ch]), 10**7)
+        fast = network_energy(_carried([ch]), 10**6)
         assert fast.total_pj < slow.total_pj
         assert fast.active_pj == slow.active_pj
 

@@ -24,8 +24,8 @@ class TestFabric:
 
     def test_full_mesh_plus_cpu_links(self):
         _, fabric = self._fabric()
-        # C(4,2) GPU pairs + 4 CPU links.
-        assert fabric.bidirectional_link_count() == 6 + 4
+        # C(4,2) GPU pairs + 4 CPU links, one channel each way.
+        assert len(fabric.channels()) == 2 * (6 + 4)
 
     def test_transaction_completes(self):
         sim, fabric = self._fabric()
@@ -85,7 +85,7 @@ class TestNVLinkArchitecture:
         system._gpu_request(0, access, lambda: done.append(system.sim.now))
         system.sim.run()
         assert len(done) == 1
-        assert system.pcn.stats.transactions == 2  # request + response
+        assert system.pcn.transactions == 2  # request + response
 
     def test_faster_than_pcie_slower_than_umn(self):
         cfg = tiny_system_config()

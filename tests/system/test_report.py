@@ -43,15 +43,22 @@ class TestSystemReport:
         assert "network" not in report
 
     def test_hottest_channels_sorted_and_capped(self):
-        for arch in ("PCIe", "CMN", "GMN", "UMN", "NVLink"):
+        for arch in ("PCIe", "PCIe-ZC", "CMN", "GMN", "UMN", "NVLink", "NVLink-ZC"):
             _, system = detailed_run(arch=arch)
-            report = system_report(system, top_channels=5)
-            chans = report["hottest_channels"]
+            chans = system_report(system, top_channels=5)["hottest_channels"]
+            every = system_report(system, top_channels=10**6)["hottest_channels"]
             assert 0 < len(chans) <= 5, arch
-            assert chans == sorted(chans, key=lambda c: -c["bytes"]), arch
+            assert chans == every[:5], arch
+            assert every == sorted(every, key=lambda c: -c["utilization"]), arch
             # Utilization is reported unclamped, so busy time beyond the
             # simulated time would show here.
-            assert all(0 <= c["utilization"] <= 1 for c in chans), (arch, chans)
+            assert all(0 <= c["utilization"] <= 1 for c in every), (arch, every)
+            if arch.startswith(("PCIe", "NVLink")):
+                # The processor-centric link bounds these organizations,
+                # so it heads the list.
+                top = chans[0]
+                assert top["name"].startswith(("pcie:", "pcn:")), (arch, chans)
+                assert top["utilization"] > 0, (arch, top)
 
     def test_json_serializable(self):
         _, system = detailed_run()
