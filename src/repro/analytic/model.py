@@ -35,20 +35,17 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..config import SystemConfig
+from ..core.page_table import PagePlacement
 from ..errors import ConfigError, SimulationError
 from ..hmc.vault import ATOMIC_ALU_PS
-from ..network.packet import (
-    PacketKind,
-    request_size_bytes,
-    response_kind,
-    response_size_bytes,
-)
+from ..mem import AccessType
+from ..network.packet import wire_bytes
 from ..network.trafficmatrix import FlowRouter, TrafficMatrix
 from ..pcn.pcn import link_width as pcn_link_width
 from ..system.configs import ArchSpec, Organization, TransferMode
 from ..system.energy import EnergyBreakdown, network_energy
-from ..system.fabric.base import GPU_FORWARD_PS, direct_link_width
-from ..system.fabric.cmn import cpu_network_topology
+from ..system.fabric.base import GPU_FORWARD_PS, cluster_router, direct_link_width
+from ..system.fabric.cmn import cpu_network_router, cpu_network_topology
 from ..system.fabric.gmn import gpu_network_topology
 from ..system.fabric.umn import unified_network_topology
 from ..system.memcpy import memcpy_time_ps
@@ -71,31 +68,19 @@ RHO_CAP = 0.95
 FIXED_POINT_ROUNDS = 3
 
 #: The organizations this tier models, each with the memory-network
-#: builder its fabric wires (PCIe and PCN have no network).
+#: builder its fabric wires and the fabric's (cluster, local HMC) ->
+#: router map (PCIe and PCN have no network).
 _NETWORKS = {
-    Organization.PCIE: None,
-    Organization.PCN: None,
-    Organization.CMN: cpu_network_topology,
-    Organization.GMN: gpu_network_topology,
-    Organization.UMN: unified_network_topology,
+    Organization.PCIE: (None, None),
+    Organization.PCN: (None, None),
+    Organization.CMN: (cpu_network_topology, cpu_network_router),
+    Organization.GMN: (gpu_network_topology, cluster_router),
+    Organization.UMN: (unified_network_topology, cluster_router),
 }
 
-_KIND_REQ = {
-    "read": PacketKind.READ_REQ,
-    "write": PacketKind.WRITE_REQ,
-    "atomic": PacketKind.ATOMIC_REQ,
-}
-
-
-def _packet_sizes(kind: str, size: int, header: int) -> Tuple[int, int]:
-    """(request, response) bytes of one access on a packetized link."""
-    req_kind = _KIND_REQ[kind]
-    data = 0 if req_kind is PacketKind.READ_REQ else size
-    req = request_size_bytes(req_kind, data, header)
-    resp_kind = response_kind(req_kind)
-    rdata = 0 if resp_kind is PacketKind.WRITE_ACK else size
-    resp = response_size_bytes(resp_kind, rdata, header)
-    return req, resp
+_READ = AccessType.READ
+_WRITE = AccessType.WRITE
+_ATOMIC = AccessType.ATOMIC
 
 
 def partition_chunks(num_ctas: int, num_gpus: int) -> List[int]:
@@ -267,10 +252,10 @@ class _CapacityModel:
         self.vaults_per_cluster = (
             self.hmcs_per_cluster * cfg.hmc.num_vaults
         )
-        self._route_cache: Dict[Tuple[str, int, int, str, int], _Route] = {}
+        self._route_cache: Dict[Tuple[str, int, int, AccessType, int], _Route] = {}
 
         try:
-            network = _NETWORKS[self.org]
+            network, self.router_of = _NETWORKS[self.org]
         except KeyError:
             raise ConfigError(
                 f"no analytic model for organization {self.org!r}; "
@@ -279,56 +264,34 @@ class _CapacityModel:
         self.topo = network(spec, cfg) if network is not None else None
         self.flow_router = FlowRouter(self.topo) if self.topo else None
 
-        clusters = (
-            list(placement_clusters)
-            if placement_clusters is not None
-            else spec.data_clusters(cfg.num_gpus)
+        self.placement = PagePlacement(
+            placement_policy,
+            (
+                placement_clusters
+                if placement_clusters is not None
+                else spec.data_clusters(cfg.num_gpus)
+            ),
+            weights=placement_weights,
         )
-        self.placement_policy = placement_policy
-        self.placement_clusters = clusters
-        if placement_policy == "weighted":
-            if placement_weights is None or len(placement_weights) != len(clusters):
-                raise ConfigError(
-                    "weighted placement needs one weight per cluster"
-                )
-            total = float(sum(placement_weights))
-            if total <= 0:
-                raise ConfigError("weights must sum to a positive value")
-            self._weights = [w / total for w in placement_weights]
-        elif placement_policy in ("random", "round_robin", "local", "first_touch"):
-            self._weights = None
-            if placement_policy == "local" and len(clusters) != 1:
-                raise ConfigError("local placement takes exactly one cluster")
-        else:
-            raise ConfigError(f"unknown placement policy {placement_policy!r}")
 
     # -- system shape ----------------------------------------------------
-    def placement_fractions(self, requester_cluster: int) -> Dict[int, float]:
-        """Fraction of the requester's pages backed by each cluster."""
-        clusters = self.placement_clusters
-        if self.placement_policy == "local":
-            return {clusters[0]: 1.0}
-        if self.placement_policy == "weighted":
-            return {
-                c: w for c, w in zip(clusters, self._weights) if w > 0.0
-            }
-        if self.placement_policy == "first_touch":
-            if requester_cluster in clusters:
-                return {requester_cluster: 1.0}
-        # random / round_robin / first_touch fallback: uniform.
-        share = 1.0 / len(clusters)
-        return {c: share for c in clusters}
-
     def host_fractions(self) -> Dict[int, float]:
         """Destination fractions of host accesses (after the host view:
         under memcpy transfer the host works on its CPU-memory copy)."""
         if self.spec.transfer is TransferMode.MEMCPY:
             return {self.cpu_cluster: 1.0}
-        return self.placement_fractions(self.cpu_cluster)
+        return self.placement.shares(self.cpu_cluster)
+
+    def _wire(self, kind: AccessType, size: int) -> Tuple[int, int]:
+        """(request, response) bytes of one access on a packetized link."""
+        header = self.netcfg.header_bytes
+        return wire_bytes(kind, size, header), wire_bytes(kind, size, header, True)
 
     # -- transport building blocks --------------------------------------
-    def _direct(self, route: _Route, terminal: str, kind: str, size: int) -> None:
-        req_b, resp_b = _packet_sizes(kind, size, self.netcfg.header_bytes)
+    def _direct(
+        self, route: _Route, terminal: str, kind: AccessType, size: int
+    ) -> None:
+        req_b, resp_b = self._wire(kind, size)
         gbps = self.netcfg.channel_gbps * direct_link_width(self.cfg, terminal)
         ser_req = _ser_ps(req_b, gbps)
         ser_resp = _ser_ps(resp_b, gbps)
@@ -345,9 +308,9 @@ class _CapacityModel:
         route.visits.append((f"pcie:down:{dst}", 1, ser))
 
     def _pcie_forwarded(
-        self, route: _Route, terminal: str, owner: str, kind: str, size: int
+        self, route: _Route, terminal: str, owner: str, kind: AccessType, size: int
     ) -> None:
-        req_b, resp_b = _packet_sizes(kind, size, self.netcfg.header_bytes)
+        req_b, resp_b = self._wire(kind, size)
         self._pcie_txn(route, terminal, owner, req_b)
         route.fixed_ps += 2 * GPU_FORWARD_PS
         self._direct(route, owner, kind, size)
@@ -361,34 +324,28 @@ class _CapacityModel:
         route.visits.append((f"pcn:{src}>{dst}", 1, ser))
 
     def _pcn_forwarded(
-        self, route: _Route, terminal: str, owner: str, kind: str, size: int
+        self, route: _Route, terminal: str, owner: str, kind: AccessType, size: int
     ) -> None:
-        req_b, resp_b = _packet_sizes(kind, size, self.netcfg.header_bytes)
+        req_b, resp_b = self._wire(kind, size)
         self._pcn_txn(route, terminal, owner, req_b)
         route.fixed_ps += 2 * GPU_FORWARD_PS
         self._direct(route, owner, kind, size)
         self._pcn_txn(route, owner, terminal, resp_b)
 
     # -- network legs ----------------------------------------------------
-    def _cluster_routers(self, cluster: int) -> List[int]:
-        h = self.hmcs_per_cluster
-        if self.org is Organization.CMN:
-            # The CMN's routers are the CPU's local HMCs (indices 0..H-1).
-            return list(range(h))
-        return [cluster * h + lc for lc in range(h)]
-
     def _net_request(
-        self, route: _Route, terminal: str, cluster: int, kind: str, size: int
+        self, route: _Route, terminal: str, cluster: int, kind: AccessType, size: int
     ) -> None:
         """A memory request over the network to one of the destination
         cluster's HMC routers (line interleaving spreads them evenly)."""
         fr = self.flow_router
         net = self.netcfg
-        req_b, resp_b = _packet_sizes(kind, size, net.header_bytes)
+        req_b, resp_b = self._wire(kind, size)
         ser_req = _ser_ps(req_b, net.channel_gbps)
         ser_resp = _ser_ps(resp_b, net.channel_gbps)
         switch_ps = net.pipeline_stages * net.router_cycle_ps
-        routers = self._cluster_routers(cluster)
+        h = self.hmcs_per_cluster
+        routers = [self.router_of(cluster, lc, h) for lc in range(h)]
         share = 1.0 / len(routers)
         d_req = sum(fr.request_distance(terminal, r) for r in routers) / len(routers)
         d_resp = sum(fr.response_distance(r, terminal) for r in routers) / len(routers)
@@ -444,11 +401,11 @@ class _CapacityModel:
         )
 
     def _net_forwarded(
-        self, route: _Route, terminal: str, owner: str, kind: str, size: int
+        self, route: _Route, terminal: str, owner: str, kind: AccessType, size: int
     ) -> None:
         """CMN remote-GPU path: forward over the net to the owning GPU,
         traverse it, access its local memory, reply over the net."""
-        req_b, resp_b = _packet_sizes(kind, size, self.netcfg.header_bytes)
+        req_b, resp_b = self._wire(kind, size)
         self._net_terminal_leg(route, terminal, owner, req_b)
         route.fixed_ps += 2 * GPU_FORWARD_PS
         self._direct(route, owner, kind, size)
@@ -457,7 +414,7 @@ class _CapacityModel:
 
     # -- per-organization dispatch --------------------------------------
     def route(
-        self, terminal: str, terminal_cluster: int, cluster: int, kind: str, size: int
+        self, terminal: str, terminal_cluster: int, cluster: int, kind: AccessType, size: int
     ) -> _Route:
         key = (terminal, terminal_cluster, cluster, kind, size)
         cached = self._route_cache.get(key)
@@ -509,12 +466,12 @@ class _CapacityModel:
         self._route_cache[key] = route
         return route
 
-    def _dram_latency_ps(self, kind: str) -> float:
+    def _dram_latency_ps(self, kind: AccessType) -> float:
         timing = self.cfg.hmc.timing
         base = ROW_HIT_EST * timing.hit_ps + (1.0 - ROW_HIT_EST) * 0.5 * (
             timing.empty_ps + timing.conflict_ps
         )
-        if kind == "atomic":
+        if kind is _ATOMIC:
             base += ATOMIC_ALU_PS
         return base
 
@@ -776,28 +733,28 @@ def _estimate_kernel(
             per_gpu.append({})
             continue
         terminal = f"gpu{g}"
-        fractions = model.placement_fractions(g)
+        fractions = model.placement.shares(g)
         mem_reads = min(kp.distinct_read_lines(m), kp.reads_per_cta * m)
         writes = kp.writes_per_cta * m
         atomics = kp.atomics_per_cta * m
-        classes: List[Tuple[_Route, float, str]] = []
+        classes: List[Tuple[_Route, float, AccessType]] = []
         for cluster, frac in fractions.items():
-            read_route = model.route(terminal, g, cluster, "read", GPU_LINE_BYTES)
-            classes.append((read_route, mem_reads * frac, "read"))
+            read_route = model.route(terminal, g, cluster, _READ, GPU_LINE_BYTES)
+            classes.append((read_route, mem_reads * frac, _READ))
             if writes:
                 classes.append(
                     (
-                        model.route(terminal, g, cluster, "write", write_size),
+                        model.route(terminal, g, cluster, _WRITE, write_size),
                         writes * frac,
-                        "write",
+                        _WRITE,
                     )
                 )
             if atomics:
                 classes.append(
                     (
-                        model.route(terminal, g, cluster, "atomic", atomic_size),
+                        model.route(terminal, g, cluster, _ATOMIC, atomic_size),
                         atomics * frac,
-                        "atomic",
+                        _ATOMIC,
                     )
                 )
         for route, count, _ in classes:
@@ -856,10 +813,10 @@ def _estimate_kernel(
         read_lat = atom_lat = 0.0
         read_n = atom_n = 0.0
         for route, count, kind in classes:
-            if kind == "read":
+            if kind is _READ:
                 read_lat += count * route.latency_ps(waits, hop_wait)
                 read_n += count
-            elif kind == "atomic":
+            elif kind is _ATOMIC:
                 atom_lat += count * route.latency_ps(waits, hop_wait)
                 atom_n += count
         read_lat = read_lat / read_n if read_n else 0.0
@@ -927,7 +884,7 @@ def _estimate_host(
     line = cfg.cpu.line_bytes
     mlp = cfg.cpu.max_outstanding
 
-    def mem_latency(kind: str, size: int, count_scale: float) -> float:
+    def mem_latency(kind: AccessType, size: int, count_scale: float) -> float:
         lat = 0.0
         for cluster, frac in fractions.items():
             route = model.route("cpu", model.cpu_cluster, cluster, kind, size)
@@ -941,19 +898,19 @@ def _estimate_host(
     total = 0.0
     for step in profile.host_steps:
         read_lat = (
-            mem_latency("read", line, step.read_misses) if step.read_misses else 0.0
+            mem_latency(_READ, line, step.read_misses) if step.read_misses else 0.0
         )
         write_size = (
             int(round(step.write_bytes / step.writes)) if step.writes else line
         )
         write_lat = (
-            mem_latency("write", write_size, step.writes) if step.writes else 0.0
+            mem_latency(_WRITE, write_size, step.writes) if step.writes else 0.0
         )
         atomic_size = (
             int(round(step.atomic_bytes / step.atomics)) if step.atomics else 32
         )
         atomic_lat = (
-            mem_latency("atomic", atomic_size, step.atomics) if step.atomics else 0.0
+            mem_latency(_ATOMIC, atomic_size, step.atomics) if step.atomics else 0.0
         )
         service = (
             step.read_hits * cfg.cpu.l2_hit_ps

@@ -32,6 +32,10 @@ SAMPLE_CTAS = 4
 #: GPU cache-line size (Table I); CTA access footprints are line-grained.
 GPU_LINE_BYTES = 128
 
+#: Host cache-line size (``CPUConfig.line_bytes``); the host L2 filters
+#: reads at this grain.
+HOST_LINE_BYTES = 64
+
 
 def _power_law_alpha(u1: float, up: float, p: int) -> float:
     """Exponent of ``U(m) = U_p * (m / p) ** alpha``.
@@ -119,8 +123,8 @@ class WorkloadProfile:
     d2h_bytes: int
 
 
-def _profile_kernel(kernel, sample_ctas: int = SAMPLE_CTAS) -> KernelProfile:
-    sampled = min(sample_ctas, kernel.num_ctas)
+def _profile_kernel(kernel) -> KernelProfile:
+    sampled = min(SAMPLE_CTAS, kernel.num_ctas)
     phases = reads = writes = atomics = 0
     write_bytes = atomic_bytes = compute_ps = 0
     union_lines: Set[int] = set()
@@ -159,11 +163,7 @@ def _profile_kernel(kernel, sample_ctas: int = SAMPLE_CTAS) -> KernelProfile:
     )
 
 
-def profile_workload(
-    workload: Workload,
-    host_line_bytes: int = 64,
-    sample_ctas: int = SAMPLE_CTAS,
-) -> WorkloadProfile:
+def profile_workload(workload: Workload) -> WorkloadProfile:
     """Profile ``workload`` for the analytic tier.
 
     Kernels are sampled (consecutive CTAs — the chunk shape the static
@@ -175,7 +175,7 @@ def profile_workload(
     seen_lines: Set[int] = set()
     for step in workload.steps:
         if isinstance(step, KernelStep):
-            kernels.append(_profile_kernel(step.kernel, sample_ctas))
+            kernels.append(_profile_kernel(step.kernel))
             continue
         assert isinstance(step, HostStep)
         phases = read_hits = read_misses = writes = atomics = 0
@@ -185,7 +185,7 @@ def profile_workload(
             compute_ps += phase.compute_ps
             for access in phase.accesses:
                 if access.type is AccessType.READ:
-                    line = access.vaddr // host_line_bytes
+                    line = access.vaddr // HOST_LINE_BYTES
                     if line in seen_lines:
                         read_hits += 1
                     else:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from .errors import ConfigError
-from .units import GB, KB, MB
+from .units import KB, MB
 
 #: The fidelity tiers a system can run at: "packet" (event-driven packet
 #: network, the fast default), "flit" (wormhole + virtual channels +
@@ -45,15 +45,16 @@ class CacheConfig:
 
 @dataclass(frozen=True)
 class GPUConfig:
-    """Per-GPU parameters (Table I, "GPU" section)."""
+    """Per-GPU parameters (Table I, "GPU" section).
+
+    Only what the phase-level SM consumes: Table I's SIMD width, threads,
+    registers and shared memory per SM are not simulated (DESIGN.md
+    section 2).
+    """
 
     num_sms: int = 64
     hmcs_per_gpu: int = 4
     max_ctas_per_sm: int = 8
-    max_threads_per_sm: int = 1024
-    simd_width: int = 32
-    registers_per_sm: int = 32768
-    shared_mem_per_sm: int = 48 * KB
     #: Outstanding L1 misses allowed per SM before issue stalls.
     mshrs_per_sm: int = 64
     l1: CacheConfig = field(
@@ -65,10 +66,6 @@ class GPUConfig:
     #: High-speed channels on the GPU package (Section VI-A: 8 per GPU).
     num_channels: int = 8
 
-    @property
-    def channels_per_local_hmc(self) -> int:
-        return max(1, self.num_channels // self.hmcs_per_gpu)
-
 
 @dataclass(frozen=True)
 class CPUConfig:
@@ -76,19 +73,17 @@ class CPUConfig:
 
     The out-of-order core is modeled as a latency-bound memory client with a
     bounded number of outstanding misses (its effective memory-level
-    parallelism); see DESIGN.md section 2.
+    parallelism); see DESIGN.md section 2.  Table I's issue width, ROB
+    size and L1 latency are therefore not simulated, and the CPU cluster
+    has ``GPUConfig.hmcs_per_gpu`` HMCs like every other cluster.
     """
 
-    issue_width: int = 4
-    rob_size: int = 64
     line_bytes: int = 64
-    l1_hit_ps: int = 2 * 250
     l2_hit_ps: int = 10 * 250
     l2_size_bytes: int = 16 * MB
     #: Effective memory-level parallelism of the OoO core.
     max_outstanding: int = 8
     num_channels: int = 8
-    hmcs_per_cpu: int = 4
 
 
 @dataclass(frozen=True)
@@ -126,31 +121,28 @@ class DRAMTiming:
         object.__setattr__(self, "ras_ps", ps(self.tRAS))
         object.__setattr__(self, "cl_ps", ps(self.tCL))
 
-    @property
-    def tRC(self) -> int:
-        """Minimum time between activates to the same bank."""
-        return self.tRAS + self.tRP
-
     def ps(self, cycles: int) -> int:
         return cycles * self.tCK_ps
 
 
 @dataclass(frozen=True)
 class HMCConfig:
-    """Hybrid Memory Cube parameters (Table I, "HMC" section)."""
+    """Hybrid Memory Cube parameters (Table I, "HMC" section).
 
-    num_layers: int = 8
+    Layers, capacity and links are not simulated: the address mapping
+    sizes a cube from its vaults, banks and rows, and the links are the
+    devices' channels (``GPUConfig.num_channels``, ``CPUConfig.num_channels``).
+    """
+
     num_vaults: int = 16
     banks_per_vault: int = 16
-    capacity_bytes: int = 4 * GB
     vault_queue_entries: int = 16
     timing: DRAMTiming = field(default_factory=DRAMTiming)
-    #: Row size per bank; with 4 GB / 16 vaults / 16 banks and 8 layers this
-    #: gives 2 KB rows, a typical HMC DRAM partition row size.
+    #: Row size per bank; Table I's 4 GB cube over 16 vaults x 16 banks and
+    #: 8 layers gives 2 KB rows, a typical HMC DRAM partition row size.
     row_bytes: int = 2 * KB
     #: Internal vault data bus width in bytes per DRAM cycle.
     vault_bus_bytes_per_cycle: int = 16
-    num_channels: int = 8
     #: Vault scheduling policy, a key in :data:`repro.hmc.sched.SCHEDULERS`
     #: ("frfcfs" is Table I's FR-FCFS; "fcfs", "frfcfs_cap", and
     #: "qos_staged" are the shipped alternatives).  Part of the canonical
@@ -294,15 +286,6 @@ class SystemConfig:
                     f"flit), or use scheduler 'frfcfs' "
                     f"(registered schedulers: {sorted(SCHEDULERS)})"
                 )
-
-    @property
-    def num_gpu_hmcs(self) -> int:
-        return self.num_gpus * self.gpu.hmcs_per_gpu
-
-    @property
-    def num_clusters(self) -> int:
-        """GPU clusters only; the CPU cluster is added by UMN/CMN builders."""
-        return self.num_gpus
 
     def scaled(self, **overrides) -> "SystemConfig":
         """Return a copy with the given fields replaced."""

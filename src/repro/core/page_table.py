@@ -74,12 +74,26 @@ class PagePlacement:
         # weighted
         return self._rng.choices(self.clusters, weights=self._weights, k=1)[0]
 
+    def shares(self, hint: Optional[int] = None) -> Dict[int, float]:
+        """The expected share of pages :meth:`choose` places on each
+        cluster for a toucher whose home cluster is ``hint`` (the analytic
+        tier's placement, in place of a per-page draw)."""
+        if self.policy == "local":
+            return {self.clusters[0]: 1.0}
+        if self.policy == "weighted":
+            return {c: w for c, w in zip(self.clusters, self._weights) if w > 0.0}
+        if self.policy == "first_touch" and hint in self.clusters:
+            return {hint: 1.0}
+        share = 1.0 / len(self.clusters)
+        return {c: share for c in self.clusters}
+
 
 class PageTable:
     """Demand-allocated virtual-to-physical page table.
 
     Pages are allocated on first touch; each cluster hands out frames
-    sequentially through
+    drawn at random from its frame space (so pages land in different DRAM
+    rows/banks, as they would on a long-running system) through
     :meth:`repro.core.address.AddressMapping.page_frame_base`.
     """
 
@@ -88,20 +102,14 @@ class PageTable:
         mapping: AddressMapping,
         placement: PagePlacement,
         page_bytes: int = 4096,
-        randomize_frames: bool = True,
     ) -> None:
         self.mapping = mapping
         self.placement = placement
         self.page_bytes = page_bytes
-        #: Scatter frames over the cluster's frame space (so pages land in
-        #: different DRAM rows/banks, as they would on a long-running
-        #: system) instead of packing them from frame 0.
-        self.randomize_frames = randomize_frames
         self._frame_rng = random.Random(placement._rng.random())
         self._frame_space = mapping.frames_per_cluster(page_bytes)
         self._used_frames: Dict[int, set] = {c: set() for c in placement.clusters}
         self._table: Dict[int, int] = {}
-        self._frame_seq: Dict[int, int] = {c: 0 for c in placement.clusters}
         self._page_cluster: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
@@ -121,18 +129,14 @@ class PageTable:
 
     def _allocate(self, vpn: int, hint: Optional[int] = None) -> int:
         cluster = self.placement.choose(hint)
-        if self.randomize_frames:
-            used = self._used_frames.setdefault(cluster, set())
-            if len(used) >= self._frame_space:
-                raise AddressError(f"cluster {cluster} out of page frames")
-            while True:
-                seq = self._frame_rng.randrange(self._frame_space)
-                if seq not in used:
-                    used.add(seq)
-                    break
-        else:
-            seq = self._frame_seq.setdefault(cluster, 0)
-            self._frame_seq[cluster] = seq + 1
+        used = self._used_frames.setdefault(cluster, set())
+        if len(used) >= self._frame_space:
+            raise AddressError(f"cluster {cluster} out of page frames")
+        while True:
+            seq = self._frame_rng.randrange(self._frame_space)
+            if seq not in used:
+                used.add(seq)
+                break
         base = self.mapping.page_frame_base(cluster, seq, self.page_bytes)
         self._table[vpn] = base
         self._page_cluster[vpn] = cluster
@@ -157,7 +161,5 @@ class PageTable:
         """Drop all translations (e.g. between experiment repetitions)."""
         self._table.clear()
         self._page_cluster.clear()
-        for cluster in self._frame_seq:
-            self._frame_seq[cluster] = 0
         for used in self._used_frames.values():
             used.clear()

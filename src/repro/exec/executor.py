@@ -346,8 +346,11 @@ class Dispatcher:
         return sub
 
     def warm(self) -> None:
-        """Spawn the pool now rather than at the first submission."""
-        _POOL.acquire(self.workers)
+        """Start the pool's worker processes now rather than at the first
+        submission.  A ``ProcessPoolExecutor`` forks its workers at its
+        first ``submit``, so one no-op job is run through it and waited
+        for."""
+        _POOL.acquire(self.workers).submit(os.getpid).result()
 
     def close(self) -> None:
         """Stop respawning: a pool death after this is its jobs' failure.

@@ -20,9 +20,8 @@ from .packet import (
     MessageClass,
     Packet,
     PacketKind,
-    request_size_bytes,
     response_kind,
-    response_size_bytes,
+    wire_bytes,
 )
 from .routing import MinimalRouting, UGALRouting, make_routing
 from .topology import PassthroughChain, TerminalAttachment, Topology
@@ -45,9 +44,8 @@ __all__ = [
     "MessageClass",
     "Packet",
     "PacketKind",
-    "request_size_bytes",
     "response_kind",
-    "response_size_bytes",
+    "wire_bytes",
     "MinimalRouting",
     "UGALRouting",
     "make_routing",

@@ -10,6 +10,11 @@ from __future__ import annotations
 import enum
 from typing import Any, Optional
 
+from ..mem import AccessType
+
+_READ = AccessType.READ
+_WRITE = AccessType.WRITE
+
 
 class MessageClass(enum.IntEnum):
     """Virtual-channel message classes (2 classes per Section VI-A)."""
@@ -25,7 +30,6 @@ class PacketKind(enum.Enum):
     READ_RESP = "read_resp"
     WRITE_ACK = "write_ack"
     ATOMIC_RESP = "atomic_resp"
-    DATA = "data"  # bulk transfer segment (memcpy)
 
     @property
     def is_request(self) -> bool:
@@ -33,7 +37,6 @@ class PacketKind(enum.Enum):
             PacketKind.READ_REQ,
             PacketKind.WRITE_REQ,
             PacketKind.ATOMIC_REQ,
-            PacketKind.DATA,
         )
 
     @property
@@ -96,18 +99,20 @@ class Packet:
         )
 
 
-def request_size_bytes(kind: PacketKind, data_bytes: int, header_bytes: int = 16) -> int:
-    """Wire size of a request packet carrying ``data_bytes`` of payload."""
-    if kind in (PacketKind.WRITE_REQ, PacketKind.ATOMIC_REQ, PacketKind.DATA):
-        return header_bytes + data_bytes
-    return header_bytes
+def wire_bytes(
+    access_type: AccessType, size: int, header: int, response: bool = False
+) -> int:
+    """Wire size of a memory access's request message, or with
+    ``response`` of its response: the header plus the access's ``size``
+    bytes, except that a read request and a write ack carry no data.
 
-
-def response_size_bytes(kind: PacketKind, data_bytes: int, header_bytes: int = 16) -> int:
-    """Wire size of the response packet matching a request."""
-    if kind in (PacketKind.READ_RESP, PacketKind.ATOMIC_RESP):
-        return header_bytes + data_bytes
-    return header_bytes
+    Every link of both fidelity tiers sizes messages here.  The fabric
+    calls it once per message, hence one ``is`` test rather than an
+    enum-keyed lookup (``Enum.__hash__`` is a Python-level call).
+    """
+    if access_type is (_WRITE if response else _READ):
+        return header
+    return header + size
 
 
 def response_kind(request: PacketKind) -> PacketKind:

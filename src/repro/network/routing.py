@@ -62,7 +62,7 @@ class UGALRouting(MinimalRouting):
 
     name = "ugal"
 
-    def __init__(self, hop_latency_ps: int = 6400) -> None:
+    def __init__(self, hop_latency_ps: int) -> None:
         self.hop_latency_ps = hop_latency_ps
 
     def _path_cost(
@@ -178,8 +178,10 @@ ROUTING_POLICIES = {
 }
 
 
-def make_routing(name: str, hop_latency_ps: int = 6400):
-    """Instantiate a routing policy by name."""
+def make_routing(name: str, hop_latency_ps: int):
+    """Instantiate a routing policy by name.  ``hop_latency_ps`` (the
+    network's ``NetworkConfig.hop_latency_ps``) is the per-hop cost UGAL
+    weighs against queueing."""
     try:
         cls = ROUTING_POLICIES[name]
     except KeyError:

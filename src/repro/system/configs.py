@@ -75,10 +75,6 @@ class ArchSpec:
                 f"{self.name!r}; valid: {sorted(SCHEDULE_POLICIES)}"
             )
 
-    @property
-    def has_network(self) -> bool:
-        return self.organization is not Organization.PCIE
-
     def data_clusters(self, num_gpus: int) -> List[int]:
         """Clusters that back kernel data under this architecture's
         transfer mode (Section VI-B); the CPU's cluster is ``num_gpus``."""

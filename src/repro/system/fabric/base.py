@@ -23,14 +23,14 @@ organization composes the same four mechanisms:
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable
 
 from ...errors import ConfigError, SimulationError
 from ...hmc.hmc import HMC
 from ...mem import AccessType, DecodedAddress, MemoryAccess
 from ...network.channel import Channel
 from ...network.network import MemoryNetwork
-from ...network.packet import Packet, PacketKind, response_kind
+from ...network.packet import Packet, PacketKind, response_kind, wire_bytes
 from ...sim.engine import Simulator
 from ..configs import TransferMode
 
@@ -53,18 +53,6 @@ def _packet_kind(access_type: AccessType) -> PacketKind:
     if access_type is _WRITE:
         return PacketKind.WRITE_REQ
     return PacketKind.ATOMIC_REQ
-
-
-# Wire sizes (repro.network.packet.request_size_bytes /
-# response_size_bytes) reduced to the one distinction that matters per
-# access type: a read request and a write ack carry no data; every other
-# message carries the access's bytes.
-def _request_bytes(access: MemoryAccess, header: int) -> int:
-    return header if access.type is _READ else header + access.size
-
-
-def _response_bytes(access: MemoryAccess, header: int) -> int:
-    return header if access.type is _WRITE else header + access.size
 
 
 class NetEnvelope:
@@ -101,6 +89,12 @@ def make_network(cfg, sim: Simulator, topo, routing: str) -> MemoryNetwork:
     return MemoryNetwork(sim, topo, cfg.network, routing=routing)
 
 
+def cluster_router(cluster: int, local_hmc: int, hmcs_per_cluster: int) -> int:
+    """Router of a cluster's local HMC on a GMN or UMN network: the
+    topology builders number routers cluster by cluster."""
+    return cluster * hmcs_per_cluster + local_hmc
+
+
 def direct_link_width(cfg, terminal: str) -> int:
     """Channel width of each of ``terminal``'s direct HMC links: its
     channels (Table I) spread over one cluster's HMCs."""
@@ -129,7 +123,7 @@ class DirectLink:
         self.resp = Channel(f"{hmc.name}=>{terminal}", hmc.name, terminal, gbps, width)
 
     def access(self, access: MemoryAccess, on_done: Callable[[], None]) -> None:
-        req_size = _request_bytes(access, self.header_bytes)
+        req_size = wire_bytes(access.type, access.size, self.header_bytes)
         arrive = self.req.transmit(req_size, self.sim.now + self.serdes_ps)
         self.sim.at(
             arrive,
@@ -137,7 +131,7 @@ class DirectLink:
         )
 
     def _served(self, on_done: Callable[[], None], access: MemoryAccess) -> None:
-        resp_size = _response_bytes(access, self.header_bytes)
+        resp_size = wire_bytes(access.type, access.size, self.header_bytes, True)
         done_at = self.resp.transmit(resp_size, self.sim.now + self.serdes_ps)
         self.sim.at(done_at, on_done)
 
@@ -151,6 +145,10 @@ class Fabric:
     was applied).  The shared transport primitives and network packet
     handlers below are available to every implementation.
     """
+
+    #: (cluster, local HMC, HMCs per cluster) -> router index on this
+    #: organization's network; the analytic tier reads the same map.
+    router_of = staticmethod(cluster_router)
 
     def __init__(self, system: "MultiGPUSystem") -> None:
         self.system = system
@@ -230,12 +228,17 @@ class Fabric:
                 system.cfg.network.header_bytes,
             )
 
-    def _register_router(self, router: int, hmc: HMC) -> None:
-        network = self.system.network
-        assert network is not None
-        network.set_router_handler(
-            router, partial(self._on_router_packet, router, hmc)
-        )
+    def _register_routers(self, clusters) -> None:
+        """Serve each HMC of ``clusters`` at its router (:attr:`router_of`)."""
+        system = self.system
+        assert system.network is not None
+        for cluster in clusters:
+            for lc in range(system.hmcs_per_cluster):
+                router = self.router_of(cluster, lc, system.hmcs_per_cluster)
+                system.network.set_router_handler(
+                    router,
+                    partial(self._on_router_packet, router, system.hmcs[(cluster, lc)]),
+                )
 
     # ------------------------------------------------------------------
     # Transport primitives
@@ -252,20 +255,17 @@ class Fabric:
         terminal: str,
         access: MemoryAccess,
         on_done: Callable[[], None],
-        router: Optional[int] = None,
         pass_through: bool = False,
     ) -> None:
         system = self.system
         assert system.network is not None
-        if router is None:
-            decoded = access.decoded
-            router = decoded.cluster * system.hmcs_per_cluster + decoded.local_hmc
+        decoded = access.decoded
         system._pending[access.aid] = on_done
         packet = system.network.packet(
             _packet_kind(access.type),
             terminal,
-            router,
-            _request_bytes(access, self._header),
+            self.router_of(decoded.cluster, decoded.local_hmc, system.hmcs_per_cluster),
+            wire_bytes(access.type, access.size, self._header),
             NetEnvelope("req", access, terminal),
             pass_through,
         )
@@ -287,7 +287,7 @@ class Fabric:
             _packet_kind(access.type),
             terminal,
             owner_terminal,
-            _request_bytes(access, self._header),
+            wire_bytes(access.type, access.size, self._header),
             NetEnvelope("fwd_req", access, terminal),
         )
         system.network.send(packet)
@@ -303,7 +303,7 @@ class Fabric:
         request to its local HMC and returns the response over PCIe."""
         system = self.system
         assert system.pcie is not None
-        req_bytes = _request_bytes(access, self._header)
+        req_bytes = wire_bytes(access.type, access.size, self._header)
         system.pcie.transaction(
             terminal,
             owner_terminal,
@@ -329,7 +329,7 @@ class Fabric:
         owning processor, which forwards to its local HMC (extension)."""
         system = self.system
         assert system.pcn is not None
-        req_bytes = _request_bytes(access, self._header)
+        req_bytes = wire_bytes(access.type, access.size, self._header)
         system.pcn.transaction(
             terminal,
             owner_terminal,
@@ -374,7 +374,7 @@ class Fabric:
         access: MemoryAccess,
         on_done: Callable[[], None],
     ) -> None:
-        resp_bytes = _response_bytes(access, self._header)
+        resp_bytes = wire_bytes(access.type, access.size, self._header, True)
         self.system.sim.after(
             GPU_FORWARD_PS,
             partial(fabric.transaction, owner_terminal, terminal, resp_bytes, on_done),
@@ -397,7 +397,7 @@ class Fabric:
             response_kind(packet.kind),
             router,
             envelope.reply_to,
-            _response_bytes(access, self._header),
+            wire_bytes(access.type, access.size, self._header, True),
             NetEnvelope("resp", access),
             packet.pass_through,
         )
@@ -433,12 +433,13 @@ class Fabric:
         system = self.system
         assert system.network is not None
         envelope: NetEnvelope = packet.payload
+        access = envelope.access
         # Built (and numbered) now, sent after the forwarding delay.
         response = system.network.packet(
             response_kind(packet.kind),
             owner,
             envelope.reply_to,
-            _response_bytes(envelope.access, self._header),
-            NetEnvelope("resp", envelope.access),
+            wire_bytes(access.type, access.size, self._header, True),
+            NetEnvelope("resp", access),
         )
         system.sim.after(GPU_FORWARD_PS, partial(system.network.send, response))

@@ -16,6 +16,12 @@ from ...network.topologies import build_cmn
 from .base import Fabric, make_network
 
 
+def cpu_network_router(cluster: int, local_hmc: int, hmcs_per_cluster: int) -> int:
+    """Router of a CPU-cluster HMC on the CPU memory network: the CPU's
+    local HMCs are its only routers, ``0..H-1``."""
+    return local_hmc
+
+
 def cpu_network_topology(spec, cfg):
     """The CPU memory network under ``cfg``: the CPU's local HMCs with
     every GPU and the CPU attached (``spec`` names no CMN topology)."""
@@ -28,12 +34,13 @@ def cpu_network_topology(spec, cfg):
 
 
 class CMNFabric(Fabric):
+    router_of = staticmethod(cpu_network_router)
+
     def build(self) -> None:
         system = self.system
         topo = cpu_network_topology(system.spec, system.cfg)
         system.network = make_network(system.cfg, system.sim, topo, system.spec.routing)
-        for lc in range(system.hmcs_per_cluster):
-            self._register_router(lc, system.hmcs[(system.cpu_cluster, lc)])
+        self._register_routers([system.cpu_cluster])
         for g in range(system.num_gpus):
             self._build_direct_links(f"gpu{g}", g)
             system.network.set_terminal_handler(f"gpu{g}", self._on_terminal_packet)
@@ -47,7 +54,7 @@ class CMNFabric(Fabric):
         if cluster == gpu_id:
             self._direct(terminal, access, on_done)
         elif cluster == self.system.cpu_cluster:
-            self._net_request(terminal, access, on_done, router=access.decoded.local_hmc)
+            self._net_request(terminal, access, on_done)
         else:
             self._net_forwarded(terminal, f"gpu{cluster}", access, on_done)
 
@@ -56,6 +63,6 @@ class CMNFabric(Fabric):
     ) -> None:
         cluster = access.decoded.cluster
         if cluster == self.system.cpu_cluster:
-            self._net_request("cpu", access, on_done, router=access.decoded.local_hmc)
+            self._net_request("cpu", access, on_done)
         else:
             self._net_forwarded("cpu", f"gpu{cluster}", access, on_done)

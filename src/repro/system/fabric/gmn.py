@@ -31,11 +31,7 @@ class GMNFabric(Fabric):
         system = self.system
         topo = gpu_network_topology(system.spec, system.cfg)
         system.network = make_network(system.cfg, system.sim, topo, system.spec.routing)
-        for c in range(system.num_gpus):
-            for lc in range(system.hmcs_per_cluster):
-                self._register_router(
-                    c * system.hmcs_per_cluster + lc, system.hmcs[(c, lc)]
-                )
+        self._register_routers(range(system.num_gpus))
         for g in range(system.num_gpus):
             system.network.set_terminal_handler(f"gpu{g}", self._on_terminal_packet)
         self._build_direct_links("cpu", system.cpu_cluster)

@@ -33,11 +33,7 @@ class UMNFabric(Fabric):
         system = self.system
         topo = unified_network_topology(system.spec, system.cfg)
         system.network = make_network(system.cfg, system.sim, topo, system.spec.routing)
-        for c in range(system.num_gpus + 1):
-            for lc in range(system.hmcs_per_cluster):
-                self._register_router(
-                    c * system.hmcs_per_cluster + lc, system.hmcs[(c, lc)]
-                )
+        self._register_routers(range(system.num_gpus + 1))
         for g in range(system.num_gpus):
             system.network.set_terminal_handler(f"gpu{g}", self._on_terminal_packet)
         system.network.set_terminal_handler("cpu", self._on_terminal_packet)

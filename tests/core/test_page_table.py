@@ -11,9 +11,9 @@ from repro.errors import AddressError, ConfigError
 M = AddressMapping()
 
 
-def make_table(policy="random", clusters=(0, 1, 2, 3), weights=None, seed=3, **kw):
+def make_table(policy="random", clusters=(0, 1, 2, 3), weights=None, seed=3):
     placement = PagePlacement(policy, list(clusters), seed=seed, weights=weights)
-    return PageTable(M, placement, page_bytes=4096, **kw)
+    return PageTable(M, placement, page_bytes=4096)
 
 
 class TestPlacementPolicies:
@@ -108,20 +108,14 @@ class TestTranslation:
 
 
 class TestFrameRandomization:
-    def test_sequential_mode_packs_frames(self):
-        table = make_table("local", clusters=[0], randomize_frames=False)
-        bases = [table.translate(v * 4096) for v in range(4)]
-        rows = {M.decode(b).row for b in bases}
-        assert rows == {0}  # packed frames share DRAM row 0
-
     def test_randomized_mode_spreads_rows(self):
-        table = make_table("local", clusters=[0], randomize_frames=True)
+        table = make_table("local", clusters=[0])
         bases = [table.translate(v * 4096) for v in range(64)]
         rows = {M.decode(b).row for b in bases}
         assert len(rows) > 8
 
     def test_no_duplicate_frames(self):
-        table = make_table("local", clusters=[0], randomize_frames=True)
+        table = make_table("local", clusters=[0])
         bases = [table.translate(v * 4096) for v in range(500)]
         assert len(set(bases)) == 500
 

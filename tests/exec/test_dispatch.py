@@ -18,6 +18,7 @@ from repro.exec import (
     execute_job,
     shutdown_pool,
 )
+from repro.exec import executor as executor_module
 from repro.exec.executor import Dispatcher, _PoolManager
 from repro.system.configs import get_spec
 
@@ -70,6 +71,20 @@ def test_stale_discard_keeps_the_successor_pool():
         assert p2.submit(pow, 2, 10).result(timeout=60) == 1024
     finally:
         manager.discard()
+
+
+def test_warm_starts_every_worker():
+    """The serve daemon warms its pool before it accepts a connection, so
+    that no worker forks later holding a client's socket: ``warm`` must
+    leave every worker running, not just an empty pool object."""
+    shutdown_pool()
+    try:
+        Dispatcher(cache=None, workers=2).warm()
+        workers = list(executor_module._POOL.acquire(2)._processes.values())
+        assert len(workers) == 2
+        assert all(proc.is_alive() for proc in workers)
+    finally:
+        shutdown_pool()
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

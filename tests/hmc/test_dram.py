@@ -94,8 +94,5 @@ class TestOccupancy:
 
 
 class TestTimingConfig:
-    def test_trc_is_tras_plus_trp(self):
-        assert T.tRC == T.tRAS + T.tRP
-
     def test_ps_conversion(self):
         assert T.ps(4) == 4 * 1250

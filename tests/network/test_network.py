@@ -56,7 +56,7 @@ class TestDelivery:
         sim, net = make_net()
         got = []
         net.set_terminal_handler("gpu2", got.append)
-        net.send(Packet(PacketKind.DATA, "gpu0", "gpu2", 1024))
+        net.send(Packet(PacketKind.WRITE_REQ, "gpu0", "gpu2", 1024))
         sim.run()
         assert len(got) == 1
 

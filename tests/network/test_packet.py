@@ -3,14 +3,14 @@
 import pytest
 
 from repro.config import NetworkConfig
+from repro.mem import AccessType
 from repro.network.network import MemoryNetwork
 from repro.network.packet import (
     MessageClass,
     Packet,
     PacketKind,
-    request_size_bytes,
     response_kind,
-    response_size_bytes,
+    wire_bytes,
 )
 from repro.network.topologies import build_sfbfly
 from repro.sim.engine import Simulator
@@ -39,19 +39,19 @@ class TestKinds:
 
 class TestSizes:
     def test_read_request_is_header_only(self):
-        assert request_size_bytes(PacketKind.READ_REQ, 128) == 16
+        assert wire_bytes(AccessType.READ, 128, 16) == 16
 
     def test_write_request_carries_data(self):
-        assert request_size_bytes(PacketKind.WRITE_REQ, 128) == 16 + 128
+        assert wire_bytes(AccessType.WRITE, 128, 16) == 16 + 128
 
     def test_read_response_carries_data(self):
-        assert response_size_bytes(PacketKind.READ_RESP, 128) == 16 + 128
+        assert wire_bytes(AccessType.READ, 128, 16, response=True) == 16 + 128
 
     def test_write_ack_is_header_only(self):
-        assert response_size_bytes(PacketKind.WRITE_ACK, 128) == 16
+        assert wire_bytes(AccessType.WRITE, 128, 16, response=True) == 16
 
     def test_custom_header(self):
-        assert request_size_bytes(PacketKind.READ_REQ, 0, header_bytes=24) == 24
+        assert wire_bytes(AccessType.READ, 0, 24) == 24
 
 
 class TestPacket:

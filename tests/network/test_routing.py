@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.config import NetworkConfig
 from repro.errors import RoutingError
 from repro.network.packet import Packet, PacketKind
 from repro.network.routing import MinimalRouting, UGALRouting, make_routing
 from repro.network.topologies import build_dfbfly, build_sfbfly
+
+HOP_PS = NetworkConfig().hop_latency_ps
 
 
 def _packet(src="gpu0", dst=12, size=16, pid=0):
@@ -16,7 +19,7 @@ def _packet(src="gpu0", dst=12, size=16, pid=0):
 
 class TestMakeRouting:
     def test_make_min(self):
-        assert isinstance(make_routing("min"), MinimalRouting)
+        assert isinstance(make_routing("min", HOP_PS), MinimalRouting)
 
     def test_make_ugal(self):
         policy = make_routing("ugal", hop_latency_ps=5000)
@@ -25,7 +28,7 @@ class TestMakeRouting:
 
     def test_unknown_raises(self):
         with pytest.raises(RoutingError):
-            make_routing("valiant")
+            make_routing("valiant", HOP_PS)
 
 
 class TestMinimalRouting:
@@ -72,13 +75,13 @@ class TestMinimalRouting:
 class TestUGALRouting:
     def test_matches_minimal_when_idle(self):
         topo = build_dfbfly(num_gpus=4)
-        ugal = UGALRouting()
+        ugal = UGALRouting(HOP_PS)
         att = ugal.select_injection(topo, _packet(dst=13), 13, now_ps=0)
         assert att.router == 1  # matching slice, like MIN
 
     def test_diverts_around_congested_channel(self):
         topo = build_dfbfly(num_gpus=4)
-        ugal = UGALRouting()
+        ugal = UGALRouting(HOP_PS)
         # Saturate the direct slice channel router 1 -> router 13.
         for nbr, ch in topo.adj[1]:
             if nbr == 13:
@@ -88,14 +91,14 @@ class TestUGALRouting:
 
     def test_skips_unreachable_attachments_in_sfbfly(self):
         topo = build_sfbfly(num_gpus=4)
-        ugal = UGALRouting()
+        ugal = UGALRouting(HOP_PS)
         # Only the matching-slice attachment can reach the destination.
         att = ugal.select_injection(topo, _packet(dst=13), 13, now_ps=0)
         assert att.router == 1
 
     def test_path_cost_counts_queues_along_path(self):
         topo = build_dfbfly(num_gpus=4)
-        ugal = UGALRouting()
+        ugal = UGALRouting(HOP_PS)
         idle = ugal._path_cost(topo, 1, 13, 16, now_ps=0)
         for nbr, ch in topo.adj[1]:
             if nbr == 13:
@@ -106,7 +109,7 @@ class TestUGALRouting:
 
     def test_ejection_unreachable_guard(self):
         topo = build_sfbfly(num_gpus=4)
-        ugal = UGALRouting()
+        ugal = UGALRouting(HOP_PS)
         packet = _packet(src=12, dst="gpu0")
         att = ugal.select_ejection(topo, packet, 12, now_ps=0)
         assert att.router == 0

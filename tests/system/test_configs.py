@@ -52,12 +52,6 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             ArchSpec("x", Organization.GMN, TransferMode.NO_COPY)
 
-    def test_has_network(self):
-        assert not TABLE_III["PCIe"].has_network
-        assert TABLE_III["GMN"].has_network
-        assert TABLE_III["CMN"].has_network
-        assert TABLE_III["UMN"].has_network
-
     def test_with_override(self):
         spec = TABLE_III["GMN"].with_(topology="smesh", routing="ugal")
         assert spec.topology == "smesh"

@@ -195,27 +195,21 @@ class TestToyOrganization:
 
 
 # ---------------------------------------------------------------------------
-# The fabric sizes wire messages with one access-type check; it must agree
-# with the packet module's size rules, which the analytic tier also uses.
+# Both tiers size wire messages with repro.network.packet.wire_bytes: the
+# request and response of a 96 B access carry the header plus these bytes.
 # ---------------------------------------------------------------------------
+WIRE_DATA_BYTES = {
+    AccessType.READ: (0, 96),
+    AccessType.WRITE: (96, 0),
+    AccessType.ATOMIC: (96, 96),
+}
+
+
 @pytest.mark.parametrize("kind", list(AccessType), ids=lambda k: k.value)
 @pytest.mark.parametrize("header", [16, 24])
 def test_wire_sizes_match_packet_rules(kind, header):
-    from repro.network.packet import (
-        request_size_bytes,
-        response_kind,
-        response_size_bytes,
-    )
-    from repro.system.fabric.base import (
-        _packet_kind,
-        _request_bytes,
-        _response_bytes,
-    )
+    from repro.network.packet import wire_bytes
 
-    # The packet rules decide which message kinds carry the access's bytes.
-    access = MemoryAccess(paddr=0, size=96, type=kind)
-    req = _packet_kind(kind)
-    assert _request_bytes(access, header) == request_size_bytes(req, 96, header)
-    assert _response_bytes(access, header) == response_size_bytes(
-        response_kind(req), 96, header
-    )
+    request, response = WIRE_DATA_BYTES[kind]
+    assert wire_bytes(kind, 96, header) == header + request
+    assert wire_bytes(kind, 96, header, response=True) == header + response

@@ -1,5 +1,7 @@
 """Edge cases of the experiment runner."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.kernel import Kernel, Phase
@@ -15,7 +17,40 @@ def single_kernel_workload(ctas=4):
     return Workload(name="tiny", steps=[KernelStep(kernel)])
 
 
+BAD_PLACEMENTS = {
+    "unknown-policy": dict(placement_policy="hashed"),
+    "no-clusters": dict(placement_clusters=[]),
+    "weighted-without-weights": dict(
+        placement_policy="weighted", placement_clusters=[0, 1]
+    ),
+    "weighted-short-weights": dict(
+        placement_policy="weighted", placement_clusters=[0, 1], placement_weights=[1.0]
+    ),
+    "weighted-zero-weights": dict(
+        placement_policy="weighted",
+        placement_clusters=[0, 1],
+        placement_weights=[0.0, 0.0],
+    ),
+    "local-two-clusters": dict(placement_policy="local", placement_clusters=[0, 1]),
+}
+
+
 class TestPlacementOverrides:
+    @pytest.mark.parametrize("name", sorted(BAD_PLACEMENTS))
+    def test_bad_placement_fails_alike_at_both_tiers(self, name):
+        """The packet and analytic tiers validate a placement in one place,
+        so a bad one raises the same ``ConfigError`` at each."""
+        messages = set()
+        for model in ("packet", "analytic"):
+            cfg = dataclasses.replace(tiny_system_config(), network_model=model)
+            with pytest.raises(ConfigError) as raised:
+                run_workload(
+                    TABLE_III["UMN"], get_workload("KMN", 0.05), cfg=cfg,
+                    **BAD_PLACEMENTS[name],
+                )
+            messages.add(str(raised.value))
+        assert len(messages) == 1
+
     def test_weighted_needs_weights(self):
         with pytest.raises(ConfigError):
             run_workload(

@@ -164,6 +164,18 @@ class TestErrorPaths:
         assert "unknown HMCConfig field(s) ['bogus']" in message
         assert "'vault_queue_entries'" in message and "'timing'" in message
 
+    def test_removed_setting_rejected_with_valid_fields(self):
+        # A spec written while CPUConfig still carried the unsimulated
+        # hmcs_per_cpu (the CPU cluster has gpu.hmcs_per_gpu HMCs).
+        data = spec_for().to_dict()
+        data["cfg"]["cpu"]["hmcs_per_cpu"] = 2
+        with pytest.raises(ConfigError) as err:
+            SystemSpec.from_dict(data)
+        assert str(err.value) == (
+            "unknown CPUConfig field(s) ['hmcs_per_cpu']; valid: ['l2_hit_ps', "
+            "'l2_size_bytes', 'line_bytes', 'max_outstanding', 'num_channels']"
+        )
+
     def test_derived_field_rejected_as_unknown(self):
         # init=False fields are recomputed, never accepted from a dict.
         data = spec_for().to_dict()

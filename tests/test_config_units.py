@@ -1,9 +1,12 @@
 """Tests for configuration dataclasses (Table I) and unit helpers."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.config import (
     CacheConfig,
     CPUConfig,
@@ -17,6 +20,7 @@ from repro.config import (
     SystemConfig,
 )
 from repro.errors import ConfigError
+from repro.system.fabric.base import direct_link_width
 from repro.units import GB, KB, MB, bytes_per_ps, transfer_ps
 
 
@@ -28,7 +32,6 @@ class TestTableIValues:
         assert gpu.num_sms == 64
         assert gpu.hmcs_per_gpu == 4
         assert gpu.max_ctas_per_sm == 8
-        assert gpu.simd_width == 32
         assert gpu.l1.size_bytes == 32 * KB
         assert gpu.l1.ways == 4
         assert gpu.l1.line_bytes == 128
@@ -38,10 +41,8 @@ class TestTableIValues:
 
     def test_hmc_defaults(self):
         hmc = HMCConfig()
-        assert hmc.num_layers == 8
         assert hmc.num_vaults == 16
         assert hmc.banks_per_vault == 16
-        assert hmc.capacity_bytes == 4 * GB
         assert hmc.vault_queue_entries == 16
 
     def test_dram_timing(self):
@@ -51,8 +52,6 @@ class TestTableIValues:
 
     def test_cpu_defaults(self):
         cpu = CPUConfig()
-        assert cpu.issue_width == 4
-        assert cpu.rob_size == 64
         assert cpu.line_bytes == 64
         assert cpu.l2_size_bytes == 16 * MB
 
@@ -75,7 +74,7 @@ class TestTableIValues:
 
     def test_default_system_is_4gpu_16hmc(self):
         assert DEFAULT_CONFIG.num_gpus == 4
-        assert DEFAULT_CONFIG.num_gpu_hmcs == 16
+        assert DEFAULT_CONFIG.num_gpus * DEFAULT_CONFIG.gpu.hmcs_per_gpu == 16
         assert DEFAULT_CONFIG.page_bytes == 4 * KB
 
 
@@ -102,7 +101,64 @@ class TestValidation:
         assert DEFAULT_CONFIG.num_gpus == 4
 
     def test_channels_per_local_hmc(self):
-        assert GPUConfig().channels_per_local_hmc == 2
+        assert direct_link_width(DEFAULT_CONFIG, "gpu0") == 2
+
+
+class TestEverySettingIsRead:
+    def test_every_config_field_is_read_outside_config_py(self):
+        """Every init field of the ``SystemConfig`` tree is read somewhere
+        in ``src/repro`` outside ``config.py``: a setting nothing reads
+        still enters the canonical spec and so the cache key, yet cannot
+        change a row.
+
+        A read is an attribute load (``cfg.hmc.num_vaults``) or a
+        ``getattr`` with a literal name.  Inside ``config.py`` only the
+        ``__post_init__`` reads count, where ``DRAMTiming`` turns its
+        cycle counts into the picosecond latencies the DRAM model reads.
+
+        The check is by name.  A read of ``x.num_channels`` counts for
+        every field called ``num_channels``, so a field that shares its
+        name with a field that is read passes unseen: ``HMCConfig`` once
+        carried an unread ``num_channels`` beside the GPU's and CPU's,
+        which are read.  Such a name needs a look by hand.
+        """
+        root = Path(repro.__file__).resolve().parent
+        read = set()
+        for path in root.rglob("*.py"):
+            tree = ast.parse(path.read_text())
+            if path == root / "config.py":
+                tree = ast.Module(
+                    body=[
+                        node
+                        for node in ast.walk(tree)
+                        if isinstance(node, ast.FunctionDef)
+                        and node.name == "__post_init__"
+                    ],
+                    type_ignores=[],
+                )
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "getattr"
+                    and len(node.args) > 1
+                    and isinstance(node.args[1], ast.Constant)
+                ):
+                    read.add(node.args[1].value)
+        unread = []
+        pending = [SystemConfig()]
+        while pending:
+            config = pending.pop()
+            for f in dataclasses.fields(config):
+                if not f.init:
+                    continue
+                value = getattr(config, f.name)
+                if dataclasses.is_dataclass(value):
+                    pending.append(value)
+                if f.name not in read:
+                    unread.append(f"{type(config).__name__}.{f.name}")
+        assert not unread, f"config fields no code reads: {sorted(set(unread))}"
 
 
 class TestUnits:
