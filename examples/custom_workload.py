@@ -48,15 +48,21 @@ def matvec_cta(cta: int):
     return phases
 
 
-def main() -> None:
+def matvec_workload() -> Workload:
+    """The whole program: copy A and x in, run the kernel, copy y out."""
     kernel = Kernel("matvec", grid_dim=(NUM_CTAS,), cta_program=matvec_cta)
-    workload = Workload(
+    return Workload(
         name="matvec",
         steps=[KernelStep(kernel)],
         h2d_bytes=A.bytes + X.bytes,
         d2h_bytes=Y.bytes,
         description="tiled y = A @ x",
     )
+
+
+def main() -> None:
+    workload = matvec_workload()
+    kernel = workload.steps[0].kernel
 
     print(f"custom kernel: {kernel.name}, {kernel.num_ctas} CTAs, "
           f"A={A.bytes >> 20} MiB")

@@ -18,13 +18,35 @@ from ..errors import ConfigError
 from ..mem import AccessType
 
 
-@dataclass(frozen=True)
 class Access:
-    """One coalesced memory access issued by a CTA phase."""
+    """One coalesced memory access issued by a CTA phase.
 
-    vaddr: int
-    size: int
-    type: AccessType
+    A value (equal, and hashing equal, to any access with the same
+    fields) built once per access by every workload program, so it is a
+    plain ``__slots__`` record with a hand-written ``__init__``, like
+    :class:`repro.mem.DecodedAddress`.
+    """
+
+    __slots__ = ("vaddr", "size", "type")
+
+    def __init__(self, vaddr: int, size: int, type: AccessType) -> None:
+        self.vaddr = vaddr
+        self.size = size
+        self.type = type
+
+    def _key(self) -> tuple:
+        return (self.vaddr, self.size, self.type)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"Access(vaddr={self.vaddr!r}, size={self.size!r}, type={self.type!r})"
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ Placement policies decide which **cluster** backs each virtual page:
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Sequence
+from functools import partial
+from typing import Callable, Dict, Optional, Sequence
 
 from ..errors import AddressError, ConfigError
 from .address import AddressMapping
@@ -119,6 +120,15 @@ class PageTable:
         ``hint`` is the touching device's home cluster, consumed by the
         ``first_touch`` placement policy.
         """
+        return self._translate(hint, vaddr)
+
+    def client(self, hint: Optional[int]) -> Callable[[int], int]:
+        """``translate`` for one client whose home cluster is ``hint``: a
+        one-argument callable, called once per memory access (a positional
+        ``partial``, cheaper per call than one binding ``hint=``)."""
+        return partial(self._translate, hint)
+
+    def _translate(self, hint: Optional[int], vaddr: int) -> int:
         if vaddr < 0:
             raise AddressError(f"negative virtual address {vaddr}")
         vpn = vaddr // self.page_bytes

@@ -10,11 +10,13 @@ bank-level parallelism and serialization (DESIGN.md section 2).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional
 
 from ..config import DRAMTiming
 from ..mem import AccessType
+
+
+_WRITE = AccessType.WRITE
 
 
 class RowOutcome(enum.Enum):
@@ -23,22 +25,14 @@ class RowOutcome(enum.Enum):
     CONFLICT = "conflict"
 
 
-@dataclass
-class BankStats:
-    accesses: int = 0
-    hits: int = 0
-    conflicts: int = 0
-
-
 class Bank:
     """One DRAM bank: an open row and an earliest-next-command horizon."""
 
-    __slots__ = ("open_row", "ready_at", "stats", "_last_was_write")
+    __slots__ = ("open_row", "ready_at", "_last_was_write")
 
     def __init__(self) -> None:
         self.open_row: Optional[int] = None
         self.ready_at: int = 0
-        self.stats = BankStats()
         self._last_was_write = False
 
     def classify(self, row: int) -> RowOutcome:
@@ -58,13 +52,10 @@ class Bank:
         open_row = self.open_row
         ready = self.ready_at
         issue = now_ps if now_ps > ready else ready
-        stats = self.stats
-        stats.accesses += 1
         if open_row == row:
             # Row hit: a column access, pipeline frees after tCCD.
             data_done = issue + timing.hit_ps
             self.ready_at = issue + timing.ccd_ps
-            stats.hits += 1
         else:
             if open_row is None:
                 latency = timing.empty_ps
@@ -74,7 +65,6 @@ class Bank:
                     if self._last_was_write
                     else timing.conflict_ps
                 )
-                stats.conflicts += 1
             data_done = issue + latency
             # An activate holds the bank for tRAS before it may be
             # precharged again (or until the precharge+activate completes).
@@ -83,7 +73,7 @@ class Bank:
                 occupancy = timing.ras_ps
             self.ready_at = issue + occupancy
             self.open_row = row
-        self._last_was_write = access_type is AccessType.WRITE
+        self._last_was_write = access_type is _WRITE
         return data_done
 
     def earliest_issue(self, now_ps: int) -> int:

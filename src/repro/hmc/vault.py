@@ -6,7 +6,8 @@ overflow buffer and are admitted as entries free up.  *Which* queued
 request issues next is delegated to a :class:`~repro.hmc.sched.base.
 VaultScheduler` strategy selected by ``HMCConfig.scheduler`` (default
 FR-FCFS: row hits first, ties broken by age); the vault itself owns the
-overflow buffer, the shared data bus, DRAM timing, and statistics.
+admitted-request count, the overflow buffer, the shared data bus, DRAM
+timing, and statistics.
 """
 
 from __future__ import annotations
@@ -69,6 +70,10 @@ class Vault:
         self.stats = VaultStats()
         self._kick_at: Optional[int] = None
         self._next_seq = 0
+        #: Requests admitted to ``sched`` and not yet picked.  The vault
+        #: owns this count (``len(sched)`` is for introspection): it rises
+        #: on every ``admit`` and falls on every request ``pick`` returns.
+        self._admitted = 0
         # Per-instance copies of the config read on every service.
         self._queue_entries = cfg.vault_queue_entries
         self._bus_bytes = cfg.vault_bus_bytes_per_cycle
@@ -87,9 +92,9 @@ class Vault:
         now = self.sim.now
         req = QueuedRequest(access, on_done, now, self._next_seq)
         self._next_seq += 1
-        sched = self.sched
-        if len(sched) < self._queue_entries:
-            sched.admit(req)
+        if self._admitted < self._queue_entries:
+            self.sched.admit(req)
+            self._admitted += 1
         else:
             self.overflow.append(req)
             self.stats.overflow_peak = max(self.stats.overflow_peak, len(self.overflow))
@@ -110,7 +115,8 @@ class Vault:
 
     def _kick(self) -> None:
         self._kick_at = None
-        self._drain_overflow()
+        if self.overflow:
+            self._drain_overflow()
         # Per-kick snapshot of bank state: sim.now is constant across the
         # issue loop and a bank's readiness/open row only changes when this
         # loop issues to it, so (ready, open_row) is computed once per bank
@@ -118,25 +124,27 @@ class Vault:
         # refreshed only for the bank that was just issued to (the
         # scheduler drops the issued bank's entry on every pick).
         bank_state: Dict[int, Tuple[bool, Optional[int]]] = {}
-        sched = self.sched
-        pick = sched.pick
+        pick = self.sched.pick
         now = self.sim.now
         banks = self.banks
-        while len(sched):
+        while self._admitted:
             req = pick(bank_state, now, banks)
             if req is None:
                 break
+            self._admitted -= 1
             self._service(req, banks)
-        self._drain_overflow()
-        if len(sched):
-            horizon = sched.horizon(now, banks)
+        if self.overflow:
+            self._drain_overflow()
+        if self._admitted:
+            horizon = self.sched.horizon(now, banks)
             self._schedule_kick(max(horizon, now + 1))
 
     def _drain_overflow(self) -> None:
         overflow = self.overflow
-        sched = self.sched
-        while overflow and len(sched) < self._queue_entries:
-            sched.admit(overflow.popleft())
+        admit = self.sched.admit
+        while overflow and self._admitted < self._queue_entries:
+            admit(overflow.popleft())
+            self._admitted += 1
 
     def _service(self, req: QueuedRequest, banks: List[Bank]) -> None:
         access = req.access
@@ -193,7 +201,7 @@ class Vault:
     # ------------------------------------------------------------------
     @property
     def occupancy(self) -> int:
-        return len(self.sched) + len(self.overflow)
+        return self._admitted + len(self.overflow)
 
     @property
     def row_hit_rate(self) -> float:

@@ -142,10 +142,8 @@ class MultiGPUSystem:
         for gpu in self.gpus:
             # Each client translates with its home cluster as the
             # first-touch hint (a no-op for the other placement policies).
-            gpu.translate = partial(table.translate, hint=gpu.gpu_id)
-        self.cpu.translate = lambda vaddr: table.translate(
-            vaddr, hint=self.cpu_cluster
-        )
+            gpu.translate = table.client(gpu.gpu_id)
+        self.cpu.translate = table.client(self.cpu_cluster)
         return self.page_table
 
     # ------------------------------------------------------------------

@@ -50,16 +50,21 @@ class Region:
         return self.base + (index % self.lines) * self.line_bytes
 
 
+_READ = AccessType.READ
+_WRITE = AccessType.WRITE
+_ATOMIC = AccessType.ATOMIC
+
+
 def _read(addr: int) -> Access:
-    return Access(vaddr=addr, size=LINE, type=AccessType.READ)
+    return Access(addr, LINE, _READ)
 
 
 def _write(addr: int) -> Access:
-    return Access(vaddr=addr, size=LINE, type=AccessType.WRITE)
+    return Access(addr, LINE, _WRITE)
 
 
 def _atomic(addr: int) -> Access:
-    return Access(vaddr=addr, size=32, type=AccessType.ATOMIC)
+    return Access(addr, 32, _ATOMIC)
 
 
 def stream_program(

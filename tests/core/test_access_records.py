@@ -3,9 +3,15 @@ model relies on them, and id sequences that advance one per record."""
 
 from __future__ import annotations
 
+import gc
+import itertools
+
 import pytest
 
+from repro.core.kernel import Access
+from repro.hmc.dram import Bank
 from repro.hmc.sched import QueuedRequest
+from repro.hmc.vault import Vault
 from repro.mem import AccessType, DecodedAddress, MemoryAccess
 from repro.config import NetworkConfig
 from repro.network.network import MemoryNetwork
@@ -15,6 +21,8 @@ from repro.sim.engine import Simulator
 from repro.system.builder import MultiGPUSystem
 from repro.system.configs import get_spec
 from repro.system.fabric import NetEnvelope
+from repro.system.run import run_workload
+from repro.workloads.suite import get_workload
 
 from tests.conftest import tiny_system_config
 
@@ -39,6 +47,73 @@ def test_records_have_no_instance_dict(record):
     assert not hasattr(record, "__dict__")
     with pytest.raises(AttributeError):
         record.not_a_field = 1
+
+
+#: Every record a simulated memory request builds or touches.
+PER_REQUEST_RECORDS = (
+    Access,
+    MemoryAccess,
+    DecodedAddress,
+    QueuedRequest,
+    Packet,
+    NetEnvelope,
+    Bank,
+)
+
+
+def test_drained_point_builds_only_slotted_records(monkeypatch):
+    # Every 500th vault service looks at every live object: CTA phases
+    # hold their Access tuples, and requests and packets are in flight.
+    seen = dict.fromkeys(PER_REQUEST_RECORDS, 0)
+    with_dict = set()
+    services = itertools.count()
+    service = Vault._service
+
+    def looking_service(vault, req, banks):
+        if next(services) % 500 == 0:
+            for obj in gc.get_objects():
+                cls = obj.__class__
+                if cls in seen:
+                    seen[cls] += 1
+                    if hasattr(obj, "__dict__"):
+                        with_dict.add(cls.__name__)
+        service(vault, req, banks)
+
+    monkeypatch.setattr(Vault, "_service", looking_service)
+    run_workload(get_spec("GMN"), get_workload("VEC", 0.25))
+    assert all(seen.values()), {cls.__name__: n for cls, n in seen.items()}
+    assert not with_dict
+
+
+class TestAccess:
+    def test_value_equality_and_hash(self):
+        a = Access(0x80, 128, AccessType.READ)
+        b = Access(vaddr=0x80, size=128, type=AccessType.READ)
+        assert a == b and not (a != b)
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != Access(0x80, 128, AccessType.WRITE)
+        assert a != Access(0x100, 128, AccessType.READ)
+        assert a != (0x80, 128, AccessType.READ)
+
+    def test_positional_and_keyword_construction(self):
+        for access in (
+            Access(0x80, 32, AccessType.ATOMIC),
+            Access(0x80, size=32, type=AccessType.ATOMIC),
+            Access(type=AccessType.ATOMIC, vaddr=0x80, size=32),
+        ):
+            assert (access.vaddr, access.size, access.type) == (
+                0x80,
+                32,
+                AccessType.ATOMIC,
+            )
+        with pytest.raises(TypeError):
+            Access(0x80, 32)
+
+    def test_repr_names_every_field(self):
+        assert repr(Access(128, 64, AccessType.WRITE)) == (
+            "Access(vaddr=128, size=64, type=<AccessType.WRITE: 'write'>)"
+        )
 
 
 class TestDecodedAddress:

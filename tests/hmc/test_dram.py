@@ -1,9 +1,11 @@
 """Tests for DRAM bank timing (Table I parameters)."""
 
 
-from repro.config import DRAMTiming
+from repro.config import DRAMTiming, HMCConfig
 from repro.hmc.dram import Bank, RowOutcome
-from repro.mem import AccessType
+from repro.hmc.vault import Vault
+from repro.mem import AccessType, DecodedAddress, MemoryAccess
+from repro.sim.engine import Simulator
 
 T = DRAMTiming()
 
@@ -84,13 +86,33 @@ class TestOccupancy:
         assert early_done > T.ps(T.tCL)
 
     def test_stats(self):
+        """empty -> hit -> conflict, as the returned completion times, the
+        open row, and a vault's row-hit count see it."""
         bank = Bank()
-        bank.access(1, AccessType.READ, 0, T)
-        bank.access(1, AccessType.READ, bank.ready_at, T)
-        bank.access(2, AccessType.READ, bank.ready_at, T)
-        assert bank.stats.accesses == 3
-        assert bank.stats.hits == 1
-        assert bank.stats.conflicts == 1
+        assert bank.open_row is None
+        assert bank.access(1, AccessType.READ, 0, T) == T.empty_ps
+        assert bank.open_row == 1
+        start = bank.ready_at
+        assert bank.access(1, AccessType.READ, start, T) - start == T.hit_ps
+        assert bank.open_row == 1
+        start = bank.ready_at
+        assert bank.access(2, AccessType.READ, start, T) - start == T.conflict_ps
+        assert bank.open_row == 2
+
+        sim = Simulator()
+        vault = Vault(sim, HMCConfig())
+        for row in (1, 1, 2):
+            access = MemoryAccess(
+                paddr=0,
+                size=128,
+                type=AccessType.READ,
+                decoded=DecodedAddress(0, 0, 0, 0, row),
+            )
+            vault.enqueue(access, lambda _access: None)
+        sim.run()
+        assert vault.stats.served == 3
+        assert vault.stats.row_hits == 1
+        assert vault.banks[0].open_row == 2
 
 
 class TestTimingConfig:

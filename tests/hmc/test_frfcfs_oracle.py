@@ -3,15 +3,16 @@
 :class:`ReferenceFRFCFS` is FR-FCFS written as the flat scan of one queue
 that every other flat policy shares (:class:`FlatQueueScheduler`): the
 ready request with the smallest ``(is_hit, arrived_ps, queue index)``
-issues.  The production :class:`FRFCFSScheduler` buckets requests per bank
-and skips not-ready banks; it must pick exactly the same sequence.  The
+issues.  The production :class:`FRFCFSScheduler` buckets requests per bank,
+skips not-ready banks and drops a bank's bucket once it empties; it must
+pick exactly the same sequence.  The
 committed-row tests in ``tests/exec/test_fastpath_identity.py`` also run
 whole experiments with this reference swapped in.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import HMCConfig
@@ -59,21 +60,47 @@ _kick = st.tuples(
 )
 
 
+#: Appended to every drawn sequence: admit one request per bank, drain
+#: (every bank ready, services add no busy time), then do it again.  The
+#: first drain empties every bucket, so every example admits to a bank
+#: whose bucket was dropped, whatever the drawn part did.
+_DRAIN = ("kick", [(0, None)] * NUM_BANKS, 0)
+_REFILL_AND_DRAIN = [("admit", bank, 0, 1) for bank in range(NUM_BANKS)] + [_DRAIN]
+_TAIL = _REFILL_AND_DRAIN * 2
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.one_of(_admit, _kick), max_size=60))
+@example(
+    # Bank 0 drains at the first kick, then bank 0 is admitted to again
+    # while bank 1 still waits.
+    [
+        ("admit", 0, 1, 0),
+        ("admit", 1, 2, 1),
+        ("kick", [(0, None), (1, None), (0, None), (0, None)], 2),
+        ("admit", 0, 2, 1),
+        ("kick", [(0, 1), (0, None), (0, None), (0, None)], 0),
+    ]
+)
 def test_bucketed_picks_the_reference_sequence(ops):
     cfg = HMCConfig()
     bucketed, reference = FRFCFSScheduler(cfg), ReferenceFRFCFS(cfg)
     banks = [Bank() for _ in range(NUM_BANKS)]
+    queued = [0] * NUM_BANKS
+    drained = set()  # banks whose bucket emptied since their last admit
     now = seq = 0
-    for op in ops:
+    for op in ops + _TAIL:
         if op[0] == "admit":
             _, bank, row, gap = op
             now += gap
             req = _request(bank, row, now, seq)
             seq += 1
+            if bank in drained:
+                event("admit to a bank whose bucket emptied")
+                drained.discard(bank)
             bucketed.admit(req)
             reference.admit(req)
+            queued[bank] += 1
             continue
         _, states, busy_ps = op
         for bank, (ready_offset, open_row) in zip(banks, states):
@@ -92,4 +119,10 @@ def test_bucketed_picks_the_reference_sequence(ops):
             decoded = got.access.decoded
             banks[decoded.bank].open_row = decoded.row
             banks[decoded.bank].ready_at = now + busy_ps
+            queued[decoded.bank] -= 1
+            if not queued[decoded.bank]:
+                drained.add(decoded.bank)
         assert len(bucketed) == len(reference)
+    assert len(bucketed) == 0 and len(reference.queue) == 0
+    # Only banks with queued requests keep a bucket.
+    assert not bucketed._buckets

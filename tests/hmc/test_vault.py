@@ -1,9 +1,14 @@
 """Tests for the vault controller: FR-FCFS, queue bounds, the data bus."""
 
+from functools import partial
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import HMCConfig
 from repro.errors import SimulationError
+from repro.hmc.sched import SCHEDULERS
 from repro.hmc.vault import Vault
 from repro.mem import AccessType, DecodedAddress, MemoryAccess
 from repro.sim.engine import Simulator
@@ -166,3 +171,52 @@ class TestAtomics:
     def test_atomic_counted(self):
         vault, _ = run_vault([make_access(kind=AccessType.ATOMIC, size=32)])
         assert vault.stats.atomics == 1
+
+
+_arrivals = st.lists(
+    st.tuples(
+        st.integers(0, 3),  # bank
+        st.integers(0, 2),  # row
+        st.sampled_from(list(AccessType)),
+        st.integers(0, 4_000),  # arrival time, ps
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@pytest.mark.parametrize("policy", sorted(SCHEDULERS))
+@settings(max_examples=40, deadline=None)
+@given(arrivals=_arrivals)
+def test_vault_count_tracks_the_policy_queue(policy, arrivals):
+    """The vault counts its admitted requests itself; with a 2-entry queue
+    (so the overflow buffer is used) the count equals ``len(sched)`` after
+    every enqueue and every kick, and every request completes once."""
+    sim = Simulator()
+    vault = Vault(sim, HMCConfig(scheduler=policy, vault_queue_entries=2))
+
+    def check() -> None:
+        assert vault._admitted == len(vault.sched)
+        assert vault._admitted <= 2
+
+    kick = vault._kick
+
+    def checked_kick() -> None:
+        kick()
+        check()
+
+    vault._kick = checked_kick  # the vault schedules ``self._kick``
+    done = []
+
+    def arrive(access) -> None:
+        vault.enqueue(access, lambda acc: done.append(acc.aid))
+        check()
+
+    accesses = []
+    for bank, row, kind, at_ps in arrivals:
+        access = make_access(bank=bank, row=row, kind=kind, size=64)
+        accesses.append(access)
+        sim.at(at_ps, partial(arrive, access))
+    sim.run()
+    assert sorted(done) == sorted(a.aid for a in accesses)
+    assert vault.occupancy == 0 and len(vault.sched) == 0
