@@ -7,11 +7,13 @@ event engine.  The pipeline:
    to per-kernel traffic averages plus a distinct-line power law (the
    L2-filtered read footprint) and exact host-step walks.
 2. Page placement becomes a destination-cluster *fraction* per requester
-   instead of a per-page draw; traffic to each cluster follows the same
-   per-organization transport the fabrics implement (direct links, the
-   PCIe switch, PCN links, or memory-network legs routed with
-   :class:`~repro.network.trafficmatrix.FlowRouter` over the real
-   topology builders).
+   instead of a per-page draw; traffic to each cluster follows the path
+   table of the organization's registered fabric
+   (:attr:`~repro.system.fabric.base.Fabric.paths`, the one the packet
+   tier binds), each transport kind costed by its closed-form leg: direct
+   links, the PCIe switch, PCN links, or memory-network legs routed with
+   :class:`~repro.network.trafficmatrix.FlowRouter` over the fabric's own
+   topology builder.  Any registered fabric is costed, extensions too.
 3. Contention is M/D/1: every channel class and every cluster's vaults
    accumulate service demand; utilization against the current kernel-time
    estimate yields a queueing wait ``W = rho * S / (2 * (1 - rho))``,
@@ -42,12 +44,10 @@ from ..mem import AccessType
 from ..network.packet import wire_bytes
 from ..network.trafficmatrix import FlowRouter, TrafficMatrix
 from ..pcn.pcn import link_width as pcn_link_width
-from ..system.configs import ArchSpec, Organization, TransferMode
+from ..system.configs import ArchSpec, TransferMode
 from ..system.energy import EnergyBreakdown, network_energy
-from ..system.fabric.base import GPU_FORWARD_PS, cluster_router, direct_link_width
-from ..system.fabric.cmn import cpu_network_router, cpu_network_topology
-from ..system.fabric.gmn import gpu_network_topology
-from ..system.fabric.umn import unified_network_topology
+from ..system.fabric import fabric_for
+from ..system.fabric.base import GPU_FORWARD_PS, direct_link_width
 from ..system.memcpy import memcpy_time_ps
 from ..system.metrics import RunResult
 from ..units import bytes_per_ps
@@ -66,17 +66,6 @@ RHO_CAP = 0.95
 
 #: Rounds of the kernel-time <-> queueing-wait fixed point.
 FIXED_POINT_ROUNDS = 3
-
-#: The organizations this tier models, each with the memory-network
-#: builder its fabric wires and the fabric's (cluster, local HMC) ->
-#: router map (PCIe and PCN have no network).
-_NETWORKS = {
-    Organization.PCIE: (None, None),
-    Organization.PCN: (None, None),
-    Organization.CMN: (cpu_network_topology, cpu_network_router),
-    Organization.GMN: (gpu_network_topology, cluster_router),
-    Organization.UMN: (unified_network_topology, cluster_router),
-}
 
 _READ = AccessType.READ
 _WRITE = AccessType.WRITE
@@ -244,7 +233,6 @@ class _CapacityModel:
     ) -> None:
         self.spec = spec
         self.cfg = cfg
-        self.org = spec.organization
         self.num_gpus = cfg.num_gpus
         self.hmcs_per_cluster = cfg.gpu.hmcs_per_gpu
         self.cpu_cluster = cfg.num_gpus
@@ -254,13 +242,9 @@ class _CapacityModel:
         )
         self._route_cache: Dict[Tuple[str, int, int, AccessType, int], _Route] = {}
 
-        try:
-            network, self.router_of = _NETWORKS[self.org]
-        except KeyError:
-            raise ConfigError(
-                f"no analytic model for organization {self.org!r}; "
-                "use the packet or flit tier"
-            ) from None
+        self.fabric = fabric_for(spec.organization)
+        self.router_of = self.fabric.router_of
+        network = self.fabric.network_topology
         self.topo = network(spec, cfg) if network is not None else None
         self.flow_router = FlowRouter(self.topo) if self.topo else None
 
@@ -307,30 +291,12 @@ class _CapacityModel:
         route.visits.append((f"pcie:up:{src}", 1, ser))
         route.visits.append((f"pcie:down:{dst}", 1, ser))
 
-    def _pcie_forwarded(
-        self, route: _Route, terminal: str, owner: str, kind: AccessType, size: int
-    ) -> None:
-        req_b, resp_b = self._wire(kind, size)
-        self._pcie_txn(route, terminal, owner, req_b)
-        route.fixed_ps += 2 * GPU_FORWARD_PS
-        self._direct(route, owner, kind, size)
-        self._pcie_txn(route, owner, terminal, resp_b)
-
     def _pcn_txn(self, route: _Route, src: str, dst: str, payload: float) -> None:
         cfg = self.cfg.pcn
         size = payload + cfg.header_bytes
         ser = _ser_ps(size, cfg.link_gbps * pcn_link_width(cfg, src, dst))
         route.fixed_ps += cfg.latency_ps + ser
         route.visits.append((f"pcn:{src}>{dst}", 1, ser))
-
-    def _pcn_forwarded(
-        self, route: _Route, terminal: str, owner: str, kind: AccessType, size: int
-    ) -> None:
-        req_b, resp_b = self._wire(kind, size)
-        self._pcn_txn(route, terminal, owner, req_b)
-        route.fixed_ps += 2 * GPU_FORWARD_PS
-        self._direct(route, owner, kind, size)
-        self._pcn_txn(route, owner, terminal, resp_b)
 
     # -- network legs ----------------------------------------------------
     def _net_request(
@@ -400,19 +366,7 @@ class _CapacityModel:
             )
         )
 
-    def _net_forwarded(
-        self, route: _Route, terminal: str, owner: str, kind: AccessType, size: int
-    ) -> None:
-        """CMN remote-GPU path: forward over the net to the owning GPU,
-        traverse it, access its local memory, reply over the net."""
-        req_b, resp_b = self._wire(kind, size)
-        self._net_terminal_leg(route, terminal, owner, req_b)
-        route.fixed_ps += 2 * GPU_FORWARD_PS
-        self._direct(route, owner, kind, size)
-        self._net_terminal_leg(route, owner, terminal, resp_b)
-        route.flows.append((terminal, owner, 1.0, req_b, resp_b))
-
-    # -- per-organization dispatch --------------------------------------
+    # -- the fabric's path table ----------------------------------------
     def route(
         self, terminal: str, terminal_cluster: int, cluster: int, kind: AccessType, size: int
     ) -> _Route:
@@ -421,40 +375,7 @@ class _CapacityModel:
         if cached is not None:
             return cached
         route = _Route()
-        org = self.org
-        own = cluster == terminal_cluster
-        if org in (Organization.PCIE, Organization.PCN):
-            if own:
-                self._direct(route, terminal, kind, size)
-            else:
-                owner = (
-                    "cpu" if cluster == self.cpu_cluster else f"gpu{cluster}"
-                )
-                if org is Organization.PCIE:
-                    self._pcie_forwarded(route, terminal, owner, kind, size)
-                else:
-                    self._pcn_forwarded(route, terminal, owner, kind, size)
-        elif org is Organization.CMN:
-            if cluster == self.cpu_cluster:
-                self._net_request(route, terminal, cluster, kind, size)
-            elif own and terminal != "cpu":
-                self._direct(route, terminal, kind, size)
-            else:
-                self._net_forwarded(route, terminal, f"gpu{cluster}", kind, size)
-        elif org is Organization.GMN:
-            if cluster == self.cpu_cluster:
-                if terminal == "cpu":
-                    self._direct(route, terminal, kind, size)
-                else:
-                    self._pcie_forwarded(route, terminal, "cpu", kind, size)
-            elif terminal == "cpu":
-                self._pcie_forwarded(route, terminal, f"gpu{cluster}", kind, size)
-            else:
-                self._net_request(route, terminal, cluster, kind, size)
-        elif org is Organization.UMN:
-            self._net_request(route, terminal, cluster, kind, size)
-        else:  # pragma: no cover - the constructor already rejected it
-            raise ConfigError(f"no analytic model for organization {org!r}")
+        self._path(route, terminal, terminal_cluster, cluster, kind, size)
         # Every path ends in one vault access at the destination cluster.
         timing = self.cfg.hmc.timing
         cycles = max(1, -(-size // self.cfg.hmc.vault_bus_bytes_per_cycle))
@@ -465,6 +386,46 @@ class _CapacityModel:
         )
         self._route_cache[key] = route
         return route
+
+    def _path(
+        self,
+        route: _Route,
+        terminal: str,
+        terminal_cluster: int,
+        cluster: int,
+        kind: AccessType,
+        size: int,
+    ) -> None:
+        """Add the legs of the fabric's path from ``terminal`` to
+        ``cluster``, each transport kind as its closed form."""
+        path = self.fabric.path(terminal_cluster, cluster, self.cpu_cluster)
+        if path == "direct":
+            self._direct(route, terminal, kind, size)
+        elif path == "net":
+            self._net_request(route, terminal, cluster, kind, size)
+        elif path == "net_fwd":
+            self._forwarded(route, self._net_terminal_leg, terminal, cluster, kind, size)
+        elif path == "pcie_fwd":
+            self._forwarded(route, self._pcie_txn, terminal, cluster, kind, size)
+        elif path == "pcn_fwd":
+            self._forwarded(route, self._pcn_txn, terminal, cluster, kind, size)
+        else:
+            raise ConfigError(f"no analytic leg for transport {path!r}")
+
+    def _forwarded(
+        self, route: _Route, hop, terminal: str, cluster: int, kind: AccessType, size: int
+    ) -> None:
+        """Fig. 9(a) path: ``hop`` (a PCIe, PCN or network terminal leg) to
+        the owner of ``cluster``, which reaches it on its own path, and
+        ``hop`` back."""
+        owner = "cpu" if cluster == self.cpu_cluster else f"gpu{cluster}"
+        req_b, resp_b = self._wire(kind, size)
+        hop(route, terminal, owner, req_b)
+        route.fixed_ps += 2 * GPU_FORWARD_PS
+        self._path(route, owner, cluster, cluster, kind, size)
+        hop(route, owner, terminal, resp_b)
+        if hop == self._net_terminal_leg:
+            route.flows.append((terminal, owner, 1.0, req_b, resp_b))
 
     def _dram_latency_ps(self, kind: AccessType) -> float:
         timing = self.cfg.hmc.timing

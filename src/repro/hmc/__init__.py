@@ -1,6 +1,6 @@
 """Hybrid Memory Cube substrate: DRAM banks, scheduled vaults, the HMC device."""
 
-from .dram import Bank, RowOutcome
+from .dram import Bank
 from .hmc import HMC, HMCStats
 from .sched import (
     SCHEDULERS,
@@ -13,7 +13,6 @@ from .vault import ATOMIC_ALU_PS, Vault, VaultStats
 
 __all__ = [
     "Bank",
-    "RowOutcome",
     "HMC",
     "HMCStats",
     "ATOMIC_ALU_PS",

@@ -9,7 +9,6 @@ bank-level parallelism and serialization (DESIGN.md section 2).
 
 from __future__ import annotations
 
-import enum
 from typing import Optional
 
 from ..config import DRAMTiming
@@ -17,12 +16,6 @@ from ..mem import AccessType
 
 
 _WRITE = AccessType.WRITE
-
-
-class RowOutcome(enum.Enum):
-    HIT = "hit"
-    EMPTY = "empty"
-    CONFLICT = "conflict"
 
 
 class Bank:
@@ -34,13 +27,6 @@ class Bank:
         self.open_row: Optional[int] = None
         self.ready_at: int = 0
         self._last_was_write = False
-
-    def classify(self, row: int) -> RowOutcome:
-        if self.open_row is None:
-            return RowOutcome.EMPTY
-        if self.open_row == row:
-            return RowOutcome.HIT
-        return RowOutcome.CONFLICT
 
     def access(
         self, row: int, access_type: AccessType, now_ps: int, timing: DRAMTiming

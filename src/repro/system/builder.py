@@ -6,24 +6,11 @@ addressed through the shared :class:`~repro.core.address.AddressMapping`.
 What differs between organizations (Fig. 8) is *how a request reaches its
 HMC*, and that is entirely the business of the organization's
 :class:`~repro.system.fabric.Fabric` strategy (see
-:mod:`repro.system.fabric`):
+:mod:`repro.system.fabric`).
 
-================  =======================================================
-organization      request paths (fabric)
-================  =======================================================
-PCIe (baseline)   own cluster: direct links; any remote cluster: PCIe to
-                  the owning device, which forwards to its local HMC
-                  (Fig. 9(a))
-PCN (extension)   as PCIe, but over dedicated NVLink-style links
-CMN               own cluster: direct links; CPU cluster: the CPU memory
-                  network; remote GPU cluster: network to the remote GPU,
-                  which forwards (the PCIe bottleneck is gone but remote
-                  GPU traversal remains)
-GMN               any GPU cluster: the GPU memory network (Fig. 9(b));
-                  CPU cluster: PCIe to the CPU, which forwards
-UMN               everything: one unified memory network; CPU requests may
-                  ride the pass-through overlay
-================  =======================================================
+Each fabric declares its request paths as one table (``Fabric.paths``,
+the rows of docs/architecture.md §6): per requester, the transport to its
+own cluster, the CPU cluster and a remote GPU cluster.
 
 :class:`MultiGPUSystem` itself only constructs the shared components
 (HMCs, GPUs, CPU, address mapping) and delegates to the fabric
@@ -108,6 +95,7 @@ class MultiGPUSystem:
 
         self.fabric = make_fabric(self)
         self.fabric.build()
+        self.fabric.bind_paths()
         self._wire_ports()
 
         #: Set by Observability.bind() when periodic sampling is enabled.

@@ -2,9 +2,12 @@
 
 The registry maps an :class:`~repro.system.configs.Organization` (or any
 hashable key an extension chooses) to the :class:`~.base.Fabric` strategy
-that wires it.  ``MultiGPUSystem`` looks its fabric up here, so adding an
-organization is a new fabric module plus one :func:`register_fabric`
-call — no builder edits (see docs/extending.md for a walkthrough).
+that wires it.  A fabric is its ``build()`` plus one request-path table
+(:attr:`~.base.Fabric.paths`); ``MultiGPUSystem`` binds that table for the
+packet tier and the analytic tier costs the same table, both through
+:func:`fabric_for`.  Adding an organization is a new fabric module plus
+one :func:`register_fabric` call — no builder or analytic edits (see
+docs/extending.md for a walkthrough).
 """
 
 from __future__ import annotations

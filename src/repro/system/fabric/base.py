@@ -1,29 +1,34 @@
 """The fabric strategy interface and shared transport primitives.
 
 A :class:`Fabric` owns everything that is specific to one interconnect
-organization (Fig. 8): how the interconnect is built, how a GPU request
-reaches its HMC, how the CPU's memory port is served, which address view
-the host sees, and how forwarded requests are handled at the owning
-device.  :class:`~repro.system.builder.MultiGPUSystem` constructs the
-components (HMCs, GPUs, CPU, address mapping) and delegates every
-organization decision to its fabric, looked up in the
+organization (Fig. 8): how the interconnect is built, which path a
+request takes to its HMC (one table, :attr:`Fabric.paths`), which
+address view the host sees, and how forwarded requests are handled at
+the owning device.  :class:`~repro.system.builder.MultiGPUSystem`
+constructs the components (HMCs, GPUs, CPU, address mapping) and
+delegates every organization decision to its fabric, looked up in the
 :mod:`repro.system.fabric` registry.
 
-The transport primitives live here as shared methods because every
-organization composes the same four mechanisms:
+A path table names one transport kind per (requester, destination); the
+kinds are the four mechanisms every organization composes, each a shared
+primitive here:
 
-- a :class:`DirectLink` point-to-point hop to a local HMC,
-- a memory-network request addressed to the destination router,
-- a network *forwarded* request addressed to the owning terminal
+- ``direct``: a :class:`DirectLink` point-to-point hop to a local HMC,
+- ``net``: a memory-network request addressed to the destination router,
+- ``net_fwd``: a network request addressed to the owning terminal
   (CMN's remote-GPU path), and
-- a PCIe/PCN transaction to the owning device, which forwards to its
-  local HMC and returns the response the way it came (Fig. 9(a)).
+- ``pcie_fwd`` / ``pcn_fwd``: a PCIe or PCN transaction to the owning
+  device.
+
+A forwarded request continues at the owner of the destination cluster on
+the owner's own path (its own table entry), and the response returns the
+way it came (Fig. 9(a)).
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ...errors import ConfigError, SimulationError
 from ...hmc.hmc import HMC
@@ -136,15 +141,33 @@ class DirectLink:
         self.sim.at(done_at, on_done)
 
 
+#: The transport kinds a path table names (docs/architecture.md §6); the
+#: forwarded kinds go through the owner of the destination cluster.
+PATH_KINDS = ("direct", "net", "net_fwd", "pcie_fwd", "pcn_fwd")
+
+
 class Fabric:
     """Strategy for one interconnect organization.
 
-    Subclasses implement :meth:`build` (construct the interconnect on the
-    system), :meth:`gpu_request` (route a GPU memory access), and
-    :meth:`_cpu_dispatch` (route a CPU memory access after the host view
-    was applied).  The shared transport primitives and network packet
-    handlers below are available to every implementation.
+    A subclass implements :meth:`build` (construct the interconnect on the
+    system) and declares its request paths in :attr:`paths`.  The packet
+    tier binds those paths to the shared transport primitives below once
+    (:meth:`bind_paths`); the analytic tier costs the same table with its
+    closed-form legs.
     """
+
+    #: Request paths (Fig. 8): requester -> transport kind to (its own
+    #: cluster, the CPU cluster, a remote GPU cluster), from
+    #: :data:`PATH_KINDS`.  The CPU's own cluster is the CPU cluster, so
+    #: its middle entry is never read.
+    paths: Dict[str, Tuple[Optional[str], ...]] = {}
+
+    #: Whether the CPU's network requests ride the pass-through overlay.
+    cpu_pass_through = False
+
+    #: ``(spec, cfg) -> Topology`` of this organization's memory network,
+    #: or None when it has none; the analytic tier routes over it too.
+    network_topology = None
 
     #: (cluster, local HMC, HMCs per cluster) -> router index on this
     #: organization's network; the analytic tier reads the same map.
@@ -154,26 +177,77 @@ class Fabric:
         self.system = system
         #: Packet header size, read once per request/response message.
         self._header = system.cfg.network.header_bytes
+        #: [terminal cluster][destination cluster] -> bound transport call.
+        self._ports: List[List[Callable[..., None]]] = []
 
     # -- the organization-specific surface ------------------------------
     def build(self) -> None:
         """Construct the interconnect (networks, switches, direct links)."""
         raise NotImplementedError
 
+    @staticmethod
+    def copy_path(cfg) -> Optional[Tuple[int, float]]:
+        """(latency ps, GB/s) of a blocking host<->device copy, or None
+        when the organization performs no memcpy."""
+        return None
+
+    @classmethod
+    def path(cls, terminal_cluster: int, cluster: int, cpu_cluster: int) -> str:
+        """Transport kind from the requester whose cluster is
+        ``terminal_cluster`` to ``cluster`` (:attr:`paths`)."""
+        row = cls.paths["cpu" if terminal_cluster == cpu_cluster else "gpu"]
+        if cluster == terminal_cluster:
+            return row[0]
+        return row[1] if cluster == cpu_cluster else row[2]
+
+    # -- the request paths ----------------------------------------------
+    def bind_paths(self) -> None:
+        """Bind every (terminal, destination cluster) pair to its transport
+        primitive; run once, after :meth:`build`."""
+        system = self.system
+        clusters = range(system.num_gpus + 1)
+        self._ports = [
+            [self._transport(tc, c) for c in clusters] for tc in clusters
+        ]
+
+    def _transport(self, terminal_cluster: int, cluster: int):
+        system = self.system
+        cpu = system.cpu_cluster
+        terminal = "cpu" if terminal_cluster == cpu else f"gpu{terminal_cluster}"
+        owner = "cpu" if cluster == cpu else f"gpu{cluster}"
+        kind = self.path(terminal_cluster, cluster, cpu)
+        if cluster == terminal_cluster and kind not in ("direct", "net"):
+            # A forwarded request lands at the owner's own path.
+            raise ConfigError(
+                f"{type(self).__name__}: {terminal} cannot forward to itself "
+                f"({kind!r} to its own cluster)"
+            )
+        if kind == "direct":
+            return partial(self._direct, terminal)
+        if kind == "net":
+            pass_through = terminal == "cpu" and self.cpu_pass_through
+            return partial(self._net_request, terminal, pass_through)
+        if kind == "net_fwd":
+            return partial(self._net_forwarded, terminal, owner)
+        if kind == "pcie_fwd":
+            return partial(self._forwarded, system.pcie, terminal, owner)
+        if kind == "pcn_fwd":
+            return partial(self._forwarded, system.pcn, terminal, owner)
+        raise ConfigError(
+            f"{type(self).__name__} path {terminal}->cluster {cluster} is "
+            f"{kind!r}; valid: {', '.join(PATH_KINDS)}"
+        )
+
     def gpu_request(
         self, gpu_id: int, access: MemoryAccess, on_done: Callable[[], None]
     ) -> None:
         """Route one GPU memory access to the HMC that owns it."""
-        raise NotImplementedError
+        self._ports[gpu_id][access.decoded.cluster](access, on_done)
 
     def cpu_request(self, access: MemoryAccess, on_done: Callable[[], None]) -> None:
         """Route one CPU memory access (applies :meth:`host_view` first)."""
-        self._cpu_dispatch(self.host_view(access), on_done)
-
-    def _cpu_dispatch(
-        self, access: MemoryAccess, on_done: Callable[[], None]
-    ) -> None:
-        raise NotImplementedError
+        access = self.host_view(access)
+        self._ports[self.system.cpu_cluster][access.decoded.cluster](access, on_done)
 
     def host_view(self, access: MemoryAccess) -> MemoryAccess:
         """Under memcpy transfer, the host works on its own copy in CPU
@@ -253,9 +327,9 @@ class Fabric:
     def _net_request(
         self,
         terminal: str,
+        pass_through: bool,
         access: MemoryAccess,
         on_done: Callable[[], None],
-        pass_through: bool = False,
     ) -> None:
         system = self.system
         assert system.network is not None
@@ -279,7 +353,7 @@ class Fabric:
         on_done: Callable[[], None],
     ) -> None:
         """CMN: reach a remote GPU's memory through the network and the
-        remote GPU itself (no direct HMC-to-HMC path exists)."""
+        remote GPU itself (no HMC-to-HMC path exists)."""
         system = self.system
         assert system.network is not None
         system._pending[access.aid] = on_done
@@ -292,83 +366,58 @@ class Fabric:
         )
         system.network.send(packet)
 
-    def _pcie_forwarded(
+    def _forwarded(
         self,
+        link,
         terminal: str,
         owner_terminal: str,
         access: MemoryAccess,
         on_done: Callable[[], None],
     ) -> None:
-        """Conventional path: PCIe to the owning device, which forwards the
-        request to its local HMC and returns the response over PCIe."""
-        system = self.system
-        assert system.pcie is not None
+        """Fig. 9(a) path over ``link`` (the PCIe switch or the PCN links)
+        to the owning device, which forwards the request and returns the
+        response over the same link."""
         req_bytes = wire_bytes(access.type, access.size, self._header)
-        system.pcie.transaction(
+        link.transaction(
             terminal,
             owner_terminal,
             req_bytes,
             partial(
-                self._fwd_at_owner,
-                system.pcie,
-                terminal,
-                owner_terminal,
-                access,
-                on_done,
-            ),
-        )
-
-    def _pcn_forwarded(
-        self,
-        terminal: str,
-        owner_terminal: str,
-        access: MemoryAccess,
-        on_done: Callable[[], None],
-    ) -> None:
-        """NVLink-style path: the dedicated point-to-point link to the
-        owning processor, which forwards to its local HMC (extension)."""
-        system = self.system
-        assert system.pcn is not None
-        req_bytes = wire_bytes(access.type, access.size, self._header)
-        system.pcn.transaction(
-            terminal,
-            owner_terminal,
-            req_bytes,
-            partial(
-                self._fwd_at_owner,
-                system.pcn,
-                terminal,
-                owner_terminal,
-                access,
-                on_done,
+                self._fwd_at_owner, link, terminal, owner_terminal, access, on_done
             ),
         )
 
     def _fwd_at_owner(
         self,
-        fabric,
+        link,
         terminal: str,
         owner_terminal: str,
         access: MemoryAccess,
         on_done: Callable[[], None],
     ) -> None:
-        """The request reached the owning device; forward to its local HMC
-        and send the response back over the same fabric."""
+        """The request reached the owning device; it reaches its own
+        cluster on its own path and sends the response back over the
+        same link."""
         self.system.sim.after(
             GPU_FORWARD_PS,
             partial(
-                self._direct,
-                owner_terminal,
+                self._own_port(access),
                 access,
                 partial(
-                    self._fwd_served, fabric, terminal, owner_terminal, access, on_done
+                    self._fwd_served, link, terminal, owner_terminal, access, on_done
                 ),
             ),
         )
 
+    def _own_port(self, access: MemoryAccess):
+        """The owning device's bound path to its own (the destination)
+        cluster."""
+        cluster = access.decoded.cluster
+        return self._ports[cluster][cluster]
+
     def _fwd_served(
         self,
-        fabric,
+        link,
         terminal: str,
         owner_terminal: str,
         access: MemoryAccess,
@@ -377,7 +426,7 @@ class Fabric:
         resp_bytes = wire_bytes(access.type, access.size, self._header, True)
         self.system.sim.after(
             GPU_FORWARD_PS,
-            partial(fabric.transaction, owner_terminal, terminal, resp_bytes, on_done),
+            partial(link.transaction, owner_terminal, terminal, resp_bytes, on_done),
         )
 
     # ------------------------------------------------------------------
@@ -420,8 +469,7 @@ class Fabric:
             system.sim.after(
                 GPU_FORWARD_PS,
                 partial(
-                    self._direct,
-                    owner,
+                    self._own_port(access),
                     access,
                     partial(self._fwd_req_served, owner, packet),
                 ),

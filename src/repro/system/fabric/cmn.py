@@ -9,11 +9,11 @@ remains).
 
 from __future__ import annotations
 
-from typing import Callable
-
-from ...mem import MemoryAccess
 from ...network.topologies import build_cmn
 from .base import Fabric, make_network
+
+#: Per-GPU channels into the CMN (the PCIe replacement link, Fig. 8(a)).
+CMN_GPU_CHANNELS = 2
 
 
 def cpu_network_router(cluster: int, local_hmc: int, hmcs_per_cluster: int) -> int:
@@ -34,35 +34,28 @@ def cpu_network_topology(spec, cfg):
 
 
 class CMNFabric(Fabric):
+    paths = {
+        "gpu": ("direct", "net", "net_fwd"),
+        "cpu": ("net", None, "net_fwd"),
+    }
+    network_topology = staticmethod(cpu_network_topology)
     router_of = staticmethod(cpu_network_router)
+
+    @staticmethod
+    def copy_path(cfg):
+        # The copy rides the CPU memory network: the smaller of the CPU's
+        # aggregate channel bandwidth and the GPUs' links into the CMN.
+        net = cfg.network
+        cpu_bw = cfg.cpu.num_channels * net.channel_gbps
+        gpu_bw = cfg.num_gpus * CMN_GPU_CHANNELS * net.channel_gbps
+        return 2 * net.hop_latency_ps, min(cpu_bw, gpu_bw)
 
     def build(self) -> None:
         system = self.system
-        topo = cpu_network_topology(system.spec, system.cfg)
+        topo = self.network_topology(system.spec, system.cfg)
         system.network = make_network(system.cfg, system.sim, topo, system.spec.routing)
         self._register_routers([system.cpu_cluster])
         for g in range(system.num_gpus):
             self._build_direct_links(f"gpu{g}", g)
             system.network.set_terminal_handler(f"gpu{g}", self._on_terminal_packet)
         system.network.set_terminal_handler("cpu", self._on_terminal_packet)
-
-    def gpu_request(
-        self, gpu_id: int, access: MemoryAccess, on_done: Callable[[], None]
-    ) -> None:
-        cluster = access.decoded.cluster
-        terminal = f"gpu{gpu_id}"
-        if cluster == gpu_id:
-            self._direct(terminal, access, on_done)
-        elif cluster == self.system.cpu_cluster:
-            self._net_request(terminal, access, on_done)
-        else:
-            self._net_forwarded(terminal, f"gpu{cluster}", access, on_done)
-
-    def _cpu_dispatch(
-        self, access: MemoryAccess, on_done: Callable[[], None]
-    ) -> None:
-        cluster = access.decoded.cluster
-        if cluster == self.system.cpu_cluster:
-            self._net_request("cpu", access, on_done)
-        else:
-            self._net_forwarded("cpu", f"gpu{cluster}", access, on_done)

@@ -6,11 +6,9 @@ outside it and is reached over PCIe to the CPU, which forwards.
 
 from __future__ import annotations
 
-from typing import Callable
-
-from ...mem import MemoryAccess
 from ...network.topologies import build_topology
 from .base import Fabric, make_network
+from .pcie import PCIeFabric
 
 
 def gpu_network_topology(spec, cfg):
@@ -27,30 +25,20 @@ def gpu_network_topology(spec, cfg):
 
 
 class GMNFabric(Fabric):
+    paths = {
+        "gpu": ("net", "pcie_fwd", "net"),
+        "cpu": ("direct", None, "pcie_fwd"),
+    }
+    network_topology = staticmethod(gpu_network_topology)
+    # The GPU network does not help CPU-GPU copies: they cross PCIe.
+    copy_path = staticmethod(PCIeFabric.copy_path)
+
     def build(self) -> None:
         system = self.system
-        topo = gpu_network_topology(system.spec, system.cfg)
+        topo = self.network_topology(system.spec, system.cfg)
         system.network = make_network(system.cfg, system.sim, topo, system.spec.routing)
         self._register_routers(range(system.num_gpus))
         for g in range(system.num_gpus):
             system.network.set_terminal_handler(f"gpu{g}", self._on_terminal_packet)
         self._build_direct_links("cpu", system.cpu_cluster)
         self._build_pcie_switch()
-
-    def gpu_request(
-        self, gpu_id: int, access: MemoryAccess, on_done: Callable[[], None]
-    ) -> None:
-        terminal = f"gpu{gpu_id}"
-        if access.decoded.cluster == self.system.cpu_cluster:
-            self._pcie_forwarded(terminal, "cpu", access, on_done)
-        else:
-            self._net_request(terminal, access, on_done)
-
-    def _cpu_dispatch(
-        self, access: MemoryAccess, on_done: Callable[[], None]
-    ) -> None:
-        cluster = access.decoded.cluster
-        if cluster == self.system.cpu_cluster:
-            self._direct("cpu", access, on_done)
-        else:
-            self._pcie_forwarded("cpu", f"gpu{cluster}", access, on_done)

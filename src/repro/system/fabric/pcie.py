@@ -7,38 +7,23 @@ which forwards to its local HMC (Fig. 9(a)).
 
 from __future__ import annotations
 
-from typing import Callable
-
-from ...mem import MemoryAccess
 from .base import Fabric
 
 
 class PCIeFabric(Fabric):
+    paths = {
+        "gpu": ("direct", "pcie_fwd", "pcie_fwd"),
+        "cpu": ("direct", None, "pcie_fwd"),
+    }
+
+    @staticmethod
+    def copy_path(cfg):
+        # The copy crosses the CPU's single PCIe link.
+        return cfg.pcie.latency_ps, cfg.pcie.gbps
+
     def build(self) -> None:
         system = self.system
         self._build_pcie_switch()
         for g in range(system.num_gpus):
             self._build_direct_links(f"gpu{g}", g)
         self._build_direct_links("cpu", system.cpu_cluster)
-
-    def gpu_request(
-        self, gpu_id: int, access: MemoryAccess, on_done: Callable[[], None]
-    ) -> None:
-        cluster = access.decoded.cluster
-        terminal = f"gpu{gpu_id}"
-        if cluster == gpu_id:
-            self._direct(terminal, access, on_done)
-        else:
-            cpu_cluster = self.system.cpu_cluster
-            owner = "cpu" if cluster == cpu_cluster else f"gpu{cluster}"
-            self._pcie_forwarded(terminal, owner, access, on_done)
-
-    def _cpu_dispatch(
-        self, access: MemoryAccess, on_done: Callable[[], None]
-    ) -> None:
-        # Host data lives in (or was copied to) CPU memory.
-        cluster = access.decoded.cluster
-        if cluster == self.system.cpu_cluster:
-            self._direct("cpu", access, on_done)
-        else:
-            self._pcie_forwarded("cpu", f"gpu{cluster}", access, on_done)

@@ -7,14 +7,22 @@ owning processor — but over dedicated point-to-point links
 
 from __future__ import annotations
 
-from typing import Callable
-
-from ...mem import MemoryAccess
 from ...pcn.pcn import PCNFabric as PCNLinks
 from .base import Fabric
 
 
 class PCNFabric(Fabric):
+    paths = {
+        "gpu": ("direct", "pcn_fwd", "pcn_fwd"),
+        "cpu": ("direct", None, "pcn_fwd"),
+    }
+
+    @staticmethod
+    def copy_path(cfg):
+        # The CPU fans out over its per-GPU links in parallel.
+        pcn = cfg.pcn
+        return pcn.latency_ps, cfg.num_gpus * pcn.cpu_links_per_gpu * pcn.link_gbps
+
     def build(self) -> None:
         system = self.system
         system.pcn = PCNLinks(
@@ -23,24 +31,3 @@ class PCNFabric(Fabric):
         for g in range(system.num_gpus):
             self._build_direct_links(f"gpu{g}", g)
         self._build_direct_links("cpu", system.cpu_cluster)
-
-    def gpu_request(
-        self, gpu_id: int, access: MemoryAccess, on_done: Callable[[], None]
-    ) -> None:
-        cluster = access.decoded.cluster
-        terminal = f"gpu{gpu_id}"
-        if cluster == gpu_id:
-            self._direct(terminal, access, on_done)
-        else:
-            cpu_cluster = self.system.cpu_cluster
-            owner = "cpu" if cluster == cpu_cluster else f"gpu{cluster}"
-            self._pcn_forwarded(terminal, owner, access, on_done)
-
-    def _cpu_dispatch(
-        self, access: MemoryAccess, on_done: Callable[[], None]
-    ) -> None:
-        cluster = access.decoded.cluster
-        if cluster == self.system.cpu_cluster:
-            self._direct("cpu", access, on_done)
-        else:
-            self._pcn_forwarded("cpu", f"gpu{cluster}", access, on_done)

@@ -2,14 +2,11 @@
 
 One network spans every cluster — GPU and CPU alike.  CPU requests may
 ride the pass-through overlay (Section V-C) when the topology provides
-one.
+one.  CPU and GPUs share the physical memory, so no copy exists.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
-from ...mem import MemoryAccess
 from ...network.topologies import build_topology
 from .base import Fabric, make_network
 
@@ -29,21 +26,18 @@ def unified_network_topology(spec, cfg):
 
 
 class UMNFabric(Fabric):
+    paths = {
+        "gpu": ("net", "net", "net"),
+        "cpu": ("net", None, "net"),
+    }
+    cpu_pass_through = True
+    network_topology = staticmethod(unified_network_topology)
+
     def build(self) -> None:
         system = self.system
-        topo = unified_network_topology(system.spec, system.cfg)
+        topo = self.network_topology(system.spec, system.cfg)
         system.network = make_network(system.cfg, system.sim, topo, system.spec.routing)
         self._register_routers(range(system.num_gpus + 1))
         for g in range(system.num_gpus):
             system.network.set_terminal_handler(f"gpu{g}", self._on_terminal_packet)
         system.network.set_terminal_handler("cpu", self._on_terminal_packet)
-
-    def gpu_request(
-        self, gpu_id: int, access: MemoryAccess, on_done: Callable[[], None]
-    ) -> None:
-        self._net_request(f"gpu{gpu_id}", access, on_done)
-
-    def _cpu_dispatch(
-        self, access: MemoryAccess, on_done: Callable[[], None]
-    ) -> None:
-        self._net_request("cpu", access, on_done, pass_through=True)

@@ -5,40 +5,34 @@ With ``memcpy`` transfer the kernel blocks until the copy completes
 an analytic bulk-transfer model is exact for our purposes: latency plus
 volume over the bottleneck bandwidth of the copy path.
 
-Copy paths per organization:
-
-- **PCIe / GMN** — the copy crosses the CPU's single PCIe link
-  (15.75 GB/s); in GMN the GPU network does not help CPU-GPU transfers.
-- **CMN** — the copy rides the CPU memory network: the bottleneck is the
-  smaller of the CPU's aggregate channel bandwidth and the sum of the GPUs'
-  network links into the CMN.
-- **UMN** — no copy exists; CPU and GPUs share the physical memory.
+Each organization's fabric declares its copy path
+(:meth:`~repro.system.fabric.base.Fabric.copy_path`): PCIe and GMN cross
+the CPU's single PCIe link, the NVLink-style PCN fans out over the CPU's
+per-GPU links, CMN rides the CPU memory network, and UMN has no copy (CPU
+and GPUs share the physical memory).
 """
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from ..config import SystemConfig
 from ..errors import ConfigError
 from ..units import transfer_ps
-from .configs import ArchSpec, Organization, TransferMode
+from .configs import ArchSpec, TransferMode
+from .fabric import fabric_for
 
-#: Per-GPU channels into the CMN (the PCIe replacement link, Fig. 8(a)).
-CMN_GPU_CHANNELS = 2
+
+def _copy_path(spec: ArchSpec, cfg: SystemConfig) -> Tuple[int, float]:
+    path = fabric_for(spec.organization).copy_path(cfg)
+    if path is None:
+        raise ConfigError(f"{spec.organization} performs no memcpy")
+    return path
 
 
 def memcpy_bandwidth_gbps(spec: ArchSpec, cfg: SystemConfig) -> float:
     """Effective bulk-copy bandwidth between host and device memory."""
-    org = spec.organization
-    if org in (Organization.PCIE, Organization.GMN):
-        return cfg.pcie.gbps
-    if org is Organization.PCN:
-        # NVLink-style: the CPU fans out over its per-GPU links in parallel.
-        return cfg.num_gpus * cfg.pcn.cpu_links_per_gpu * cfg.pcn.link_gbps
-    if org is Organization.CMN:
-        cpu_bw = cfg.cpu.num_channels * cfg.network.channel_gbps
-        gpu_bw = cfg.num_gpus * CMN_GPU_CHANNELS * cfg.network.channel_gbps
-        return min(cpu_bw, gpu_bw)
-    raise ConfigError(f"{org} performs no memcpy")
+    return _copy_path(spec, cfg)[1]
 
 
 def memcpy_time_ps(spec: ArchSpec, cfg: SystemConfig, num_bytes: int) -> int:
@@ -47,10 +41,5 @@ def memcpy_time_ps(spec: ArchSpec, cfg: SystemConfig, num_bytes: int) -> int:
         raise ConfigError(f"negative copy size {num_bytes}")
     if spec.transfer is not TransferMode.MEMCPY or num_bytes == 0:
         return 0
-    if spec.organization in (Organization.PCIE, Organization.GMN):
-        latency = cfg.pcie.latency_ps
-    elif spec.organization is Organization.PCN:
-        latency = cfg.pcn.latency_ps
-    else:
-        latency = 2 * cfg.network.hop_latency_ps
-    return latency + transfer_ps(num_bytes, memcpy_bandwidth_gbps(spec, cfg))
+    latency, gbps = _copy_path(spec, cfg)
+    return latency + transfer_ps(num_bytes, gbps)

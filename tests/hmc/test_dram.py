@@ -2,27 +2,12 @@
 
 
 from repro.config import DRAMTiming, HMCConfig
-from repro.hmc.dram import Bank, RowOutcome
+from repro.hmc.dram import Bank
 from repro.hmc.vault import Vault
 from repro.mem import AccessType, DecodedAddress, MemoryAccess
 from repro.sim.engine import Simulator
 
 T = DRAMTiming()
-
-
-class TestClassification:
-    def test_empty_bank(self):
-        assert Bank().classify(5) is RowOutcome.EMPTY
-
-    def test_row_hit(self):
-        bank = Bank()
-        bank.access(5, AccessType.READ, 0, T)
-        assert bank.classify(5) is RowOutcome.HIT
-
-    def test_row_conflict(self):
-        bank = Bank()
-        bank.access(5, AccessType.READ, 0, T)
-        assert bank.classify(6) is RowOutcome.CONFLICT
 
 
 class TestLatency:

@@ -2,7 +2,8 @@
 
 Every organization lists each of its channels once — network, direct,
 PCIe and PCN — and the PCIe/PCN totals are read off those channels, so
-the inventory must account for every byte those fabrics move.
+the inventory must account for every byte those fabrics move.  A drained
+run also leaves no network request waiting for its response.
 """
 
 import pytest
@@ -16,28 +17,33 @@ from tests.conftest import tiny_system_config
 ARCHS = sorted(TABLE_III) + sorted(EXTENSION_ARCHS)
 
 
-def _counting(monkeypatch, method):
-    """Count calls of the Fabric transport primitive ``method``."""
-    calls = []
-    original = getattr(Fabric, method)
+def _counting_forwards(monkeypatch):
+    """Record the link of every call to the forwarded transport primitive."""
+    links = []
+    original = Fabric._forwarded
 
-    def wrapper(self, *args, **kwargs):
-        calls.append(1)
-        return original(self, *args, **kwargs)
+    def wrapper(self, link, *args, **kwargs):
+        links.append(link)
+        return original(self, link, *args, **kwargs)
 
-    monkeypatch.setattr(Fabric, method, wrapper)
-    return calls
+    monkeypatch.setattr(Fabric, "_forwarded", wrapper)
+    return links
 
 
 @pytest.mark.parametrize("workload", ["BP", "CG.S"])
 @pytest.mark.parametrize("arch", ARCHS)
 def test_inventory_invariants(monkeypatch, arch, workload):
     spec = {**TABLE_III, **EXTENSION_ARCHS}[arch]
-    pcie_forwards = _counting(monkeypatch, "_pcie_forwarded")
-    pcn_forwards = _counting(monkeypatch, "_pcn_forwarded")
+    forwards = _counting_forwards(monkeypatch)
     _, system = run_workload_detailed(
         spec, get_workload(workload, 0.1), cfg=tiny_system_config()
     )
+    pcie_forwards = [link for link in forwards if link is system.pcie]
+    pcn_forwards = [link for link in forwards if link is system.pcn]
+    assert len(pcie_forwards) + len(pcn_forwards) == len(forwards)
+    # Every access the fabric sent got its one response.
+    assert system._pending == {}
+
     channels = system.all_channels()
     now = system.sim.now
 

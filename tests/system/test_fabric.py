@@ -110,18 +110,17 @@ class TeleportFabric(Fabric):
     """Idealized full crossbar: every terminal has a direct link to every
     cluster.  No network, no PCIe switch — the smallest possible fabric."""
 
+    paths = {
+        "gpu": ("direct", "direct", "direct"),
+        "cpu": ("direct", None, "direct"),
+    }
+
     def build(self):
         system = self.system
         for cluster in range(system.num_gpus + 1):
             for g in range(system.num_gpus):
                 self._build_direct_links(f"gpu{g}", cluster)
             self._build_direct_links("cpu", cluster)
-
-    def gpu_request(self, gpu_id, access, on_done):
-        self._direct(f"gpu{gpu_id}", access, on_done)
-
-    def _cpu_dispatch(self, access, on_done):
-        self._direct("cpu", access, on_done)
 
 
 #: Registry keys need not be Organization members — any hashable works.
@@ -175,13 +174,25 @@ class TestToyOrganization:
         assert result.total_ps > 0
         assert result.h2d_ps == 0  # zero-copy: no blocking copies
 
-    def test_analytic_tier_rejects_it(self, tsm):
-        # The analytic tier models the built-in organizations only.
+    def test_analytic_tier_costs_it(self, tsm):
+        # The analytic tier reads the same path table the packet tier binds.
         from repro.analytic import analytic_run
 
-        with pytest.raises(ConfigError, match="no analytic model"):
+        result = analytic_run(
+            tsm,
+            make_vectoradd(num_ctas=8, lines_per_cta=2),
+            cfg=tiny_system_config(2),
+        )
+        assert result.total_ps > 0
+        assert result.h2d_ps == 0
+
+    def test_analytic_tier_rejects_unregistered_org(self):
+        from repro.analytic import analytic_run
+
+        spec = ArchSpec("Nowhere", "nowhere", TransferMode.ZERO_COPY)
+        with pytest.raises(ConfigError, match="no fabric registered"):
             analytic_run(
-                tsm,
+                spec,
                 make_vectoradd(num_ctas=8, lines_per_cta=2),
                 cfg=tiny_system_config(2),
             )
