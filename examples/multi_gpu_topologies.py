@@ -13,7 +13,7 @@ Usage::
 
 import sys
 
-from repro import get_spec, get_workload, run_workload
+from repro import SystemConfig, get_spec, get_workload, run_workload
 from repro.network.metrics import topology_metrics
 from repro.network.topologies import build_topology
 
@@ -21,7 +21,7 @@ TOPOLOGIES = ["ddfly", "dfbfly", "sfbfly", "smesh", "storus", "smesh-2x", "storu
 
 
 def describe(name: str, num_gpus: int = 4) -> None:
-    topo = build_topology(name, num_gpus=num_gpus)
+    topo = build_topology(name, SystemConfig(num_gpus=num_gpus))
     m = topology_metrics(topo)
     degrees = [topo.router_degree(r) for r in range(topo.num_routers)]
     print(

@@ -37,17 +37,19 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..config import SystemConfig
+from ..core.cta_scheduler import partition_chunks
 from ..core.page_table import PagePlacement
 from ..errors import ConfigError, SimulationError
 from ..hmc.vault import ATOMIC_ALU_PS
 from ..mem import AccessType
 from ..network.packet import wire_bytes
+from ..network.topologies import direct_link_width
 from ..network.trafficmatrix import FlowRouter, TrafficMatrix
 from ..pcn.pcn import link_width as pcn_link_width
 from ..system.configs import ArchSpec, TransferMode
 from ..system.energy import EnergyBreakdown, network_energy
 from ..system.fabric import fabric_for
-from ..system.fabric.base import GPU_FORWARD_PS, direct_link_width
+from ..system.fabric.base import GPU_FORWARD_PS
 from ..system.memcpy import memcpy_time_ps
 from ..system.metrics import RunResult
 from ..units import bytes_per_ps
@@ -70,13 +72,6 @@ FIXED_POINT_ROUNDS = 3
 _READ = AccessType.READ
 _WRITE = AccessType.WRITE
 _ATOMIC = AccessType.ATOMIC
-
-
-def partition_chunks(num_ctas: int, num_gpus: int) -> List[int]:
-    """Chunk sizes of the static CTA partitioner: contiguous chunks, the
-    first ``num_ctas % num_gpus`` GPUs take one extra CTA."""
-    base, extra = divmod(num_ctas, num_gpus)
-    return [base + (1 if g < extra else 0) for g in range(num_gpus)]
 
 
 def _ser_ps(num_bytes: float, gbps: float) -> float:
@@ -304,7 +299,7 @@ class _CapacityModel:
     ) -> None:
         """A memory request over the network to one of the destination
         cluster's HMC routers (line interleaving spreads them evenly)."""
-        fr = self.flow_router
+        topo = self.topo
         net = self.netcfg
         req_b, resp_b = self._wire(kind, size)
         ser_req = _ser_ps(req_b, net.channel_gbps)
@@ -313,29 +308,30 @@ class _CapacityModel:
         h = self.hmcs_per_cluster
         routers = [self.router_of(cluster, lc, h) for lc in range(h)]
         share = 1.0 / len(routers)
-        d_req = sum(fr.request_distance(terminal, r) for r in routers) / len(routers)
-        d_resp = sum(fr.response_distance(r, terminal) for r in routers) / len(routers)
+        # Mean hops to the cluster's routers; ``dist`` is symmetric, so the
+        # response leg back to the terminal is as long as the request leg.
+        d = sum(topo.terminal_distance(terminal, r) for r in routers) / len(routers)
         route.legs.append(
             _NetLeg(
-                hops=1 + d_req,
+                hops=1 + d,
                 fixed_ps=(
                     net.serdes_ps
                     + ser_req
-                    + d_req * (net.hop_latency_ps + ser_req)
+                    + d * (net.hop_latency_ps + ser_req)
                     + switch_ps
                 ),
-                wait_hops=1 + d_req,
+                wait_hops=1 + d,
             )
         )
         route.legs.append(
             _NetLeg(
-                hops=d_resp + 1,
+                hops=d + 1,
                 fixed_ps=(
-                    d_resp * (net.hop_latency_ps + ser_resp)
+                    d * (net.hop_latency_ps + ser_resp)
                     + net.serdes_ps
                     + ser_resp
                 ),
-                wait_hops=d_resp + 1,
+                wait_hops=d + 1,
             )
         )
         for r in routers:
@@ -347,11 +343,10 @@ class _CapacityModel:
         self, route: _Route, src: str, dst_terminal: str, payload: float
     ) -> None:
         """One terminal-to-terminal packet (forwarded request or reply)."""
-        fr = self.flow_router
+        topo = self.topo
         net = self.netcfg
         ser = _ser_ps(payload, net.channel_gbps)
-        dst_router = fr.destination_router(src, dst_terminal)
-        d = fr.request_distance(src, dst_router)
+        d = topo.terminal_distance(src, topo.destination_router(src, dst_terminal))
         route.legs.append(
             _NetLeg(
                 hops=d + 2,
@@ -660,7 +655,7 @@ def _estimate_kernel(
     cfg = model.cfg
     gpu = cfg.gpu
     resident_cap = gpu.num_sms * gpu.max_ctas_per_sm
-    chunks = partition_chunks(kp.num_ctas, active_gpus)
+    chunks = [len(c) for c in partition_chunks(kp.num_ctas, active_gpus)]
 
     write_size = (
         int(round(kp.write_bytes_per_cta / kp.writes_per_cta))

@@ -73,7 +73,6 @@ Observability flags (``run`` and every experiment subcommand):
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import inspect
 import json
 import os
@@ -517,14 +516,7 @@ def _run_one(args) -> int:
         print("error: give a workload or --spec FILE.json", file=sys.stderr)
         return 2
     try:
-        cfg = spec.cfg
-        if args.fidelity and cfg.network_model != args.fidelity:
-            cfg = cfg.scaled(network_model=args.fidelity)
-        scheduler = getattr(args, "scheduler", None)
-        if scheduler and cfg.hmc.scheduler != scheduler:
-            cfg = cfg.scaled(
-                hmc=dataclasses.replace(cfg.hmc, scheduler=scheduler)
-            )
+        cfg = spec.cfg.with_overrides(args.fidelity, getattr(args, "scheduler", None))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

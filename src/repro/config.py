@@ -291,6 +291,21 @@ class SystemConfig:
         """Return a copy with the given fields replaced."""
         return dataclasses.replace(self, **overrides)
 
+    def with_overrides(
+        self, fidelity: Optional[str] = None, scheduler: Optional[str] = None
+    ) -> "SystemConfig":
+        """This config at the ``--fidelity`` tier (``network_model``) and
+        with the ``--scheduler`` vault policy (``hmc.scheduler``), each
+        where given.  Both are part of the spec identity.  A non-default
+        scheduler at the analytic tier raises :class:`ConfigError` (the
+        analytic model is FR-FCFS-calibrated only)."""
+        cfg = self
+        if fidelity and cfg.network_model != fidelity:
+            cfg = cfg.scaled(network_model=fidelity)
+        if scheduler and cfg.hmc.scheduler != scheduler:
+            cfg = cfg.scaled(hmc=dataclasses.replace(cfg.hmc, scheduler=scheduler))
+        return cfg
+
     def with_watchdog(
         self, max_events: Optional[int] = None, wall_s: Optional[float] = None
     ) -> "SystemConfig":

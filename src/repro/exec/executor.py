@@ -596,21 +596,14 @@ class SweepExecutor:
     ) -> SweepJob:
         """:func:`~repro.exec.jobs.job_for` plus this executor's overrides.
 
-        ``fidelity`` replaces the config's ``network_model`` and
-        ``scheduler`` its ``hmc.scheduler``; both are part of the spec
-        identity, so the jobs get their own cache keys.  A non-default
-        scheduler at the analytic tier raises
-        :class:`~repro.errors.ConfigError` here (the analytic model is
-        FR-FCFS-calibrated only).  The watchdog budgets fill only the
-        limits the config leaves unset, and stay out of the identity.
+        ``fidelity`` and ``scheduler`` apply through
+        :meth:`SystemConfig.with_overrides
+        <repro.config.SystemConfig.with_overrides>`; both are part of the
+        spec identity, so the jobs get their own cache keys.  The watchdog
+        budgets fill only the limits the config leaves unset, and stay out
+        of the identity.
         """
-        cfg = cfg or SystemConfig()
-        if self.fidelity is not None and cfg.network_model != self.fidelity:
-            cfg = cfg.scaled(network_model=self.fidelity)
-        if self.scheduler is not None and cfg.hmc.scheduler != self.scheduler:
-            cfg = cfg.scaled(
-                hmc=dataclasses.replace(cfg.hmc, scheduler=self.scheduler)
-            )
+        cfg = (cfg or SystemConfig()).with_overrides(self.fidelity, self.scheduler)
         job = job_for(arch, workload, cfg, scale, tag, **run_kwargs)
         return job.with_watchdog(self.max_events, self.wall_s)
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..network.topologies import build_dfbfly, build_sfbfly
+from ..config import SystemConfig
+from ..network.topologies import build_topology
 from .common import ExperimentResult
 
 
@@ -21,8 +22,9 @@ def run(gpu_counts: Sequence[int] = (2, 4, 8, 16)) -> ExperimentResult:
         experiment_id="fig12",
     )
     for g in gpu_counts:
-        d = build_dfbfly(num_gpus=g)
-        s = build_sfbfly(num_gpus=g)
+        cfg = SystemConfig(num_gpus=g)
+        d = build_topology("dfbfly", cfg)
+        s = build_topology("sfbfly", cfg)
         dc, sc = d.count_network_links(), s.count_network_links()
         result.add(
             gpus=g,

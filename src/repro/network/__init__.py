@@ -5,7 +5,8 @@ The public surface of this subpackage:
 - :class:`~repro.network.packet.Packet` and :class:`PacketKind`
 - :class:`~repro.network.channel.Channel`
 - :class:`~repro.network.topology.Topology`
-- :func:`~repro.network.topologies.build_topology` (and named builders)
+- :func:`~repro.network.topologies.build_topology` (and :func:`build_cmn`),
+  each built from a :class:`~repro.config.SystemConfig`
 - :class:`~repro.network.network.MemoryNetwork`
 - routing policies via :func:`~repro.network.routing.make_routing`
 """

@@ -2,19 +2,10 @@
 
 from .builders import (
     BUILDERS,
+    CMN_GPU_CHANNELS,
     build_cmn,
-    build_ddfly,
-    build_dfbfly,
-    build_fbfly,
-    build_overlay,
-    build_ring,
-    build_sfbfly,
-    build_sliced,
-    build_smesh,
-    build_smesh_2x,
-    build_storus,
-    build_storus_2x,
     build_topology,
+    direct_link_width,
 )
 from .grids import (
     SLICE_STYLES,
@@ -29,19 +20,10 @@ from .grids import (
 
 __all__ = [
     "BUILDERS",
+    "CMN_GPU_CHANNELS",
     "build_cmn",
-    "build_ddfly",
-    "build_dfbfly",
-    "build_fbfly",
-    "build_overlay",
-    "build_ring",
-    "build_sfbfly",
-    "build_sliced",
-    "build_smesh",
-    "build_smesh_2x",
-    "build_storus",
-    "build_storus_2x",
     "build_topology",
+    "direct_link_width",
     "SLICE_STYLES",
     "clique_edges",
     "fbfly2d_edges",

@@ -1,11 +1,16 @@
 """Builders for every memory-network topology evaluated in the paper.
 
+Every topology is built from the system configuration alone
+(:func:`build_topology`, :func:`build_cmn`): ``cfg.num_gpus`` clusters of
+``cfg.gpu.hmcs_per_gpu`` HMCs, channels of ``cfg.network.channel_gbps``,
+and each terminal's ``num_channels`` (Table I) spread over its links.
+
 Router numbering convention: router ``c * H + s`` is the ``s``-th local HMC
 (slice ``s``) of cluster ``c``.  GPU ``g`` owns cluster ``g``; when a CPU is
 part of the network (CMN/UMN) it owns the last cluster.  Terminals are named
 ``"gpu0" .. "gpuN-1"`` and ``"cpu"``.
 
-Topologies (Figs. 11, 13, 16):
+Topologies (Figs. 11, 13, 16), one :data:`BUILDERS` entry each:
 
 - ``ring``     — all HMCs on a ring (illustrative baseline, Fig. 9(b)).
 - ``fbfly``    — conventional 2D flattened butterfly, one attachment point
@@ -24,154 +29,84 @@ Topologies (Figs. 11, 13, 16):
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from functools import partial
+from typing import Callable, Dict, List
 
+from ...config import SystemConfig
 from ...errors import TopologyError
 from ..topology import Topology
 from .grids import clique_edges, fbfly2d_edges, ring_edges, slice_edges
 
+#: Per-GPU channels into the CMN (the PCIe replacement link, Fig. 8(a)).
+CMN_GPU_CHANNELS = 2
 
-def _base_topology(
-    name: str,
-    num_gpus: int,
-    hmcs_per_gpu: int,
-    include_cpu: bool,
-    channel_gbps: float,
-) -> Topology:
-    if num_gpus < 1:
-        raise TopologyError("need at least one GPU", topology=name)
-    if hmcs_per_gpu < 1:
-        raise TopologyError("need at least one HMC per GPU", topology=name)
-    num_clusters = num_gpus + (1 if include_cpu else 0)
-    num_routers = num_clusters * hmcs_per_gpu
-    cluster_of = [r // hmcs_per_gpu for r in range(num_routers)]
-    slice_of = [r % hmcs_per_gpu for r in range(num_routers)]
-    return Topology(name, num_routers, cluster_of, slice_of, channel_gbps)
+
+def _channels(cfg: SystemConfig, terminal: str) -> int:
+    return cfg.cpu.num_channels if terminal == "cpu" else cfg.gpu.num_channels
+
+
+def direct_link_width(cfg: SystemConfig, terminal: str) -> int:
+    """Channel width of each of ``terminal``'s links to its cluster's HMCs
+    (direct links and distributed network attachments alike): its
+    channels (Table I) spread over one cluster's HMCs."""
+    return max(1, _channels(cfg, terminal) // cfg.gpu.hmcs_per_gpu)
+
+
+def _terminals(cfg: SystemConfig, include_cpu: bool) -> List[str]:
+    """Terminal names in cluster order."""
+    return [f"gpu{g}" for g in range(cfg.num_gpus)] + (["cpu"] if include_cpu else [])
 
 
 def _attach_distributed_terminals(
-    topo: Topology,
-    num_gpus: int,
-    hmcs_per_gpu: int,
-    include_cpu: bool,
-    gpu_channels: int,
-    cpu_channels: int,
+    topo: Topology, cfg: SystemConfig, include_cpu: bool
 ) -> None:
     """Attach each terminal to all its local HMCs with distributed channels."""
-    gpu_width = max(1, gpu_channels // hmcs_per_gpu)
-    for g in range(num_gpus):
-        for s in range(hmcs_per_gpu):
-            topo.attach_terminal(f"gpu{g}", g * hmcs_per_gpu + s, width=gpu_width)
-    if include_cpu:
-        cpu_width = max(1, cpu_channels // hmcs_per_gpu)
-        base = num_gpus * hmcs_per_gpu
-        for s in range(hmcs_per_gpu):
-            topo.attach_terminal("cpu", base + s, width=cpu_width)
+    h = cfg.gpu.hmcs_per_gpu
+    for cluster, terminal in enumerate(_terminals(cfg, include_cpu)):
+        width = direct_link_width(cfg, terminal)
+        for s in range(h):
+            topo.attach_terminal(terminal, cluster * h + s, width=width)
 
 
-def _slice_members(topo: Topology, hmcs_per_gpu: int, slice_id: int) -> List[int]:
+def _slice_members(topo: Topology, slice_id: int) -> List[int]:
     return [r for r in range(topo.num_routers) if topo.slice_of[r] == slice_id]
 
 
-def _cluster_members(topo: Topology, hmcs_per_gpu: int, cluster: int) -> List[int]:
-    return list(
-        range(cluster * hmcs_per_gpu, (cluster + 1) * hmcs_per_gpu)
-    )
+def _cluster_members(cluster: int, hmcs_per_gpu: int) -> List[int]:
+    return list(range(cluster * hmcs_per_gpu, (cluster + 1) * hmcs_per_gpu))
+
+
+def _num_clusters(cfg: SystemConfig, include_cpu: bool) -> int:
+    return cfg.num_gpus + (1 if include_cpu else 0)
 
 
 # ---------------------------------------------------------------------------
 # Sliced family (sFBFLY / sMESH / sTORUS and -2x variants)
 # ---------------------------------------------------------------------------
-def build_sliced(
-    style: str,
-    num_gpus: int,
-    hmcs_per_gpu: int = 4,
-    include_cpu: bool = False,
-    channel_gbps: float = 20.0,
-    gpu_channels: int = 8,
-    cpu_channels: int = 8,
-    slice_channel_width: int = 1,
-    name: Optional[str] = None,
-) -> Topology:
+def _sliced(
+    style: str, slice_width: int, topo: Topology, cfg: SystemConfig, include_cpu: bool
+) -> None:
     """Sliced topology: slice ``s`` interconnects the ``s``-th HMC of every
     cluster with the given slice graph style; no intra-cluster channels."""
-    topo = _base_topology(
-        name or f"s{style}", num_gpus, hmcs_per_gpu, include_cpu, channel_gbps
-    )
-    for s in range(hmcs_per_gpu):
-        members = _slice_members(topo, hmcs_per_gpu, s)
-        for a, b in slice_edges(style, members):
-            topo.add_link(a, b, width=slice_channel_width)
-    _attach_distributed_terminals(
-        topo, num_gpus, hmcs_per_gpu, include_cpu, gpu_channels, cpu_channels
-    )
-    return topo
-
-
-def build_sfbfly(**kwargs) -> Topology:
-    kwargs.setdefault("name", "sfbfly")
-    return build_sliced("fbfly", **kwargs)
-
-
-def build_smesh(**kwargs) -> Topology:
-    kwargs.setdefault("name", "smesh")
-    return build_sliced("mesh", **kwargs)
-
-
-def build_storus(**kwargs) -> Topology:
-    kwargs.setdefault("name", "storus")
-    return build_sliced("torus", **kwargs)
-
-
-def build_smesh_2x(**kwargs) -> Topology:
-    kwargs.setdefault("name", "smesh-2x")
-    kwargs["slice_channel_width"] = 2
-    return build_sliced("mesh", **kwargs)
-
-
-def build_storus_2x(**kwargs) -> Topology:
-    kwargs.setdefault("name", "storus-2x")
-    kwargs["slice_channel_width"] = 2
-    return build_sliced("torus", **kwargs)
+    for s in range(cfg.gpu.hmcs_per_gpu):
+        for a, b in slice_edges(style, _slice_members(topo, s)):
+            topo.add_link(a, b, width=slice_width)
+    _attach_distributed_terminals(topo, cfg, include_cpu)
 
 
 # ---------------------------------------------------------------------------
 # Distributor-based topologies from [5] (baselines)
 # ---------------------------------------------------------------------------
-def build_dfbfly(
-    num_gpus: int,
-    hmcs_per_gpu: int = 4,
-    include_cpu: bool = False,
-    channel_gbps: float = 20.0,
-    gpu_channels: int = 8,
-    cpu_channels: int = 8,
-) -> Topology:
+def _dfbfly(topo: Topology, cfg: SystemConfig, include_cpu: bool) -> None:
     """dFBFLY = sliced FBFLY plus a clique inside every cluster."""
-    topo = build_sliced(
-        "fbfly",
-        num_gpus,
-        hmcs_per_gpu,
-        include_cpu,
-        channel_gbps,
-        gpu_channels,
-        cpu_channels,
-        name="dfbfly",
-    )
-    num_clusters = num_gpus + (1 if include_cpu else 0)
-    for c in range(num_clusters):
-        for a, b in clique_edges(_cluster_members(topo, hmcs_per_gpu, c)):
+    _sliced("fbfly", 1, topo, cfg, include_cpu)
+    h = cfg.gpu.hmcs_per_gpu
+    for c in range(_num_clusters(cfg, include_cpu)):
+        for a, b in clique_edges(_cluster_members(c, h)):
             topo.add_link(a, b)
-    return topo
 
 
-def build_ddfly(
-    num_gpus: int,
-    hmcs_per_gpu: int = 4,
-    include_cpu: bool = False,
-    channel_gbps: float = 20.0,
-    gpu_channels: int = 8,
-    cpu_channels: int = 8,
-) -> Topology:
+def _ddfly(topo: Topology, cfg: SystemConfig, include_cpu: bool) -> None:
     """dDFLY: intra-cluster cliques + one global channel per cluster pair.
 
     Global link endpoints follow the standard dragonfly assignment: cluster
@@ -179,77 +114,45 @@ def build_ddfly(
     ``port % hmcs_per_gpu`` so the global channels are spread across a
     cluster's HMCs.
     """
-    topo = _base_topology("ddfly", num_gpus, hmcs_per_gpu, include_cpu, channel_gbps)
-    num_clusters = num_gpus + (1 if include_cpu else 0)
+    h = cfg.gpu.hmcs_per_gpu
+    num_clusters = _num_clusters(cfg, include_cpu)
     for c in range(num_clusters):
-        for a, b in clique_edges(_cluster_members(topo, hmcs_per_gpu, c)):
+        for a, b in clique_edges(_cluster_members(c, h)):
             topo.add_link(a, b)
     for i in range(num_clusters):
         for j in range(i + 1, num_clusters):
             port_i = (j - 1) if j > i else j
             port_j = (i - 1) if i > j else i
-            a = i * hmcs_per_gpu + port_i % hmcs_per_gpu
-            b = j * hmcs_per_gpu + port_j % hmcs_per_gpu
-            topo.add_link(a, b)
-    _attach_distributed_terminals(
-        topo, num_gpus, hmcs_per_gpu, include_cpu, gpu_channels, cpu_channels
-    )
-    return topo
+            topo.add_link(i * h + port_i % h, j * h + port_j % h)
+    _attach_distributed_terminals(topo, cfg, include_cpu)
 
 
 # ---------------------------------------------------------------------------
 # Non-distributed baselines
 # ---------------------------------------------------------------------------
-def build_ring(
-    num_gpus: int,
-    hmcs_per_gpu: int = 4,
-    include_cpu: bool = False,
-    channel_gbps: float = 20.0,
-    gpu_channels: int = 8,
-    cpu_channels: int = 8,
-) -> Topology:
+def _ring(topo: Topology, cfg: SystemConfig, include_cpu: bool) -> None:
     """All HMCs on one ring (Fig. 9(b) illustration)."""
-    topo = _base_topology("ring", num_gpus, hmcs_per_gpu, include_cpu, channel_gbps)
     for a, b in ring_edges(list(range(topo.num_routers))):
         topo.add_link(a, b)
-    _attach_distributed_terminals(
-        topo, num_gpus, hmcs_per_gpu, include_cpu, gpu_channels, cpu_channels
-    )
-    return topo
+    _attach_distributed_terminals(topo, cfg, include_cpu)
 
 
-def build_fbfly(
-    num_gpus: int,
-    hmcs_per_gpu: int = 4,
-    include_cpu: bool = False,
-    channel_gbps: float = 20.0,
-    gpu_channels: int = 8,
-    cpu_channels: int = 8,
-) -> Topology:
+def _fbfly(topo: Topology, cfg: SystemConfig, include_cpu: bool) -> None:
     """Conventional 2D FBFLY over all HMCs; each terminal attaches all of its
     channels to a single router (no distribution), per Fig. 11(b)."""
-    topo = _base_topology("fbfly", num_gpus, hmcs_per_gpu, include_cpu, channel_gbps)
     for a, b in fbfly2d_edges(list(range(topo.num_routers))):
         topo.add_link(a, b)
-    for g in range(num_gpus):
-        topo.attach_terminal(f"gpu{g}", g * hmcs_per_gpu, width=gpu_channels)
-    if include_cpu:
-        topo.attach_terminal("cpu", num_gpus * hmcs_per_gpu, width=cpu_channels)
-    return topo
+    h = cfg.gpu.hmcs_per_gpu
+    for cluster, terminal in enumerate(_terminals(cfg, include_cpu)):
+        topo.attach_terminal(terminal, cluster * h, width=_channels(cfg, terminal))
 
 
 # ---------------------------------------------------------------------------
 # Overlay for UMN (Fig. 13)
 # ---------------------------------------------------------------------------
-def build_overlay(
-    num_gpus: int,
-    hmcs_per_gpu: int = 4,
-    include_cpu: bool = True,
-    channel_gbps: float = 20.0,
-    gpu_channels: int = 8,
-    cpu_channels: int = 8,
-    base_style: str = "fbfly",
-) -> Topology:
+def _overlay(
+    base_style: str, topo: Topology, cfg: SystemConfig, include_cpu: bool
+) -> None:
     """A sliced base topology plus serial CPU pass-through chains.
 
     Per slice, a dedicated chain starts at the CPU's local HMC of that slice
@@ -257,82 +160,83 @@ def build_overlay(
     the chain at pass-through latency (Section V-C).
     """
     if not include_cpu:
-        raise TopologyError("the overlay exists to serve a CPU", topology="overlay")
-    topo = build_sliced(
-        base_style,
-        num_gpus,
-        hmcs_per_gpu,
-        include_cpu=True,
-        channel_gbps=channel_gbps,
-        gpu_channels=gpu_channels,
-        cpu_channels=cpu_channels,
-        name=f"overlay-s{base_style}" if base_style != "fbfly" else "overlay",
+        raise TopologyError("the overlay exists to serve a CPU", topology=topo.name)
+    _sliced(base_style, 1, topo, cfg, include_cpu)
+    g, h = cfg.num_gpus, cfg.gpu.hmcs_per_gpu
+    for s in range(h):
+        head = g * h + s
+        topo.add_passthrough_chain("cpu", s, [head] + [c * h + s for c in range(g)])
+
+
+# ---------------------------------------------------------------------------
+# Registry
+# ---------------------------------------------------------------------------
+#: Topology name -> ``wire(topo, cfg, include_cpu)``, which adds the
+#: router links and attaches the terminals.  The sliced entries bind
+#: (slice style, slice channel width); the overlays bind their base
+#: slice style.
+BUILDERS: Dict[str, Callable[[Topology, SystemConfig, bool], None]] = {
+    "ring": _ring,
+    "fbfly": _fbfly,
+    "dfbfly": _dfbfly,
+    "ddfly": _ddfly,
+    "sfbfly": partial(_sliced, "fbfly", 1),
+    "smesh": partial(_sliced, "mesh", 1),
+    "storus": partial(_sliced, "torus", 1),
+    "smesh-2x": partial(_sliced, "mesh", 2),
+    "storus-2x": partial(_sliced, "torus", 2),
+    "overlay": partial(_overlay, "fbfly"),
+    "overlay-smesh": partial(_overlay, "mesh"),
+}
+
+
+def build_topology(name: str, cfg: SystemConfig, include_cpu: bool = False) -> Topology:
+    """Build the registered topology ``name`` over ``cfg``'s GPU clusters,
+    plus the CPU's cluster when ``include_cpu``."""
+    try:
+        wire = BUILDERS[name]
+    except KeyError:
+        raise TopologyError(
+            f"unknown topology {name!r}; available: {sorted(BUILDERS)}",
+            topology=name,
+        ) from None
+    h = cfg.gpu.hmcs_per_gpu
+    if h < 1:
+        raise TopologyError("need at least one HMC per GPU", topology=name)
+    num_routers = _num_clusters(cfg, include_cpu) * h
+    topo = Topology(
+        name,
+        num_routers,
+        cluster_of=[r // h for r in range(num_routers)],
+        slice_of=[r % h for r in range(num_routers)],
+        channel_gbps=cfg.network.channel_gbps,
     )
-    cpu_cluster = num_gpus
-    for s in range(hmcs_per_gpu):
-        head = cpu_cluster * hmcs_per_gpu + s
-        chain = [head] + [g * hmcs_per_gpu + s for g in range(num_gpus)]
-        topo.add_passthrough_chain("cpu", s, chain)
+    wire(topo, cfg, include_cpu)
     return topo
 
 
 # ---------------------------------------------------------------------------
 # CMN network (Fig. 8(a))
 # ---------------------------------------------------------------------------
-def build_cmn(
-    num_gpus: int,
-    hmcs_per_cpu: int = 4,
-    channel_gbps: float = 20.0,
-    cpu_channels: int = 8,
-    gpu_network_channels: int = 2,
-) -> Topology:
+def build_cmn(cfg: SystemConfig) -> Topology:
     """The CPU memory network: the CPU's local HMCs form a clique and every
-    GPU attaches with ``gpu_network_channels`` channels (replacing its PCIe
+    GPU attaches with :data:`CMN_GPU_CHANNELS` channels (replacing its PCIe
     link).  GPU local HMCs are *not* part of this network; they stay
     direct-attached and are modeled by the system builder."""
+    h = cfg.gpu.hmcs_per_gpu
     topo = Topology(
         "cmn",
-        hmcs_per_cpu,
-        cluster_of=[0] * hmcs_per_cpu,
-        slice_of=list(range(hmcs_per_cpu)),
-        channel_gbps=channel_gbps,
+        h,
+        cluster_of=[0] * h,
+        slice_of=list(range(h)),
+        channel_gbps=cfg.network.channel_gbps,
     )
-    for a, b in clique_edges(list(range(hmcs_per_cpu))):
+    for a, b in clique_edges(list(range(h))):
         topo.add_link(a, b)
-    cpu_width = max(1, cpu_channels // hmcs_per_cpu)
-    for s in range(hmcs_per_cpu):
-        topo.attach_terminal("cpu", s, width=cpu_width)
-    for g in range(num_gpus):
-        for k in range(gpu_network_channels):
-            topo.attach_terminal(f"gpu{g}", (g + k) % hmcs_per_cpu, width=1)
+    width = direct_link_width(cfg, "cpu")
+    for s in range(h):
+        topo.attach_terminal("cpu", s, width=width)
+    for g in range(cfg.num_gpus):
+        for k in range(CMN_GPU_CHANNELS):
+            topo.attach_terminal(f"gpu{g}", (g + k) % h, width=1)
     return topo
-
-
-# ---------------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------------
-BUILDERS: Dict[str, Callable[..., Topology]] = {
-    "ring": build_ring,
-    "fbfly": build_fbfly,
-    "dfbfly": build_dfbfly,
-    "ddfly": build_ddfly,
-    "sfbfly": build_sfbfly,
-    "smesh": build_smesh,
-    "storus": build_storus,
-    "smesh-2x": build_smesh_2x,
-    "storus-2x": build_storus_2x,
-    "overlay": build_overlay,
-    "overlay-smesh": lambda **kw: build_overlay(base_style="mesh", **kw),
-}
-
-
-def build_topology(name: str, num_gpus: int, **kwargs) -> Topology:
-    """Build a registered topology by name."""
-    try:
-        builder = BUILDERS[name]
-    except KeyError:
-        raise TopologyError(
-            f"unknown topology {name!r}; available: {sorted(BUILDERS)}",
-            topology=name,
-        ) from None
-    return builder(num_gpus=num_gpus, **kwargs)

@@ -152,25 +152,6 @@ class FlowRouter:
         best = min(self.topo.distance(router, a.router) for a in atts)
         return [a for a in atts if self.topo.distance(router, a.router) == best]
 
-    def request_distance(self, terminal: str, dst_router: int) -> int:
-        """Router hops from the chosen injection point to ``dst_router``."""
-        atts = self.topo.attachments(terminal)
-        return min(self.topo.distance(a.router, dst_router) for a in atts)
-
-    def response_distance(self, src_router: int, terminal: str) -> int:
-        """Router hops from ``src_router`` to the chosen ejection point."""
-        atts = self.topo.attachments(terminal)
-        return min(self.topo.distance(src_router, a.router) for a in atts)
-
-    def destination_router(self, src: str, dst_terminal: str) -> int:
-        """The router a terminal-destined flow heads for (the nearest
-        attachment of ``dst_terminal``, as the packet engine estimates)."""
-        src_atts = self.topo.attachments(src)
-        return min(
-            (a.router for a in self.topo.attachments(dst_terminal)),
-            key=lambda r: min(self.topo.distance(s.router, r) for s in src_atts),
-        )
-
     # -- path spreading --------------------------------------------------
     def path_channels(self, a: int, b: int) -> Dict[Channel, float]:
         """Expected traversals of each channel on minimal a->b paths, with
@@ -212,7 +193,7 @@ class FlowRouter:
                 loads[channel] = loads.get(channel, 0.0) + amount
 
         dst_router = (
-            dst if isinstance(dst, int) else self.destination_router(src, dst)
+            dst if isinstance(dst, int) else self.topo.destination_router(src, dst)
         )
         # Request: inject at the minimal attachments, spread to dst.
         atts = self.injection_attachments(src, dst_router)

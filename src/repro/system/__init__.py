@@ -1,7 +1,7 @@
 """System assembly: architectures, fabrics, builder, runner, energy,
 metrics, and the canonical run spec."""
 
-from .builder import DirectLink, MultiGPUSystem, NetEnvelope
+from .builder import MultiGPUSystem
 from .configs import (
     TABLE_III,
     ArchSpec,
@@ -13,6 +13,7 @@ from .configs import (
 )
 from .energy import EnergyBreakdown, network_energy
 from .fabric import FABRICS, Fabric, fabric_for, make_fabric, register_fabric
+from .fabric.base import DirectLink, NetEnvelope
 from .memcpy import memcpy_bandwidth_gbps, memcpy_time_ps
 from .metrics import RunResult, geometric_mean
 from .report import report_json, system_report

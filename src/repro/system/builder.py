@@ -40,11 +40,7 @@ from ..pcn.pcn import PCNFabric as PCNLinks
 from ..sim.engine import Simulator
 from .configs import ArchSpec
 from .fabric import make_fabric
-from .fabric.base import (  # noqa: F401  (re-exported for compatibility)
-    GPU_FORWARD_PS,
-    DirectLink,
-    NetEnvelope,
-)
+from .fabric.base import DirectLink
 
 
 class MultiGPUSystem:

@@ -36,6 +36,7 @@ from ...mem import AccessType, DecodedAddress, MemoryAccess
 from ...network.channel import Channel
 from ...network.network import MemoryNetwork
 from ...network.packet import Packet, PacketKind, response_kind, wire_bytes
+from ...network.topologies import direct_link_width
 from ...sim.engine import Simulator
 from ..configs import TransferMode
 
@@ -98,13 +99,6 @@ def cluster_router(cluster: int, local_hmc: int, hmcs_per_cluster: int) -> int:
     """Router of a cluster's local HMC on a GMN or UMN network: the
     topology builders number routers cluster by cluster."""
     return cluster * hmcs_per_cluster + local_hmc
-
-
-def direct_link_width(cfg, terminal: str) -> int:
-    """Channel width of each of ``terminal``'s direct HMC links: its
-    channels (Table I) spread over one cluster's HMCs."""
-    channels = cfg.cpu.num_channels if terminal == "cpu" else cfg.gpu.num_channels
-    return max(1, channels // cfg.gpu.hmcs_per_gpu)
 
 
 class DirectLink:

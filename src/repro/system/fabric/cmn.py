@@ -9,11 +9,8 @@ remains).
 
 from __future__ import annotations
 
-from ...network.topologies import build_cmn
+from ...network.topologies import CMN_GPU_CHANNELS, build_cmn
 from .base import Fabric, make_network
-
-#: Per-GPU channels into the CMN (the PCIe replacement link, Fig. 8(a)).
-CMN_GPU_CHANNELS = 2
 
 
 def cpu_network_router(cluster: int, local_hmc: int, hmcs_per_cluster: int) -> int:
@@ -25,12 +22,7 @@ def cpu_network_router(cluster: int, local_hmc: int, hmcs_per_cluster: int) -> i
 def cpu_network_topology(spec, cfg):
     """The CPU memory network under ``cfg``: the CPU's local HMCs with
     every GPU and the CPU attached (``spec`` names no CMN topology)."""
-    return build_cmn(
-        cfg.num_gpus,
-        hmcs_per_cpu=cfg.gpu.hmcs_per_gpu,
-        channel_gbps=cfg.network.channel_gbps,
-        cpu_channels=cfg.cpu.num_channels,
-    )
+    return build_cmn(cfg)
 
 
 class CMNFabric(Fabric):

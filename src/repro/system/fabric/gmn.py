@@ -14,14 +14,7 @@ from .pcie import PCIeFabric
 def gpu_network_topology(spec, cfg):
     """The GPU-only memory network of ``spec.topology`` under ``cfg``: the
     GMN interconnect, and the network a network-only run drives."""
-    return build_topology(
-        spec.topology,
-        num_gpus=cfg.num_gpus,
-        hmcs_per_gpu=cfg.gpu.hmcs_per_gpu,
-        include_cpu=False,
-        channel_gbps=cfg.network.channel_gbps,
-        gpu_channels=cfg.gpu.num_channels,
-    )
+    return build_topology(spec.topology, cfg)
 
 
 class GMNFabric(Fabric):

@@ -14,15 +14,7 @@ from .base import Fabric, make_network
 def unified_network_topology(spec, cfg):
     """The unified memory network of ``spec.topology`` under ``cfg``:
     every GPU cluster and the CPU's cluster on one network."""
-    return build_topology(
-        spec.topology,
-        num_gpus=cfg.num_gpus,
-        hmcs_per_gpu=cfg.gpu.hmcs_per_gpu,
-        include_cpu=True,
-        channel_gbps=cfg.network.channel_gbps,
-        gpu_channels=cfg.gpu.num_channels,
-        cpu_channels=cfg.cpu.num_channels,
-    )
+    return build_topology(spec.topology, cfg, include_cpu=True)
 
 
 class UMNFabric(Fabric):

@@ -13,10 +13,10 @@ from repro.hmc.dram import Bank
 from repro.hmc.sched import QueuedRequest
 from repro.hmc.vault import Vault
 from repro.mem import AccessType, DecodedAddress, MemoryAccess
-from repro.config import NetworkConfig
+from repro.config import NetworkConfig, SystemConfig
 from repro.network.network import MemoryNetwork
 from repro.network.packet import Packet, PacketKind
-from repro.network.topologies import build_sfbfly
+from repro.network.topologies import build_topology
 from repro.sim.engine import Simulator
 from repro.system.builder import MultiGPUSystem
 from repro.system.configs import get_spec
@@ -152,7 +152,11 @@ class TestIdSequences:
         # Each network numbers its own packets from 0, so a new network
         # (a new run) starts the sequence afresh.
         def net():
-            return MemoryNetwork(Simulator(), build_sfbfly(num_gpus=4), NetworkConfig())
+            return MemoryNetwork(
+                Simulator(),
+                build_topology("sfbfly", SystemConfig(num_gpus=4)),
+                NetworkConfig(),
+            )
 
         first = net()
         pids = [first.packet(PacketKind.READ_REQ, "gpu0", 1, 16).pid for _ in range(3)]

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.config import NetworkConfig
+from repro.config import NetworkConfig, SystemConfig
 from repro.network.flitnet import FLIT_BYTES, FlitNetwork
 from repro.network.packet import Packet, PacketKind
-from repro.network.topologies import build_sfbfly, build_smesh
+from repro.network.topologies import build_topology
 from repro.sim.engine import Simulator
 from repro.system.configs import TABLE_III
 from repro.system.run import run_workload
@@ -15,7 +15,7 @@ from tests.conftest import tiny_system_config
 
 def make_net(topo=None, cfg=None):
     sim = Simulator()
-    topo = topo or build_sfbfly(num_gpus=4)
+    topo = topo or build_topology("sfbfly", SystemConfig(num_gpus=4))
     net = FlitNetwork(sim, topo, cfg or NetworkConfig())
     return sim, net
 
@@ -113,7 +113,7 @@ class TestAgainstPacketModel:
         results = {}
         for cls in (MemoryNetwork, FlitNetwork):
             sim = Simulator()
-            topo = build_sfbfly(num_gpus=4)
+            topo = build_topology("sfbfly", SystemConfig(num_gpus=4))
             net = cls(sim, topo, NetworkConfig())
             net.set_router_handler(13, lambda p: None)
             net.send(Packet(PacketKind.READ_REQ, "gpu0", 13, 16))
@@ -142,7 +142,7 @@ class TestAgainstPacketModel:
 
     def test_smesh_also_works(self):
         sim = Simulator()
-        topo = build_smesh(num_gpus=4)
+        topo = build_topology("smesh", SystemConfig(num_gpus=4))
         net = FlitNetwork(sim, topo, NetworkConfig())
         done = []
         net.set_router_handler(12, lambda p: done.append(sim.now))

@@ -6,16 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import SystemConfig
 from repro.errors import ConfigError, TopologyError
 from repro.network.metrics import bisection_bandwidth_gbps, topology_metrics
-from repro.network.topologies import (
-    build_ddfly,
-    build_dfbfly,
-    build_sfbfly,
-    build_smesh,
-    build_storus,
-    build_storus_2x,
-)
+from repro.network.topologies import build_topology
 from repro.network.topology import Topology
 from repro.system.configs import get_spec
 from repro.system.run import run_workload
@@ -31,38 +25,41 @@ from repro.network.traffic import (
 )
 
 
+def _gbps4(name):
+    """Bisection bandwidth of ``name`` on the 4-GPU system."""
+    return bisection_bandwidth_gbps(build_topology(name, SystemConfig(num_gpus=4)))
+
+
 class TestTopologyMetrics:
     def test_sfbfly_metrics(self):
-        m = topology_metrics(build_sfbfly(num_gpus=4))
+        m = topology_metrics(build_topology("sfbfly", SystemConfig(num_gpus=4)))
         assert m.routers == 16
         assert m.bidirectional_channels == 24
         assert m.diameter == 1  # within a slice everything is one hop
         assert m.max_gpu_to_hmc_hops == 1
 
     def test_smesh_has_longer_paths(self):
-        sfb = topology_metrics(build_sfbfly(num_gpus=4))
-        mesh = topology_metrics(build_smesh(num_gpus=4))
+        sfb = topology_metrics(build_topology("sfbfly", SystemConfig(num_gpus=4)))
+        mesh = topology_metrics(build_topology("smesh", SystemConfig(num_gpus=4)))
         assert mesh.max_gpu_to_hmc_hops > sfb.max_gpu_to_hmc_hops
         assert mesh.avg_gpu_to_hmc_hops > sfb.avg_gpu_to_hmc_hops
 
     def test_bisection_sfbfly_equals_storus2x(self):
         """Section VI-B2: same bisection bandwidth."""
-        sfb = bisection_bandwidth_gbps(build_sfbfly(num_gpus=4))
-        torus2x = bisection_bandwidth_gbps(build_storus_2x(num_gpus=4))
+        sfb = _gbps4("sfbfly")
+        torus2x = _gbps4("storus-2x")
         assert sfb == pytest.approx(torus2x)
 
     def test_bisection_ddfly_is_lowest(self):
-        ddfly = bisection_bandwidth_gbps(build_ddfly(num_gpus=4))
-        sfb = bisection_bandwidth_gbps(build_sfbfly(num_gpus=4))
-        storus = bisection_bandwidth_gbps(build_storus(num_gpus=4))
+        ddfly = _gbps4("ddfly")
+        sfb = _gbps4("sfbfly")
+        storus = _gbps4("storus")
         assert ddfly < sfb
         assert ddfly < storus
 
     def test_dfbfly_and_sfbfly_same_bisection(self):
         """Intra-cluster channels never cross a cluster bipartition."""
-        assert bisection_bandwidth_gbps(
-            build_dfbfly(num_gpus=4)
-        ) == pytest.approx(bisection_bandwidth_gbps(build_sfbfly(num_gpus=4)))
+        assert _gbps4("dfbfly") == pytest.approx(_gbps4("sfbfly"))
 
     def test_single_cluster_rejected(self):
         topo = Topology("one", 4, cluster_of=[0] * 4, slice_of=list(range(4)))
@@ -70,7 +67,8 @@ class TestTopologyMetrics:
             bisection_bandwidth_gbps(topo)
 
     def test_as_row(self):
-        row = topology_metrics(build_sfbfly(num_gpus=4)).as_row()
+        topo = build_topology("sfbfly", SystemConfig(num_gpus=4))
+        row = topology_metrics(topo).as_row()
         assert row["topology"] == "sfbfly"
         assert row["bisection_gbps"] > 0
 

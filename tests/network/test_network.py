@@ -2,17 +2,17 @@
 
 import pytest
 
-from repro.config import NetworkConfig
+from repro.config import NetworkConfig, SystemConfig
 from repro.errors import SimulationError
 from repro.network.network import MemoryNetwork
 from repro.network.packet import Packet, PacketKind
-from repro.network.topologies import build_overlay, build_sfbfly
+from repro.network.topologies import build_topology
 from repro.sim.engine import Simulator
 
 
 def make_net(topo=None, routing="min"):
     sim = Simulator()
-    topo = topo or build_sfbfly(num_gpus=4)
+    topo = topo or build_topology("sfbfly", SystemConfig(num_gpus=4))
     net = MemoryNetwork(sim, topo, NetworkConfig(), routing=routing)
     return sim, net
 
@@ -125,7 +125,7 @@ class TestLatency:
 class TestPassthrough:
     def _overlay_net(self):
         sim = Simulator()
-        topo = build_overlay(num_gpus=3, include_cpu=True)
+        topo = build_topology("overlay", SystemConfig(num_gpus=3), include_cpu=True)
         net = MemoryNetwork(sim, topo, NetworkConfig())
         return sim, net, topo
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import NetworkConfig
+from repro.config import NetworkConfig, SystemConfig
 from repro.mem import AccessType
 from repro.network.network import MemoryNetwork
 from repro.network.packet import (
@@ -12,7 +12,7 @@ from repro.network.packet import (
     response_kind,
     wire_bytes,
 )
-from repro.network.topologies import build_sfbfly
+from repro.network.topologies import build_topology
 from repro.sim.engine import Simulator
 
 
@@ -56,7 +56,11 @@ class TestSizes:
 
 class TestPacket:
     def test_unique_ids(self):
-        net = MemoryNetwork(Simulator(), build_sfbfly(num_gpus=4), NetworkConfig())
+        net = MemoryNetwork(
+            Simulator(),
+            build_topology("sfbfly", SystemConfig(num_gpus=4)),
+            NetworkConfig(),
+        )
         a = net.packet(PacketKind.READ_REQ, "gpu0", 1, 16)
         b = net.packet(PacketKind.READ_REQ, "gpu0", 1, 16)
         assert a.pid != b.pid

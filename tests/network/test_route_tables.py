@@ -16,7 +16,7 @@ import collections
 
 import pytest
 
-from repro.config import NetworkConfig
+from repro.config import NetworkConfig, SystemConfig
 from repro.errors import RoutingError
 from repro.network.packet import Packet, PacketKind
 from repro.network.routing import make_routing
@@ -132,7 +132,7 @@ def _farthest_router(topo, terminal):
 @pytest.mark.parametrize("routing", ["min", "ugal"])
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_route_answers_match_recomputation_across_mutations(name, routing):
-    topo = build_topology(name, num_gpus=NUM_GPUS, include_cpu=True)
+    topo = build_topology(name, SystemConfig(num_gpus=NUM_GPUS), include_cpu=True)
     policy = make_routing(routing, NetworkConfig().hop_latency_ps)
     _check(topo, policy)
 

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.config import NetworkConfig
+from repro.config import NetworkConfig, SystemConfig
 from repro.errors import RoutingError
 from repro.network.packet import Packet, PacketKind
 from repro.network.routing import MinimalRouting, UGALRouting, make_routing
-from repro.network.topologies import build_dfbfly, build_sfbfly
+from repro.network.topologies import build_topology
 
 HOP_PS = NetworkConfig().hop_latency_ps
 
@@ -33,7 +33,7 @@ class TestMakeRouting:
 
 class TestMinimalRouting:
     def test_injects_at_matching_slice(self):
-        topo = build_sfbfly(num_gpus=4)
+        topo = build_topology("sfbfly", SystemConfig(num_gpus=4))
         policy = MinimalRouting()
         # Destination router 13 = cluster 3, slice 1; gpu0's slice-1 HMC is
         # router 1, one hop away.
@@ -41,20 +41,20 @@ class TestMinimalRouting:
         assert att.router == 1
 
     def test_local_destination_injects_directly(self):
-        topo = build_sfbfly(num_gpus=4)
+        topo = build_topology("sfbfly", SystemConfig(num_gpus=4))
         policy = MinimalRouting()
         att = policy.select_injection(topo, _packet(dst=2), 2, now_ps=0)
         assert att.router == 2
 
     def test_next_hop_reduces_distance(self):
-        topo = build_dfbfly(num_gpus=4)
+        topo = build_topology("dfbfly", SystemConfig(num_gpus=4))
         policy = MinimalRouting()
         packet = _packet(dst=13)
         nbr, _ = policy.next_hop(topo, packet, 1, 13, now_ps=0)
         assert topo.distance(nbr, 13) == topo.distance(1, 13) - 1
 
     def test_round_robin_spreads_by_packet_id(self):
-        topo = build_dfbfly(num_gpus=4)
+        topo = build_topology("dfbfly", SystemConfig(num_gpus=4))
         policy = MinimalRouting()
         # Router 0 -> router 3 (same cluster): several minimal paths exist
         # only when distance > 1; use 0 -> 15 (diagonal, distance 2).
@@ -65,7 +65,7 @@ class TestMinimalRouting:
         assert len(chosen) >= 2  # different pids take different hops
 
     def test_ejection_picks_nearest_attachment(self):
-        topo = build_sfbfly(num_gpus=4)
+        topo = build_topology("sfbfly", SystemConfig(num_gpus=4))
         policy = MinimalRouting()
         packet = _packet(src=12, dst="gpu0")
         att = policy.select_ejection(topo, packet, 12, now_ps=0)
@@ -74,13 +74,13 @@ class TestMinimalRouting:
 
 class TestUGALRouting:
     def test_matches_minimal_when_idle(self):
-        topo = build_dfbfly(num_gpus=4)
+        topo = build_topology("dfbfly", SystemConfig(num_gpus=4))
         ugal = UGALRouting(HOP_PS)
         att = ugal.select_injection(topo, _packet(dst=13), 13, now_ps=0)
         assert att.router == 1  # matching slice, like MIN
 
     def test_diverts_around_congested_channel(self):
-        topo = build_dfbfly(num_gpus=4)
+        topo = build_topology("dfbfly", SystemConfig(num_gpus=4))
         ugal = UGALRouting(HOP_PS)
         # Saturate the direct slice channel router 1 -> router 13.
         for nbr, ch in topo.adj[1]:
@@ -90,14 +90,14 @@ class TestUGALRouting:
         assert att.router != 1  # takes a 2-hop path via another local HMC
 
     def test_skips_unreachable_attachments_in_sfbfly(self):
-        topo = build_sfbfly(num_gpus=4)
+        topo = build_topology("sfbfly", SystemConfig(num_gpus=4))
         ugal = UGALRouting(HOP_PS)
         # Only the matching-slice attachment can reach the destination.
         att = ugal.select_injection(topo, _packet(dst=13), 13, now_ps=0)
         assert att.router == 1
 
     def test_path_cost_counts_queues_along_path(self):
-        topo = build_dfbfly(num_gpus=4)
+        topo = build_topology("dfbfly", SystemConfig(num_gpus=4))
         ugal = UGALRouting(HOP_PS)
         idle = ugal._path_cost(topo, 1, 13, 16, now_ps=0)
         for nbr, ch in topo.adj[1]:
@@ -108,7 +108,7 @@ class TestUGALRouting:
         assert loaded > idle or loaded >= idle
 
     def test_ejection_unreachable_guard(self):
-        topo = build_sfbfly(num_gpus=4)
+        topo = build_topology("sfbfly", SystemConfig(num_gpus=4))
         ugal = UGALRouting(HOP_PS)
         packet = _packet(src=12, dst="gpu0")
         att = ugal.select_ejection(topo, packet, 12, now_ps=0)

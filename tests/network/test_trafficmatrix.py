@@ -90,10 +90,10 @@ class TestFlowRouterLine:
         assert all(frac == pytest.approx(1.0) for frac in spread.values())
 
     def test_distances(self):
-        router = FlowRouter(line4())
-        assert router.request_distance("gpu0", 3) == 3
-        assert router.response_distance(3, "gpu0") == 3
-        assert router.destination_router("gpu0", "gpu1") == 3
+        topo = line4()
+        assert topo.terminal_distance("gpu0", 3) == 3
+        assert topo.distance(3, topo.nearest_attachment("gpu0", 3).router) == 3
+        assert topo.destination_router("gpu0", "gpu1") == 3
 
     def test_channel_loads_request_and_response(self):
         topo = line4()

@@ -20,7 +20,7 @@ from repro.config import (
     SystemConfig,
 )
 from repro.errors import ConfigError
-from repro.system.fabric.base import direct_link_width
+from repro.network.topologies import direct_link_width
 from repro.units import GB, KB, MB, bytes_per_ps, transfer_ps
 
 
