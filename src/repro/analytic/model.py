@@ -88,17 +88,15 @@ class _Resource:
     """One queued resource class: ``servers`` parallel servers sharing the
     demand accumulated by :meth:`add`."""
 
-    __slots__ = ("servers", "demand_ps", "service_sum", "visits")
+    __slots__ = ("servers", "demand_ps", "visits")
 
     def __init__(self, servers: int) -> None:
         self.servers = max(1, servers)
         self.demand_ps = 0.0
-        self.service_sum = 0.0
         self.visits = 0.0
 
     def add(self, count: float, service_ps: float) -> None:
         self.demand_ps += count * service_ps
-        self.service_sum += count * service_ps
         self.visits += count
 
     @property
@@ -111,7 +109,7 @@ class _Resource:
         if self.visits <= 0 or window_ps <= 0:
             return 0.0
         rho = min(RHO_CAP, self.demand_ps / (window_ps * self.servers))
-        mean_service = self.service_sum / self.visits
+        mean_service = self.demand_ps / self.visits
         return rho * mean_service / (2.0 * (1.0 - rho))
 
 
@@ -119,10 +117,9 @@ class _Resource:
 class _NetLeg:
     """One network packet traversal of a route (request or response)."""
 
+    #: Channel traversals (inject + hops [+ eject]); each one can queue.
     hops: float
     fixed_ps: float
-    #: Channel traversals subject to queueing (inject + hops [+ eject]).
-    wait_hops: float
 
 
 @dataclass
@@ -145,7 +142,7 @@ class _Route:
         for key, _, _ in self.visits:
             total += waits.get(key, 0.0)
         for leg in self.legs:
-            total += leg.fixed_ps + leg.wait_hops * hop_wait_ps
+            total += leg.fixed_ps + leg.hops * hop_wait_ps
         return total
 
 
@@ -320,7 +317,6 @@ class _CapacityModel:
                     + d * (net.hop_latency_ps + ser_req)
                     + switch_ps
                 ),
-                wait_hops=1 + d,
             )
         )
         route.legs.append(
@@ -331,7 +327,6 @@ class _CapacityModel:
                     + net.serdes_ps
                     + ser_resp
                 ),
-                wait_hops=d + 1,
             )
         )
         for r in routers:
@@ -357,7 +352,6 @@ class _CapacityModel:
                     + net.serdes_ps
                     + ser
                 ),
-                wait_hops=d + 2,
             )
         )
 
@@ -449,7 +443,7 @@ class _NetStats:
         for leg in route.legs:
             self.delivered += count
             self.latency_sum += count * (
-                leg.fixed_ps + leg.wait_hops * hop_wait_ps
+                leg.fixed_ps + leg.hops * hop_wait_ps
             )
             self.hops_sum += count * leg.hops
 
@@ -457,6 +451,11 @@ class _NetStats:
 def _add_flows(matrix: TrafficMatrix, route: _Route, count: float) -> None:
     for src, dst, share, req_b, resp_b in route.flows:
         matrix.add(src, dst, count * share, count * req_b, count * resp_b)
+
+
+def _add_loads(total: Dict, loads: Dict) -> None:
+    for ch, load_bytes in loads.items():
+        total[ch] = total.get(ch, 0.0) + load_bytes
 
 
 def _hop_wait_ps(
@@ -468,7 +467,7 @@ def _hop_wait_ps(
     num = 0.0
     den = 0.0
     for ch, load_bytes in loads.items():
-        bw = bytes_per_ps(ch.effective_gbps)
+        bw = ch.bytes_per_ps
         rho = min(RHO_CAP, load_bytes / (bw * window_ps))
         service = mean_packet_bytes / bw
         num += load_bytes * rho * service / (2.0 * (1.0 - rho))
@@ -479,7 +478,7 @@ def _hop_wait_ps(
 def _net_bandwidth_bound_ps(loads: Dict) -> float:
     bound = 0.0
     for ch, load_bytes in loads.items():
-        bound = max(bound, load_bytes / bytes_per_ps(ch.effective_gbps))
+        bound = max(bound, load_bytes / ch.bytes_per_ps)
     return bound
 
 
@@ -543,9 +542,9 @@ def analytic_run(
     result.d2h_ps = memcpy_time_ps(spec, cfg, profile.d2h_bytes)
 
     net_stats = _NetStats()
-    energy_matrix = (
-        TrafficMatrix(model.topo.num_routers) if model.topo else None
-    )
+    # Fig. 17 channel loads: every kernel's contention loads plus the host
+    # steps' loads (routing is linear, so this is the loads of the union).
+    energy_loads: Optional[Dict] = {} if model.topo else None
     request_matrix = (
         TrafficMatrix(model.topo.num_routers)
         if (model.topo and collect_traffic)
@@ -559,7 +558,7 @@ def analytic_run(
         tally = _CacheTally()
         raw_kernels.append(
             _estimate_kernel(
-                model, kp, active, net_stats, energy_matrix, request_matrix, tally
+                model, kp, active, net_stats, energy_loads, request_matrix, tally
             )
         )
         l1_hits += tally.l1_hits
@@ -568,9 +567,7 @@ def analytic_run(
         l2_total += tally.l2_total
         memory_requests += tally.memory_requests
 
-    raw_host = _estimate_host(
-        model, profile, net_stats, energy_matrix
-    )
+    raw_host = _estimate_host(model, profile, net_stats, energy_loads)
 
     cal = (calibration or load_calibration()).for_key(
         calibration_key(spec, cfg)
@@ -600,7 +597,7 @@ def analytic_run(
                 net_stats.hops_sum / net_stats.delivered
             ) * cal.hops
         result.energy = _network_energy(
-            model, energy_matrix, max(1, result.kernel_ps), cal.energy
+            model, energy_loads, max(1, result.kernel_ps), cal.energy
         )
         if request_matrix is not None:
             terminals = [f"gpu{g}" for g in range(cfg.num_gpus)]
@@ -622,7 +619,8 @@ def analytic_cost(
     performance: ``units`` (predicted memory requests + network
     deliveries — the activity the event engines turn into events) and
     ``total_ps`` (predicted simulated runtime, the prefilter objective).
-    Costs ~2 ms per point; the planner memoizes by spec hash.
+    Costs about 0.45 ms per point (explore-analytic ``p50_ms`` at the
+    benchmark's nominal machine speed); the planner memoizes by spec hash.
     """
     result = analytic_run(spec, workload, cfg=cfg, **run_kwargs)
     return {
@@ -647,7 +645,7 @@ def _estimate_kernel(
     kp,
     active_gpus: int,
     net_stats: _NetStats,
-    energy_matrix: Optional[TrafficMatrix],
+    energy_loads: Optional[Dict],
     request_matrix: Optional[TrafficMatrix],
     cache_out: _CacheTally,
 ) -> float:
@@ -732,11 +730,7 @@ def _estimate_kernel(
         cache_out.l2_hits += l1_misses - min(mem_reads, l1_misses)
         cache_out.memory_requests += mem_reads + writes + atomics
 
-    loads = (
-        model.flow_router.channel_loads(kernel_matrix)
-        if kernel_matrix is not None and len(kernel_matrix)
-        else {}
-    )
+    loads = model.flow_router.channel_loads(kernel_matrix) if kernel_matrix else {}
     total_pkts = 2.0 * kernel_matrix.total_requests if kernel_matrix else 0.0
     total_bytes = (
         kernel_matrix.total_request_bytes + kernel_matrix.total_response_bytes
@@ -744,6 +738,8 @@ def _estimate_kernel(
         else 0.0
     )
     mean_packet_bytes = total_bytes / total_pkts if total_pkts else 0.0
+    if energy_loads is not None:
+        _add_loads(energy_loads, loads)
 
     bw_bound = _net_bandwidth_bound_ps(loads)
     for res in resources.values():
@@ -814,8 +810,6 @@ def _estimate_kernel(
             continue
         for route, count, _ in info["classes"]:
             net_stats.account(route, count, hop_wait)
-            if energy_matrix is not None:
-                _add_flows(energy_matrix, route, count)
             if request_matrix is not None:
                 # Fig. 10 scope: router-destined request packets only,
                 # matching the packet engine's measured traffic matrix.
@@ -829,7 +823,7 @@ def _estimate_host(
     model: _CapacityModel,
     profile: WorkloadProfile,
     net_stats: _NetStats,
-    energy_matrix: Optional[TrafficMatrix],
+    energy_loads: Optional[Dict],
 ) -> float:
     """Total host-step time: a latency-bound memory client with bounded
     MLP, uncontended (host steps run between kernels)."""
@@ -839,6 +833,7 @@ def _estimate_host(
     fractions = model.host_fractions()
     line = cfg.cpu.line_bytes
     mlp = cfg.cpu.max_outstanding
+    host_matrix = TrafficMatrix(model.topo.num_routers) if model.topo else None
 
     def mem_latency(kind: AccessType, size: int, count_scale: float) -> float:
         lat = 0.0
@@ -847,8 +842,8 @@ def _estimate_host(
             lat += frac * route.latency_ps({}, 0.0)
             if count_scale:
                 net_stats.account(route, count_scale * frac, 0.0)
-                if energy_matrix is not None:
-                    _add_flows(energy_matrix, route, count_scale * frac)
+                if host_matrix is not None:
+                    _add_flows(host_matrix, route, count_scale * frac)
         return lat
 
     total = 0.0
@@ -875,22 +870,16 @@ def _estimate_host(
             + step.atomics * atomic_lat
         )
         total += step.compute_ps + service / mlp
+    if host_matrix:  # an empty matrix is falsy
+        _add_loads(energy_loads, model.flow_router.channel_loads(host_matrix))
     return total
 
 
 def _network_energy(
-    model: _CapacityModel,
-    matrix: Optional[TrafficMatrix],
-    window_ps: int,
-    coefficient: float,
+    model: _CapacityModel, loads: Dict, window_ps: int, coefficient: float
 ) -> EnergyBreakdown:
     """Fig. 17 energy of the network's channels from predicted per-channel
     byte loads, scaled by the calibration coefficient."""
-    loads = (
-        model.flow_router.channel_loads(matrix)
-        if matrix is not None and len(matrix)
-        else {}
-    )
     raw = network_energy(
         ((ch, loads.get(ch, 0.0)) for ch in model.topo.all_channels()),
         window_ps,

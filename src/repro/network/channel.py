@@ -44,7 +44,7 @@ class Channel:
         name: str,
         src: object,
         dst: object,
-        gbps: float = 20.0,
+        gbps: float,
         width: int = 1,
     ) -> None:
         self.name = name
@@ -62,6 +62,11 @@ class Channel:
     @property
     def effective_gbps(self) -> float:
         return self.gbps * self.width
+
+    @property
+    def bytes_per_ps(self) -> float:
+        """Bandwidth in bytes/ps (``effective_gbps`` converted once)."""
+        return self._bytes_per_ps
 
     def serialization_ps(self, num_bytes: int) -> int:
         if num_bytes <= 0:

@@ -67,7 +67,8 @@ class Topology:
         num_routers: int,
         cluster_of: Optional[Sequence[int]] = None,
         slice_of: Optional[Sequence[int]] = None,
-        channel_gbps: float = 20.0,
+        *,
+        channel_gbps: float,
     ) -> None:
         if num_routers < 1:
             raise TopologyError("topology needs at least one router", topology=name)

@@ -220,14 +220,18 @@ class FlowRouter:
 
     def channel_loads(self, matrix: TrafficMatrix) -> Dict[Channel, float]:
         """Bytes offered to every channel (topology links plus terminal
-        inject/eject channels) by routing ``matrix`` minimally."""
+        inject/eject channels) by routing ``matrix`` minimally.  Linear in
+        the matrix: the loads of a sum of matrices are the sum of their
+        loads, up to float rounding."""
         loads: Dict[Channel, float] = {}
-        for flow in matrix.flows():
-            request, response = self.flow_unit_loads(flow.src, flow.dst)
-            if flow.request_bytes:
+        get = loads.get
+        memo = self._unit_memo
+        for key, (_, request_bytes, response_bytes) in matrix._flows.items():
+            request, response = memo.get(key) or self.flow_unit_loads(*key)
+            if request_bytes:
                 for ch, frac in request.items():
-                    loads[ch] = loads.get(ch, 0.0) + flow.request_bytes * frac
-            if flow.response_bytes:
+                    loads[ch] = get(ch, 0.0) + request_bytes * frac
+            if response_bytes:
                 for ch, frac in response.items():
-                    loads[ch] = loads.get(ch, 0.0) + flow.response_bytes * frac
+                    loads[ch] = get(ch, 0.0) + response_bytes * frac
         return loads

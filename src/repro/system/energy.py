@@ -14,7 +14,6 @@ from typing import Iterable, Tuple
 
 from ..config import EnergyConfig
 from ..network.channel import Channel
-from ..units import bytes_per_ps
 
 
 @dataclass(frozen=True)
@@ -49,6 +48,6 @@ def network_energy(
     for ch, num_bytes in carried:
         active_bits = num_bytes * 8
         active += active_bits * cfg.active_pj_per_bit
-        capacity_bits = bytes_per_ps(ch.effective_gbps) * elapsed_ps * 8
+        capacity_bits = ch.bytes_per_ps * elapsed_ps * 8
         idle += max(0.0, capacity_bits - active_bits) * cfg.idle_pj_per_bit
     return EnergyBreakdown(active_pj=active, idle_pj=idle)

@@ -15,7 +15,7 @@ class TestSerialization:
         assert ch.serialization_ps(16) == pytest.approx(745, abs=60)
 
     def test_zero_bytes_is_free(self):
-        ch = Channel("c", 0, 1)
+        ch = Channel("c", 0, 1, gbps=20.0)
         assert ch.serialization_ps(0) == 0
 
     def test_minimum_one_picosecond(self):
@@ -60,7 +60,7 @@ class TestContention:
         assert ch.queue_delay_ps(ch.busy_until + 5) == 0
 
     def test_stats_accumulate(self):
-        ch = Channel("c", 0, 1)
+        ch = Channel("c", 0, 1, gbps=20.0)
         ch.transmit(100, 0)
         ch.transmit(200, 0)
         assert ch.stats.packets == 2
@@ -79,7 +79,7 @@ def _energy(ch, elapsed_ps):
 
 class TestEnergy:
     def test_active_energy(self):
-        ch = Channel("c", 0, 1)
+        ch = Channel("c", 0, 1, gbps=20.0)
         ch.transmit(1000, 0)
         assert _energy(ch, 1_000_000).active_pj == 1000 * 8 * 2.0
 

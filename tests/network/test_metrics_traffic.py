@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import SystemConfig
+from repro.config import NetworkConfig, SystemConfig
 from repro.errors import ConfigError, TopologyError
 from repro.network.metrics import bisection_bandwidth_gbps, topology_metrics
 from repro.network.topologies import build_topology
@@ -62,7 +62,13 @@ class TestTopologyMetrics:
         assert _gbps4("dfbfly") == pytest.approx(_gbps4("sfbfly"))
 
     def test_single_cluster_rejected(self):
-        topo = Topology("one", 4, cluster_of=[0] * 4, slice_of=list(range(4)))
+        topo = Topology(
+            "one",
+            4,
+            cluster_of=[0] * 4,
+            slice_of=list(range(4)),
+            channel_gbps=NetworkConfig().channel_gbps,
+        )
         with pytest.raises(TopologyError):
             bisection_bandwidth_gbps(topo)
 

@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro.config import NetworkConfig
 from repro.errors import RoutingError, TopologyError
 from repro.network.topology import Topology
 
+GBPS = NetworkConfig().channel_gbps
+
 
 def line_topology(n: int) -> Topology:
-    topo = Topology("line", n)
+    topo = Topology("line", n, channel_gbps=GBPS)
     for i in range(n - 1):
         topo.add_link(i, i + 1)
     return topo
@@ -15,24 +18,24 @@ def line_topology(n: int) -> Topology:
 
 class TestConstruction:
     def test_add_link_creates_two_directed_channels(self):
-        topo = Topology("t", 2)
+        topo = Topology("t", 2, channel_gbps=GBPS)
         topo.add_link(0, 1)
         assert len(topo.channels) == 2
         assert topo.count_network_links() == 1
 
     def test_self_link_rejected(self):
-        topo = Topology("t", 2)
+        topo = Topology("t", 2, channel_gbps=GBPS)
         with pytest.raises(TopologyError):
             topo.add_link(1, 1)
 
     def test_out_of_range_router_rejected(self):
-        topo = Topology("t", 2)
+        topo = Topology("t", 2, channel_gbps=GBPS)
         with pytest.raises(TopologyError):
             topo.add_link(0, 2)
 
     def test_zero_routers_rejected(self):
         with pytest.raises(TopologyError):
-            Topology("t", 0)
+            Topology("t", 0, channel_gbps=GBPS)
 
     def test_has_link(self):
         topo = line_topology(3)
@@ -42,7 +45,7 @@ class TestConstruction:
 
     def test_label_length_mismatch_rejected(self):
         with pytest.raises(TopologyError):
-            Topology("t", 3, cluster_of=[0, 1])
+            Topology("t", 3, cluster_of=[0, 1], channel_gbps=GBPS)
 
 
 class TestRoutingTables:
@@ -58,21 +61,21 @@ class TestRoutingTables:
         assert [nbr for nbr, _ in hops] == [2]
 
     def test_multiple_minimal_next_hops_on_a_cycle(self):
-        topo = Topology("square", 4)
+        topo = Topology("square", 4, channel_gbps=GBPS)
         for a, b in [(0, 1), (1, 2), (2, 3), (3, 0)]:
             topo.add_link(a, b)
         hops = topo.minimal_next_hops(0, 2)
         assert sorted(nbr for nbr, _ in hops) == [1, 3]
 
     def test_unreachable_raises(self):
-        topo = Topology("disconnected", 3)
+        topo = Topology("disconnected", 3, channel_gbps=GBPS)
         topo.add_link(0, 1)
         assert not topo.reachable(0, 2)
         with pytest.raises(RoutingError):
             topo.minimal_next_hops(0, 2)
 
     def test_tables_rebuilt_after_adding_links(self):
-        topo = Topology("t", 3)
+        topo = Topology("t", 3, channel_gbps=GBPS)
         topo.add_link(0, 1)
         assert not topo.reachable(0, 2)
         topo.add_link(1, 2)

@@ -6,13 +6,16 @@ every fraction is checkable on paper.
 
 import pytest
 
+from repro.config import NetworkConfig
 from repro.network.topology import Topology
 from repro.network.trafficmatrix import FlowRouter, TrafficMatrix
+
+GBPS = NetworkConfig().channel_gbps
 
 
 def line4() -> Topology:
     """Routers 0-1-2-3 in a line: every minimal path is unique."""
-    topo = Topology("line4", 4)
+    topo = Topology("line4", 4, channel_gbps=GBPS)
     for a in (0, 1, 2):
         topo.add_link(a, a + 1)
     topo.attach_terminal("gpu0", 0)
@@ -22,7 +25,7 @@ def line4() -> Topology:
 
 def square() -> Topology:
     """Routers on a 4-cycle: opposite corners have two minimal paths."""
-    topo = Topology("square", 4)
+    topo = Topology("square", 4, channel_gbps=GBPS)
     for a, b in ((0, 1), (1, 2), (2, 3), (3, 0)):
         topo.add_link(a, b)
     topo.attach_terminal("gpu0", 0)

@@ -69,14 +69,14 @@ class TestEnergyModel:
         assert e.idle_pj > 0
 
     def test_active_energy_proportional_to_bytes(self):
-        ch = Channel("c", 0, 1)
+        ch = Channel("c", 0, 1, gbps=20.0)
         ch.transmit(1000, 0)
         e = network_energy(_carried([ch]), elapsed_ps=1_000_000, cfg=EnergyConfig())
         assert e.active_pj == 1000 * 8 * 2.0
 
     def test_more_channels_more_idle_energy(self):
-        chans2 = [Channel(f"c{i}", 0, 1) for i in range(2)]
-        chans4 = [Channel(f"c{i}", 0, 1) for i in range(4)]
+        chans2 = [Channel(f"c{i}", 0, 1, gbps=20.0) for i in range(2)]
+        chans4 = [Channel(f"c{i}", 0, 1, gbps=20.0) for i in range(4)]
         e2 = network_energy(_carried(chans2), 10**6)
         e4 = network_energy(_carried(chans4), 10**6)
         assert e4.idle_pj == pytest.approx(2 * e2.idle_pj)
@@ -84,7 +84,7 @@ class TestEnergyModel:
     def test_shorter_runtime_lower_energy(self):
         # Fig. 17's core trade-off: same traffic, shorter window -> less
         # idle energy.
-        ch = Channel("c", 0, 1)
+        ch = Channel("c", 0, 1, gbps=20.0)
         ch.transmit(1000, 0)
         slow = network_energy(_carried([ch]), 10**7)
         fast = network_energy(_carried([ch]), 10**6)
