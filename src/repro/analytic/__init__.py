@@ -28,7 +28,6 @@ from .calibrate import (
     calibration_key,
     fit_coefficients,
     load_calibration,
-    reset_calibration_cache,
 )
 from .model import analytic_cost, analytic_run, profile_for
 from .profile import WorkloadProfile, profile_workload
@@ -44,7 +43,6 @@ __all__ = [
     "fit_coefficients",
     "load_calibration",
     "profile_for",
-    "reset_calibration_cache",
     "WorkloadProfile",
     "profile_workload",
 ]

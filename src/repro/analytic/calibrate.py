@@ -147,9 +147,13 @@ class Calibration:
         )
 
     def save(self, path: str = DEFAULT_PATH) -> None:
-        with open(path, "w") as handle:
+        # By rename: a reader never sees a torn file, and the new inode
+        # changes the stamp load_calibration's process cache checks.
+        tmp = f"{path}.{os.getpid()}.tmp"
+        with open(tmp, "w") as handle:
             json.dump(self.to_dict(), handle, indent=2, sort_keys=False)
             handle.write("\n")
+        os.replace(tmp, path)
 
     def stale_keys(self, refit: "Calibration") -> Dict[str, float]:
         """Keys whose refit coefficients drifted beyond :data:`STALE_DRIFT`."""
@@ -161,47 +165,53 @@ class Calibration:
         return stale
 
 
-_cached: Optional[Calibration] = None
-_cached_path: Optional[str] = None
+#: ``(path, stamp, artifact, digest)`` of the last read of the default
+#: artifact; ``stamp`` is the file's ``(st_ino, st_size, st_mtime_ns)``.
+#: Coefficients and digest come from one read, so a result is always
+#: keyed under the digest of the coefficients that computed it.
+_current: Optional[Tuple[str, Any, Calibration, str]] = None
 
 
 def load_calibration(path: Optional[str] = None) -> Calibration:
     """Load the calibration artifact (the committed one by default,
-    cached process-wide; a missing file yields identity coefficients)."""
-    global _cached, _cached_path
-    if path is None:
-        if _cached is None or _cached_path != DEFAULT_PATH:
-            _cached = _load(DEFAULT_PATH)
-            _cached_path = DEFAULT_PATH
-        return _cached
-    return _load(path)
-
-
-def reset_calibration_cache() -> None:
-    """Drop the process-wide artifact cache (after rewriting the file)."""
-    global _cached, _cached_path
-    _cached = None
-    _cached_path = None
+    cached process-wide until the file changes; a missing file yields
+    identity coefficients)."""
+    return _read(path)[0] if path is not None else _default()[2]
 
 
 def calibration_digest(path: Optional[str] = None) -> str:
     """Short content digest of the calibration artifact (``"missing"``
     when absent).  Part of every analytic job's cache identity: refitting
     the artifact must invalidate cached analytic rows, which the code
-    digest alone cannot see."""
-    try:
-        with open(path or DEFAULT_PATH, "rb") as handle:
-            return hashlib.sha256(handle.read()).hexdigest()[:16]
-    except OSError:
-        return "missing"
+    digest alone cannot see.  The default artifact's digest is the one
+    :func:`load_calibration` read its coefficients with."""
+    return _read(path)[1] if path is not None else _default()[3]
 
 
-def _load(path: str) -> Calibration:
+def _default() -> Tuple[str, Any, Calibration, str]:
+    """The default artifact, read again whenever its stamp changes."""
+    global _current
+    path = DEFAULT_PATH
     try:
-        with open(path) as handle:
-            return Calibration.from_dict(json.load(handle))
+        st = os.stat(path)
+        stamp = (st.st_ino, st.st_size, st.st_mtime_ns)
     except FileNotFoundError:
-        return Calibration()
+        stamp = None
+    if _current is None or _current[:2] != (path, stamp):
+        # Stamped before the read: a rewrite in between is read again.
+        _current = (path, stamp, *_read(path))
+    return _current
+
+
+def _read(path: str) -> Tuple[Calibration, str]:
+    """The artifact at ``path`` and the digest of the same bytes."""
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except FileNotFoundError:
+        return Calibration(), "missing"
+    digest = hashlib.sha256(data).hexdigest()[:16]
+    return Calibration.from_dict(json.loads(data)), digest
 
 
 def _geomean(ratios: List[float]) -> float:

@@ -40,6 +40,7 @@ import json
 import os
 import pickle
 import tempfile
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional
@@ -121,9 +122,16 @@ def job_fingerprint(job: SweepJob) -> Dict[str, Any]:
 
 
 def job_key(job: SweepJob) -> str:
-    """Stable content hash of a job's identity."""
-    payload = json.dumps(job_fingerprint(job), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
+    """Stable content hash of a job's identity, computed once per job
+    object: the first call stores it on the (frozen, unslotted) job, so
+    a served request's handler, dispatcher and cache share one hash.  A
+    job rebuilt by ``dataclasses.replace`` is hashed again."""
+    key = job.__dict__.get("_key")
+    if key is None:
+        payload = json.dumps(job_fingerprint(job), sort_keys=True, separators=(",", ":"))
+        key = hashlib.sha256(payload.encode()).hexdigest()
+        object.__setattr__(job, "_key", key)
+    return key
 
 
 @dataclass
@@ -197,6 +205,12 @@ class ResultCache:
         # re-inserts the key it touched (move-to-end), so iteration
         # starts at the coldest entry.
         self._mem: Dict[str, bytes] = {}
+        #: ``sum(len(p) for p in _mem.values())``, kept up to date so the
+        #: size cap costs O(1) per get and put.  A daemon's handler and
+        #: dispatcher threads share the cache, so every change to the map
+        #: and the total happens under one lock.
+        self._mem_bytes = 0
+        self._mem_lock = threading.Lock()
         self._pinned: Dict[str, int] = {}
         self.stats = CacheStats()
 
@@ -250,16 +264,14 @@ class ResultCache:
                 # An unreadable/corrupt/truncated entry is a miss, not a
                 # crash: drop it everywhere and let the sweep recompute.
                 self._tally(corrupt=1)
-                self._mem.pop(key, None)
+                self._forget(key)
                 if self.path is not None:
                     try:
                         (self.path / f"{key}.pkl").unlink()
                     except OSError:
                         pass
             else:
-                # Move-to-end: iteration order over _mem is LRU order.
-                self._mem.pop(key, None)
-                self._mem[key] = payload
+                self._remember(key, payload)
                 if self.path is not None:
                     try:
                         # A hit refreshes the file's mtime, so disk LRU
@@ -276,8 +288,7 @@ class ResultCache:
     def put(self, job: SweepJob, result: RunResult) -> None:
         key = job_key(job)
         payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        self._mem.pop(key, None)
-        self._mem[key] = payload
+        self._remember(key, payload)
         self._tally(stores=1)
         if self.path is not None:
             # Atomic write: a crashed/concurrent run never leaves a torn file.
@@ -294,6 +305,19 @@ class ResultCache:
                 raise
         self._evict()
 
+    def _remember(self, key: str, payload: bytes) -> None:
+        # Move-to-end: iteration order over _mem is LRU order.
+        with self._mem_lock:
+            old = self._mem.pop(key, None)
+            self._mem[key] = payload
+            self._mem_bytes += len(payload) - (0 if old is None else len(old))
+
+    def _forget(self, key: str) -> None:
+        with self._mem_lock:
+            payload = self._mem.pop(key, None)
+            if payload is not None:
+                self._mem_bytes -= len(payload)
+
     # -- size-cap eviction ----------------------------------------------
     def _evict(self) -> None:
         """Drop LRU entries until both footprints fit ``max_bytes``.
@@ -306,14 +330,13 @@ class ResultCache:
         if self.max_bytes is None:
             return
         evicted = 0
-        mem_bytes = sum(len(p) for p in self._mem.values())
-        if mem_bytes > self.max_bytes:
+        if self._mem_bytes > self.max_bytes:
             for key in list(self._mem):  # coldest first (insertion order)
-                if mem_bytes <= self.max_bytes:
+                if self._mem_bytes <= self.max_bytes:
                     break
                 if key in self._pinned:
                     continue
-                mem_bytes -= len(self._mem.pop(key))
+                self._forget(key)
                 # Dropping the in-memory copy of a disk-backed entry is
                 # not a loss, so it only counts as an eviction when the
                 # payload existed nowhere else.
@@ -342,13 +365,15 @@ class ResultCache:
                     except OSError:
                         continue
                     total -= size
-                    self._mem.pop(key, None)
+                    self._forget(key)
                     evicted += 1
         if evicted:
             self._tally(evicted=evicted)
 
     def clear(self) -> None:
-        self._mem.clear()
+        with self._mem_lock:
+            self._mem.clear()
+            self._mem_bytes = 0
         if self.path is not None:
             for file in self.path.glob("*.pkl"):
                 file.unlink()

@@ -268,11 +268,15 @@ def _worker_initializer() -> None:
     """
     import signal
 
-    # The serving daemon maps SIGTERM to KeyboardInterrupt so `kill`
-    # takes the clean-shutdown path; a forked worker inherits that
-    # handler and would die with a spurious traceback when the pool is
-    # terminated.  A worker has no shutdown of its own — default kill.
+    # The serving daemon maps SIGTERM and SIGINT to KeyboardInterrupt so
+    # `kill` and Ctrl-C take the clean-shutdown path; a forked worker
+    # inherits that handler and would die with a spurious traceback when
+    # the pool is terminated.  A worker has no shutdown of its own —
+    # default kill — and ignores SIGINT: Ctrl-C at a terminal signals the
+    # whole process group, and the parent's shutdown decides whether a
+    # running job drains into the cache or is killed.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
     from ..network import topologies  # noqa: F401
     from ..system import builder, run  # noqa: F401

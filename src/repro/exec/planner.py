@@ -6,7 +6,7 @@ lands last: FIFO submission of (say) eight jobs on two workers can leave
 one worker idle while the other grinds the sweep's slowest point that
 happened to be declared last.  Submitting cache misses in
 longest-predicted-first (LPT) order is the classic fix — and this repo
-already owns a ~2 ms cost oracle, the analytic fidelity tier (PR 7).
+already owns a ~0.45 ms cost oracle, the analytic fidelity tier.
 
 Three cooperating pieces:
 

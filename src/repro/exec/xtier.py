@@ -45,7 +45,6 @@ from ..analytic import (
     fit_coefficients,
     load_calibration,
     profile_for,
-    reset_calibration_cache,
 )
 from ..analytic import calibrate
 from ..config import SystemConfig
@@ -292,9 +291,9 @@ def recalibrate(
     executor = executor or SweepExecutor()
     artifact = refit(scale, executor)
     # Two-phase write: the analytic figure runs below must already see
-    # the fresh coefficients (they load the artifact by path).
+    # the fresh coefficients (the process cache follows the rewritten
+    # file).
     artifact.save(path)
-    reset_calibration_cache()
     report: Dict[str, Any] = {"mode": "recalibrate", "figures": {}, "stale": {}}
     for figure in figures:
         reference = run_figure_rows(figure, scale, "packet", executor)
@@ -310,7 +309,6 @@ def recalibrate(
         }
     artifact.meta["figures"] = list(figures)
     artifact.save(path)
-    reset_calibration_cache()
     report["artifact"] = path
     report["ok"] = True
     return report

@@ -16,7 +16,7 @@ from .flitnet import FlitNetwork
 from .metrics import TopologyMetrics, bisection_bandwidth_gbps, topology_metrics
 from .network import MemoryNetwork, NetworkStats
 from .traffic import PATTERNS, get_pattern
-from .trafficmatrix import Flow, FlowRouter, TrafficMatrix
+from .trafficmatrix import FlowRouter, TrafficMatrix
 from .packet import (
     MessageClass,
     Packet,
@@ -39,7 +39,6 @@ __all__ = [
     "NetworkStats",
     "PATTERNS",
     "get_pattern",
-    "Flow",
     "FlowRouter",
     "TrafficMatrix",
     "MessageClass",

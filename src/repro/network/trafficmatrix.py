@@ -22,7 +22,6 @@ M/D/1 channel estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple, Union
 
 from .channel import Channel
@@ -31,17 +30,6 @@ from .topology import Topology
 #: A flow destination: an HMC router id (memory request) or a terminal
 #: name (forwarded transfer / response sink).
 Destination = Union[int, str]
-
-
-@dataclass(frozen=True)
-class Flow:
-    """Aggregate traffic from one source terminal to one destination."""
-
-    src: str
-    dst: Destination
-    requests: float
-    request_bytes: float
-    response_bytes: float
 
 
 class TrafficMatrix:
@@ -72,15 +60,6 @@ class TrafficMatrix:
             cell[1] += request_bytes
             cell[2] += response_bytes
 
-    def flows(self) -> List[Flow]:
-        """All flows, deterministically ordered."""
-        return [
-            Flow(src, dst, *cell)
-            for (src, dst), cell in sorted(
-                self._flows.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))
-            )
-        ]
-
     def __len__(self) -> int:
         return len(self._flows)
 
@@ -96,13 +75,6 @@ class TrafficMatrix:
     @property
     def total_response_bytes(self) -> float:
         return sum(cell[2] for cell in self._flows.values())
-
-    def scaled(self, factor: float) -> "TrafficMatrix":
-        """A copy with every flow scaled by ``factor``."""
-        out = TrafficMatrix(self.num_routers)
-        for (src, dst), cell in self._flows.items():
-            out.add(src, dst, cell[0] * factor, cell[1] * factor, cell[2] * factor)
-        return out
 
     def bytes_matrix(self, terminals: Iterable[str]) -> List[List[int]]:
         """Request bytes from each terminal to each router, in the Fig. 10

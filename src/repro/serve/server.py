@@ -575,11 +575,14 @@ def serve_command(args: Any) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    # SIGTERM (the polite `kill`) takes the same clean path as Ctrl-C.
+    # SIGTERM (the polite `kill`) and SIGINT take the same clean path.
+    # SIGINT needs a handler of its own: a daemon started with `&` from a
+    # script inherits it as ignored, and then never sees KeyboardInterrupt.
     def _terminate(signum, frame):  # pragma: no cover - signal timing
         raise KeyboardInterrupt
 
-    previous = signal.signal(signal.SIGTERM, _terminate)
+    signums = (signal.SIGTERM, signal.SIGINT)
+    previous = {signum: signal.signal(signum, _terminate) for signum in signums}
     cap = f"{max_mb:g} MB cap" if max_mb else "no size cap"
     store = cache_dir or "memory-only"
     print(
@@ -594,7 +597,8 @@ def serve_command(args: Any) -> int:
         print("\nrepro serve: shutting down", file=sys.stderr)
     finally:
         server.stop()
-        signal.signal(signal.SIGTERM, previous)
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
     return 0
 
 

@@ -104,8 +104,17 @@ def _frozen(value: Any) -> Any:
 # ---------------------------------------------------------------------------
 # Generic dataclass <-> plain-dict codec
 # ---------------------------------------------------------------------------
+#: Exact types ``_encode`` returns as they are.  Tested before the
+#: dataclass and enum probes, which cost far more than these leaves
+#: (most of a spec); subclasses such as ``IntEnum`` members miss the set
+#: and take the full path.
+_SCALARS = frozenset({type(None), bool, int, float, str})
+
+
 def _encode(value: Any) -> Any:
     """Reduce a value to JSON-serializable primitives, deterministically."""
+    if type(value) in _SCALARS:
+        return value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return _encode_dataclass(value)
     if isinstance(value, enum.Enum):

@@ -108,16 +108,17 @@ def test_loads_of_a_union_are_the_summed_loads(name, include_cpu, a, b):
 # analytic_run against a reference that routes one union energy matrix
 # ---------------------------------------------------------------------------
 def flow_by_flow_loads(router: FlowRouter, matrix: TrafficMatrix):
-    """Channel loads routed one :class:`Flow` at a time, in sorted order."""
+    """Channel loads routed one flow at a time, in sorted cell order."""
     loads = {}
-    for flow in matrix.flows():
-        request, response = router.flow_unit_loads(flow.src, flow.dst)
-        if flow.request_bytes:
+    cells = sorted(matrix._flows.items(), key=lambda kv: (kv[0][0], str(kv[0][1])))
+    for (src, dst), (_, request_bytes, response_bytes) in cells:
+        request, response = router.flow_unit_loads(src, dst)
+        if request_bytes:
             for ch, frac in request.items():
-                loads[ch] = loads.get(ch, 0.0) + flow.request_bytes * frac
-        if flow.response_bytes:
+                loads[ch] = loads.get(ch, 0.0) + request_bytes * frac
+        if response_bytes:
             for ch, frac in response.items():
-                loads[ch] = loads.get(ch, 0.0) + flow.response_bytes * frac
+                loads[ch] = loads.get(ch, 0.0) + response_bytes * frac
     return loads
 
 

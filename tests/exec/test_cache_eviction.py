@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import os
 import pickle
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exec import SweepJob, WorkloadRef
 from repro.exec.cache import (
@@ -197,3 +200,49 @@ def test_eviction_counts_in_stats():
     cache.put(_job(1), _result(1))
     assert cache.stats.evicted == 1
     assert "evicted by the size cap" in cache.stats.as_note()
+
+
+# ---------------------------------------------------------------------------
+# The running byte total
+# ---------------------------------------------------------------------------
+def _corrupt(cache: ResultCache, job: SweepJob) -> None:
+    """Overwrite ``job``'s entry with garbage of the same length, in
+    memory and on disk, and read it back: the get drops it as corrupt."""
+    key = job_key(job)
+    if key in cache._mem:
+        cache._mem[key] = b"\0" * len(cache._mem[key])
+    file = cache.path / f"{key}.pkl" if cache.path is not None else None
+    if file is not None and file.exists():
+        file.write_bytes(b"\0" * file.stat().st_size)
+    assert cache.get(job) is None
+
+
+OPS = st.lists(
+    st.tuples(st.sampled_from(["put", "get", "corrupt", "clear"]), st.integers(0, 2)),
+    max_size=30,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=OPS, on_disk=st.booleans(), cap=st.sampled_from([None, 1.5, 2.5, 4.5]))
+def test_running_total_matches_memory_payloads(ops, on_disk, cap):
+    """Whatever mix of puts, hits, misses, corrupt drops, evictions and
+    clears runs, the cache's running total is the sum of the in-memory
+    payload sizes that the size cap compares against."""
+    jobs = [_job(i) for i in range(3)]
+    # Results of different pickled sizes, so a miscounted entry shows.
+    results = [RunResult(workload="KMN", arch="GMN", total_ps=7 ** (9 * i)) for i in range(3)]
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = ResultCache(tmp if on_disk else None, max_mb=cap and _cap_for(cap))
+        for op, i in ops:
+            if op == "put":
+                cache.put(jobs[i], results[i])
+            elif op == "get":
+                cache.get(jobs[i])
+            elif op == "corrupt":
+                _corrupt(cache, jobs[i])
+            else:
+                cache.clear()
+            assert cache._mem_bytes == sum(len(p) for p in cache._mem.values())
+            if cap is not None:
+                assert cache._mem_bytes <= cache.max_bytes

@@ -43,34 +43,22 @@ class TestTrafficMatrix:
         assert matrix.total_request_bytes == 240.0
         assert matrix.total_response_bytes == 240.0
 
-    def test_flows_deterministically_ordered(self):
+    def test_cells_keyed_by_source_and_destination(self):
         matrix = TrafficMatrix(4)
         matrix.add("b", 1)
-        matrix.add("a", "z")
-        matrix.add("a", 0)
-        assert [(f.src, f.dst) for f in matrix.flows()] == [
-            ("a", 0),
-            ("a", "z"),
-            ("b", 1),
-        ]
+        matrix.add("a", "z", request_bytes=144.0)
+        matrix.add("a", 0, requests=2.0, request_bytes=32.0, response_bytes=80.0)
+        matrix.add("a", 0, response_bytes=80.0)
+        assert matrix._flows == {
+            ("b", 1): [1.0, 0.0, 0.0],
+            ("a", "z"): [1.0, 144.0, 0.0],
+            ("a", 0): [3.0, 32.0, 160.0],
+        }
 
     def test_destination_router_bounds(self):
         matrix = TrafficMatrix(2)
         with pytest.raises(ValueError):
             matrix.add("gpu0", 2)
-
-    def test_scaled(self):
-        matrix = TrafficMatrix(4)
-        matrix.add("gpu0", 1, requests=2.0, request_bytes=32.0, response_bytes=16.0)
-        half = matrix.scaled(0.5)
-        flow = half.flows()[0]
-        assert (flow.requests, flow.request_bytes, flow.response_bytes) == (
-            1.0,
-            16.0,
-            8.0,
-        )
-        # The original is untouched.
-        assert matrix.total_requests == 2.0
 
     def test_bytes_matrix_router_destined_only(self):
         matrix = TrafficMatrix(3)
@@ -151,7 +139,9 @@ class TestFlowRouterSquare:
         matrix = TrafficMatrix(4)
         matrix.add("gpu0", 2, requests=1.0, request_bytes=100.0)
         loads = router.channel_loads(matrix)
-        doubled = router.channel_loads(matrix.scaled(2.0))
+        double = TrafficMatrix(4)
+        double.add("gpu0", 2, requests=2.0, request_bytes=200.0)
+        doubled = router.channel_loads(double)
         assert doubled == pytest.approx(
             {ch: 2.0 * amount for ch, amount in loads.items()}
         )

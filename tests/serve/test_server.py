@@ -42,6 +42,13 @@ def _slow_spec(delay_s: float = 0.0, salt: int = 0):
     return job.system.to_dict()
 
 
+def _analytic_spec():
+    """One canonical spec dict for an analytic job (run inline)."""
+    cfg = tiny_system_config(num_gpus=2, num_sms=2).scaled(network_model="analytic")
+    job = SweepJob.make(get_spec("GMN"), WorkloadRef("BP", 0.1), cfg)
+    return job.system.to_dict()
+
+
 def _kill_spec(sentinel=None):
     """A job whose build kills its worker: once (with a sentinel path)
     or every time."""
@@ -160,6 +167,38 @@ def test_submit_computes_then_serves_from_cache(make_server):
     assert second_s < first_s / 2
     # Every pin taken at submit time has been released.
     assert len(server.cache.pinned()) == 0
+
+
+def test_each_submission_fingerprints_its_job_once(make_server, monkeypatch):
+    """The submit handler, the dispatcher's lookups and the cache's store
+    share one key per job: a fresh packet point, a fresh analytic point
+    and a cache hit each build the job's fingerprint exactly once."""
+    from repro.exec import cache as cache_module
+
+    calls = []
+    fingerprint = cache_module.job_fingerprint
+
+    def counting(job):
+        calls.append(job.label)
+        return fingerprint(job)
+
+    monkeypatch.setattr(cache_module, "job_fingerprint", counting)
+    server = make_server()
+    client = _client(server)
+    analytic = _analytic_spec()
+    for spec, state, source in (
+        (_slow_spec(salt=7), "queued", "run"),
+        (analytic, "queued", "analytic"),
+        (analytic, "cached", "cache"),
+    ):
+        calls.clear()
+        events = list(client.submit([spec], client="alice"))
+        assert events[0]["jobs"][0]["state"] == state
+        completed = next(e for e in events if e["event"] == "completed")
+        assert completed["source"] == source
+        assert events[-1]["event"] == "end"
+        assert len(calls) == 1, calls
+    assert server.cache.stats.stores == 2
 
 
 def test_dedup_one_computation_two_subscribers(make_server):

@@ -2,6 +2,7 @@
 round-trips, and the cache-key identity the exec layer relies on."""
 
 import dataclasses
+import enum
 import json
 import typing
 
@@ -21,6 +22,7 @@ from repro.system.configs import (
     EXTENSION_ARCHS,
     TABLE_III,
     ArchSpec,
+    Organization,
     TransferMode,
     get_spec,
 )
@@ -150,6 +152,36 @@ class TestErrorPaths:
         spec = SystemSpec.make("UMN", "bprop", callback=object())
         with pytest.raises(ConfigError, match="cannot serialize"):
             spec.to_dict()
+
+    @pytest.mark.parametrize("value", [object(), b"raw", (1, b"raw")])
+    def test_non_json_kwarg_rejected_in_either_place(self, value):
+        with pytest.raises(ConfigError, match="cannot serialize"):
+            spec_for(callback=value).to_dict()
+        ref = WorkloadRef("v", factory="m:f", kwargs=(("payload", value),))
+        with pytest.raises(ConfigError, match="cannot serialize"):
+            SystemSpec.make("UMN", ref).to_dict()
+
+    def test_enum_and_bool_values_encode_as_before(self):
+        class Level(enum.IntEnum):
+            HIGH = 2
+
+        class Count(int):
+            pass
+
+        spec = spec_for(
+            org=Organization.GMN, level=Level.HIGH, flag=True, n=Count(3),
+            nested=(TransferMode.ZERO_COPY, False, None),
+        )
+        encoded = spec.to_dict()["run_kwargs"]
+        assert encoded == {
+            "flag": True,
+            "level": 2,
+            "n": 3,
+            "nested": ["zero_copy", False, None],
+            "org": "gmn",
+        }
+        assert encoded["flag"] is True and encoded["nested"][1] is False
+        assert type(encoded["level"]) is int
 
     def test_bad_factory_string(self):
         with pytest.raises(ValueError, match="module:function"):
