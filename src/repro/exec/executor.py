@@ -394,7 +394,13 @@ class Dispatcher:
             # A worker died, or the pool was shut down under the job.
             self._lost(sub, pool)
             return
-        except Exception as exc:  # e.g. the job failed to pickle
+        except BaseException as exc:
+            if exc is not inner.exception():
+                raise  # an interrupt of this thread, not the job's
+            # The job's own exception, e.g. it failed to pickle or raised
+            # a BaseException (``SystemExit``) past execute_job's capture.
+            # Raised out of this callback, it would leave the submission
+            # unresolved.
             outcome = JobOutcome(failure=JobFailure.from_exception(sub.job, exc))
         else:
             if outcome.telemetry is not None:

@@ -16,12 +16,15 @@ point when the minimal one is congested (Section VI-B1 / Fig. 15).
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Dict, Optional, Tuple
 
 from ..errors import RoutingError
 from .channel import Channel
 from .packet import Packet
-from .topology import TerminalAttachment, Topology
+from .topology import UNREACHABLE, TerminalAttachment, Topology
+
+#: The cost of a candidate that cannot reach its destination at all.
+_UNREACHABLE_COST = 1 << 60
 
 
 class MinimalRouting:
@@ -55,9 +58,10 @@ class UGALRouting(MinimalRouting):
     """UGAL-style adaptive routing.
 
     At injection, every attachment is a candidate; the estimated delay of a
-    candidate is its injection-channel queue plus the remaining hop latency
-    for its network distance plus the queueing on the first network channel.
-    Per hop, the least-occupied minimal channel is chosen.
+    candidate is its injection channel's queue and serialization plus the
+    cost of the best minimal path from its router, which counts every
+    channel's queue.  Per hop, the minimal channel with the least queue
+    plus onward path cost is chosen.
     """
 
     name = "ugal"
@@ -72,6 +76,7 @@ class UGALRouting(MinimalRouting):
         dst_router: int,
         size_bytes: int,
         now_ps: int,
+        memo: Optional[Dict[int, int]] = None,
     ) -> int:
         """Estimated delay of the best minimal path from ``start`` to
         ``dst_router``, counting every channel's current queue.
@@ -80,64 +85,59 @@ class UGALRouting(MinimalRouting):
         on a later hop is visible from the injection point — that is what
         lets UGAL steer around a congested destination channel, the effect
         that pays off on imbalanced traffic like CG.S (Fig. 15).
+
+        ``memo`` maps routers to their cost toward ``dst_router``.  The
+        candidates of one decision share ``dst_router``, ``size_bytes`` and
+        ``now_ps``, so they pass one memo and each router is costed once.
         """
-        memo = {dst_router: 0}
-
-        def best(cur: int) -> int:
-            cached = memo.get(cur)
-            if cached is not None:
-                return cached
-            cost = min(
-                ch.queue_delay_ps(now_ps)
-                + ch.serialization_ps(size_bytes)
-                + self.hop_latency_ps
-                + best(nbr)
-                for nbr, ch in topo.minimal_next_hops(cur, dst_router)
-            )
-            memo[cur] = cost
+        if memo is None:
+            memo = {dst_router: 0}
+        cost = memo.get(start)
+        if cost is not None:
             return cost
-
-        # ``best`` holds itself through its closure cell; deleting it breaks
-        # that cycle, so refcounting frees it instead of the cyclic GC.
-        try:
-            return best(start)
-        finally:
-            del best
-
-    def _candidate_cost(
-        self,
-        topo: Topology,
-        att: TerminalAttachment,
-        dst_router: int,
-        size_bytes: int,
-        now_ps: int,
-    ) -> int:
-        if not topo.reachable(att.router, dst_router):
-            # e.g. sFBFLY: a non-matching-slice local HMC has no path to the
-            # destination (intra-cluster channels were removed).
-            return 1 << 60
-        cost = att.inject.queue_delay_ps(now_ps)
-        cost += att.inject.serialization_ps(size_bytes)
-        cost += self._path_cost(topo, att.router, dst_router, size_bytes, now_ps)
-        # Bias toward the minimal path: queue estimates are stale by the
-        # time the packet reaches the later hops, so a non-minimal route
-        # must promise more than its extra hops' worth of savings (the
-        # standard UGAL minimal-preference threshold).  Charging every
-        # hop, not just the extra ones, adds the same constant to every
-        # reachable candidate, so the choice is the same.
-        cost += topo.distance(att.router, dst_router) * self.hop_latency_ps
-        return cost
+        hop_ps = self.hop_latency_ps
+        for router, hops in topo.minimal_dag(start, dst_router):
+            if router in memo:
+                continue
+            best = -1
+            for nbr, ch in hops:
+                cost = (
+                    ch.wait_and_serialization_ps(now_ps, size_bytes)
+                    + hop_ps
+                    + memo[nbr]
+                )
+                if best < 0 or cost < best:
+                    best = cost
+            memo[router] = best
+        return memo[start]
 
     def select_injection(
         self, topo: Topology, packet: Packet, dst_router: int, now_ps: int
     ) -> TerminalAttachment:
-        return min(
-            topo.attachments(str(packet.src)),
-            key=lambda att: (
-                self._candidate_cost(topo, att, dst_router, packet.size_bytes, now_ps),
+        size = packet.size_bytes
+        dist = topo.dist
+        memo = {dst_router: 0}
+
+        def cost(att: TerminalAttachment) -> Tuple[int, int]:
+            d = dist[att.router][dst_router]
+            if d >= UNREACHABLE:
+                # e.g. sFBFLY: a non-matching-slice local HMC has no path to
+                # the destination (intra-cluster channels were removed).
+                return (_UNREACHABLE_COST, att.router)
+            # Bias toward the minimal path: queue estimates are stale by the
+            # time the packet reaches the later hops, so a non-minimal route
+            # must promise more than its extra hops' worth of savings (the
+            # standard UGAL minimal-preference threshold).  Charging every
+            # hop, not just the extra ones, adds the same constant to every
+            # reachable candidate, so the choice is the same.
+            return (
+                att.inject.wait_and_serialization_ps(now_ps, size)
+                + self._path_cost(topo, att.router, dst_router, size, now_ps, memo)
+                + d * self.hop_latency_ps,
                 att.router,
-            ),
-        )
+            )
+
+        return min(topo.attachments(str(packet.src)), key=cost)
 
     def select_ejection(
         self, topo: Topology, packet: Packet, cur_router: int, now_ps: int
@@ -145,28 +145,33 @@ class UGALRouting(MinimalRouting):
         """Responses also steer by load: any of the destination terminal's
         attachment routers is a valid exit, so pick the least-cost one
         instead of blindly taking the hop-count-minimal channel."""
-        atts = topo.attachments(str(packet.dst))
+        size = packet.size_bytes
+        row = topo.dist[cur_router]
 
-        def cost(att: TerminalAttachment):
-            if not topo.reachable(cur_router, att.router):
-                return (1 << 60, att.router)
+        def cost(att: TerminalAttachment) -> Tuple[int, int]:
+            if row[att.router] >= UNREACHABLE:
+                return (_UNREACHABLE_COST, att.router)
             return (
-                self._path_cost(topo, cur_router, att.router, packet.size_bytes, now_ps)
+                self._path_cost(topo, cur_router, att.router, size, now_ps)
                 + att.eject.queue_delay_ps(now_ps),
                 att.router,
             )
 
-        return min(atts, key=cost)
+        return min(topo.attachments(str(packet.dst)), key=cost)
 
     def next_hop(
         self, topo: Topology, packet: Packet, cur: int, dst: int, now_ps: int
     ) -> Tuple[int, Channel]:
         hops = topo.minimal_next_hops(cur, dst)
+        if len(hops) == 1:
+            return hops[0]
+        size = packet.size_bytes
+        memo = {dst: 0}
         return min(
             hops,
             key=lambda h: (
                 h[1].queue_delay_ps(now_ps)
-                + self._path_cost(topo, h[0], dst, packet.size_bytes, now_ps),
+                + self._path_cost(topo, h[0], dst, size, now_ps, memo),
                 h[0],
             ),
         )

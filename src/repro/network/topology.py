@@ -24,6 +24,10 @@ from .channel import Channel
 
 UNREACHABLE = 1 << 30
 
+#: One router of a minimal-path DAG with its minimal next hops toward the
+#: DAG's destination (see :meth:`Topology.minimal_dag`).
+MinimalDagStep = Tuple[int, List[Tuple[int, Channel]]]
+
 #: Warm store of all-pairs BFS distance tables, shared across Topology
 #: instances in this process.  A sweep rebuilds the same few topology
 #: shapes once per job; the distance table is a pure function of the
@@ -157,6 +161,7 @@ class Topology:
         """
         self._dist: Optional[List[List[int]]] = None
         self._next_hops: Optional[List[List[List[Tuple[int, Channel]]]]] = None
+        self._dags: Dict[Tuple[int, int], Tuple[MinimalDagStep, ...]] = {}
         self._att_index: Optional[Dict[Tuple[str, int], TerminalAttachment]] = None
         self._nearest: Dict[Tuple[str, int], TerminalAttachment] = {}
         self._dst_routers: Dict[Tuple[str, str], int] = {}
@@ -229,6 +234,39 @@ class Topology:
                 f"no route from router {cur} to {dst}", topology=self.name
             )
         return hops
+
+    def minimal_dag(self, start: int, dst: int) -> Tuple[MinimalDagStep, ...]:
+        """The minimal-path DAG from ``start`` to ``dst``: every router on
+        some minimal path except ``dst`` itself, each with its
+        :meth:`minimal_next_hops`, nearest ``dst`` first (``start`` last).
+
+        Walking it in order visits every router after all of its next
+        hops, so a cost toward ``dst`` is one pass with no recursion.
+        Empty when ``start == dst``; raises :class:`RoutingError` when
+        ``dst`` is unreachable from ``start``.
+        """
+        key = (start, dst)
+        dag = self._dags.get(key)
+        if dag is None:
+            seen = {start}
+            frontier = [start] if start != dst else []
+            steps: List[MinimalDagStep] = []
+            while frontier:
+                level = []
+                for router in frontier:
+                    hops = self.minimal_next_hops(router, dst)
+                    steps.append((router, hops))
+                    for nbr, _ in hops:
+                        if nbr != dst and nbr not in seen:
+                            seen.add(nbr)
+                            level.append(nbr)
+                frontier = level
+            # Every minimal hop lowers the distance to ``dst`` by one, so
+            # the BFS levels are the distance classes; reversing them puts
+            # each router after its next hops.
+            steps.reverse()
+            dag = self._dags[key] = tuple(steps)
+        return dag
 
     def reachable(self, a: int, b: int) -> bool:
         return self.dist[a][b] < UNREACHABLE

@@ -9,6 +9,7 @@ every path here is exercised end to end rather than with mocks.
 from __future__ import annotations
 
 import dataclasses
+import threading
 from concurrent.futures import Future
 
 import pytest
@@ -20,7 +21,9 @@ from repro.exec import (
     SweepJob,
     WorkloadRef,
     execute_job,
+    shutdown_pool,
 )
+from repro.exec import executor as executor_module
 from repro.exec.executor import Dispatcher
 from repro.system.configs import get_spec
 
@@ -164,6 +167,41 @@ def test_broken_pool_retries_are_bounded(tmp_path):
     with pytest.raises(SweepError, match="worker pool died") as excinfo:
         executor.map_outcomes(jobs)
     assert "kill-forever" in str(excinfo.value)
+
+
+class _JobAbort(BaseException):
+    """Not an ``Exception``: it escapes ``execute_job``'s capture, so the
+    pool hands it back raw, as it would a ``SystemExit`` in a job."""
+
+
+def _abort_tagged_job(job, obs=None):
+    if job.label == "abort-point":
+        raise _JobAbort("job aborted")
+    return execute_job(job, obs=obs)
+
+
+def test_pool_job_base_exception_is_a_failed_outcome(monkeypatch):
+    # Patch before the pool forks, so its workers run the patched job.
+    shutdown_pool()
+    monkeypatch.setattr(executor_module, "execute_job", _abort_tagged_job)
+    jobs = [_ok_job("BP", tag="abort-point"), _ok_job("KMN")]
+    executor = SweepExecutor(jobs=2, keep_going=True)
+    outcomes = []
+    sweep = threading.Thread(
+        target=lambda: outcomes.extend(executor.map_outcomes(jobs)), daemon=True
+    )
+    try:
+        sweep.start()
+        sweep.join(timeout=60)
+        assert not sweep.is_alive(), "a BaseException left its submission unresolved"
+    finally:
+        # Killed, not drained: an escaped BaseException ends the pool's
+        # manager thread, and workers nobody stops would hang the exit.
+        shutdown_pool(kill=True)
+    assert not outcomes[0].ok
+    assert outcomes[0].failure.exc_type == "_JobAbort"
+    assert outcomes[0].failure.label == "abort-point"
+    assert outcomes[1].ok
 
 
 # ----------------------------------------------------------------------

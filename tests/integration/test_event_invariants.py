@@ -6,7 +6,8 @@ the same rows.  This test pins what the engine and each layer did on one
 small packet point per fabric family: the direct-link path (GMN, whose
 host phases reach the CPU cluster over direct links), the memory network
 with the pass-through overlay (UMN), PCIe forwarding with atomics, and
-the network-forwarded remote-GPU path (CMN).
+the network-forwarded remote-GPU path (CMN) — plus one adaptive-routing
+point (GMN on dFBFLY with UGAL, the Fig. 15 configuration).
 
 Regenerate ``tests/data/event_invariants.json`` only on a commit whose
 event stream is known good::
@@ -34,7 +35,18 @@ POINTS = (
     ("UMN", "FT.S", 0.1),
     ("PCIe", "BFS", 0.1),
     ("CMN", "BH", 0.1),
+    ("GMN-dfbfly/ugal", "CG.S", 0.1),
 )
+
+#: Point labels that name a registered architecture with spec overrides.
+VARIANTS = {
+    "GMN-dfbfly/ugal": ("GMN", {"topology": "dfbfly", "routing": "ugal"}),
+}
+
+
+def _spec(arch: str):
+    base, overrides = VARIANTS.get(arch, (arch, {}))
+    return get_spec(base).with_(**overrides)
 
 
 def _key(arch: str, workload: str, scale: float) -> str:
@@ -43,7 +55,7 @@ def _key(arch: str, workload: str, scale: float) -> str:
 
 def measure(arch: str, workload: str, scale: float) -> dict:
     result, system = run_workload_detailed(
-        get_spec(arch), get_workload(workload, scale)
+        _spec(arch), get_workload(workload, scale)
     )
     return {
         "events_executed": result.events_executed,

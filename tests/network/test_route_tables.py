@@ -1,8 +1,9 @@
 """Oracle test for the topology's memoized static routing answers.
 
 Every static routing answer — the injection and ejection attachment, UGAL's
-minimum distance, the destination router of a terminal-to-terminal packet,
-and ``attachment_at`` — is memoized on the :class:`Topology` and must be
+minimum distance, the minimal-path DAG UGAL costs paths over, the
+destination router of a terminal-to-terminal packet, and
+``attachment_at`` — is memoized on the :class:`Topology` and must be
 forgotten whenever the topology mutates.  Each check below recomputes the
 answer from scratch (its own BFS over ``topo.adj`` plus the attachment
 lists) and compares, on every registered topology, before and after each
@@ -69,10 +70,37 @@ def _ref_attachment_at(topo, terminal, router):
     return None
 
 
+def _ref_minimal_dag(topo, dist, start, dst):
+    """``{router: minimal next hops}`` over every router on a minimal
+    ``start`` -> ``dst`` path, ``dst`` excluded."""
+    total = dist[start][dst]
+    return {
+        r: [(nbr, ch) for nbr, ch in topo.adj[r] if dist[nbr][dst] == dist[r][dst] - 1]
+        for r in range(topo.num_routers)
+        if r != dst and dist[start][r] + dist[r][dst] == total
+    }
+
+
+def _check_minimal_dags(topo, dist):
+    n = topo.num_routers
+    for start in range(n):
+        for dst in range(n):
+            if dist[start][dst] == UNREACHABLE:
+                with pytest.raises(RoutingError):
+                    topo.minimal_dag(start, dst)
+                continue
+            dag = topo.minimal_dag(start, dst)
+            assert dict(dag) == _ref_minimal_dag(topo, dist, start, dst)
+            # Nearest ``dst`` first: every router after its next hops.
+            order = [dist[r][dst] for r, _ in dag]
+            assert order == sorted(order)
+
+
 def _check(topo, policy):
     dist = _bfs_dist(topo)
     n = topo.num_routers
     assert [[topo.distance(a, b) for b in range(n)] for a in range(n)] == dist
+    _check_minimal_dags(topo, dist)
     terminals = sorted(topo.terminals)
     for terminal in terminals:
         for r in range(n):

@@ -99,13 +99,15 @@ class TestUGALRouting:
     def test_path_cost_counts_queues_along_path(self):
         topo = build_topology("dfbfly", SystemConfig(num_gpus=4))
         ugal = UGALRouting(HOP_PS)
+        # Router 1 reaches router 13 by one direct slice channel only.
+        [(nbr, ch)] = topo.minimal_next_hops(1, 13)
+        assert nbr == 13
         idle = ugal._path_cost(topo, 1, 13, 16, now_ps=0)
-        for nbr, ch in topo.adj[1]:
-            if nbr == 13:
-                ch.transmit(2_000, now_ps=0)
-        # The greedy path now either pays the queue or takes a longer route.
+        assert idle == ch.serialization_ps(16) + HOP_PS
+        ch.transmit(2_000, now_ps=0)
+        # The only minimal path pays exactly the channel's new backlog.
         loaded = ugal._path_cost(topo, 1, 13, 16, now_ps=0)
-        assert loaded > idle or loaded >= idle
+        assert loaded == idle + ch.serialization_ps(2_000)
 
     def test_ejection_unreachable_guard(self):
         topo = build_topology("sfbfly", SystemConfig(num_gpus=4))
