@@ -20,9 +20,9 @@ Performance flags (``all`` and every experiment subcommand):
   ``auto`` resolves to cpu_count - 1.  ``REPRO_JOBS=N`` (or ``auto``)
   is the environment equivalent.
 - ``--schedule {fifo,lpt}`` — pool submission order for cache misses:
-  ``lpt`` (default) predicts each point's cost with the analytic tier +
-  CostBook and submits longest-first to minimize makespan; ``fifo``
-  submits in declaration order.  Rows are identical either way.
+  ``lpt`` (default) predicts each point's cost with the analytic tier and
+  submits longest-first to minimize makespan; ``fifo`` submits in
+  declaration order.  Rows are identical either way.
 - ``--prefilter [RATIO]`` (``ext-*`` exploration sweeps only) — skip
   points whose analytic predicted runtime exceeds RATIO x their
   workload group's best (default 3.0); every pruned point is reported
@@ -30,7 +30,6 @@ Performance flags (``all`` and every experiment subcommand):
 - ``--cache [DIR]`` — memoize simulation results keyed on (config,
   workload, code version); with DIR the cache persists on disk across
   invocations (``REPRO_CACHE_DIR`` is the environment equivalent).
-  The scheduling CostBook persists as ``costbook.json`` next to it.
 
 Sweep telemetry flags (``all`` and every experiment subcommand; see
 docs/observability.md "Sweep telemetry & flight recorder"):
@@ -106,18 +105,6 @@ from .system.report import system_report
 from .system.run import run_workload_detailed
 from .system.spec import SystemSpec, WorkloadRef
 from .workloads.suite import WORKLOAD_NAMES
-
-#: Experiments whose runner takes a ``scale`` parameter.
-_SCALED = {
-    "fig10",
-    "fig14",
-    "fig16",
-    "fig17",
-    "fig18",
-    "sec3b",
-    "ext-mapping",
-    "ext-sched",
-}
 
 #: CLI commands whose RUNLOG name differs from the command, aligned with
 #: the experiment modules (``fig07_remote_access``).
@@ -415,11 +402,12 @@ def _run_experiment(
     1 fail-fast sweep abort, 3 completed-with-failures under
     --keep-going)."""
     runner = EXPERIMENTS[name]
+    params = inspect.signature(runner).parameters
     kwargs = {}
-    if "executor" in inspect.signature(runner).parameters:
+    if "executor" in params:
         kwargs["executor"] = executor
     if scale is not None:
-        if name in _SCALED:
+        if "scale" in params:
             kwargs["scale"] = scale
         else:
             print(

@@ -8,8 +8,8 @@ Three cooperating pieces make the experiment suite scale:
   merging and a serial default; the pool itself is kept warm in a
   process-wide manager and reused across sweeps and experiments;
 - :mod:`~repro.exec.planner` predicts each pending point's cost with
-  the analytic tier plus a self-improving :class:`CostBook` persisted
-  next to the cache, submits cache misses longest-predicted-first
+  the analytic tier plus the executor's in-memory :class:`CostBook` of
+  observed wall times, submits cache misses longest-predicted-first
   (``--schedule lpt``, the default) to minimize pool makespan, and
   powers the opt-in ``--prefilter`` pruning of dominated exploration
   points;

@@ -237,13 +237,6 @@ class ResultCache:
         """The currently pinned keys (a copy)."""
         return set(self._pinned)
 
-    def sidecar_path(self, name: str) -> Optional[Path]:
-        """Where a companion artifact (e.g. the planner's
-        ``costbook.json``) lives for this cache: inside the cache
-        directory when the cache persists, ``None`` when it is
-        memory-only — sidecars share the cache's lifetime."""
-        return self.path / name if self.path is not None else None
-
     def __len__(self) -> int:
         return len(self._mem)
 

@@ -564,9 +564,9 @@ class SweepExecutor:
         #: submits longest-predicted-first, ``"fifo"`` in declaration
         #: order.  Merged rows are identical either way.
         self.schedule = schedule
-        #: Cost predictions for LPT ordering; built lazily next to the
-        #: attached cache when not given (in-memory without one).
-        self.costbook = costbook
+        #: Cost predictions for LPT ordering, kept across this
+        #: executor's sweeps.
+        self.costbook = costbook if costbook is not None else CostBook()
         #: Per-sweep predictions, stamped onto landed telemetry.
         self._predictions: Optional[Dict[int, CostPrediction]] = None
         #: Optional :class:`~repro.obs.telemetry.ProgressListener`
@@ -661,8 +661,6 @@ class SweepExecutor:
                 f"{', '.join(lost[:5])}"
                 + (" ..." if len(lost) > 5 else "")
             )
-        if self.costbook is not None:
-            self.costbook.save()
         self._predictions = None
         done: List[JobOutcome] = outcomes  # type: ignore[assignment]
         self._emit(
@@ -717,8 +715,6 @@ class SweepExecutor:
         """
         if self.schedule != "lpt":
             return pooled
-        if self.costbook is None:
-            self.costbook = CostBook.for_cache(self.cache)
         predictions = predict_costs(jobs, pooled, self.costbook)
         self._predictions = predictions
         order = lpt_order(pooled, predictions)
@@ -803,7 +799,7 @@ class SweepExecutor:
         )
         if t is not None and prediction is not None:
             t.predicted_wall_s = prediction.wall_s
-            if outcome.ok and self.costbook is not None:
+            if outcome.ok:
                 self.costbook.observe(job, t, units=prediction.units)
         if outcome.ok:
             self._emit(

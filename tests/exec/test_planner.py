@@ -1,6 +1,6 @@
-"""The sweep planner: cost prediction, LPT ordering, the CostBook's
-persistence/corruption behavior, ``--jobs auto``, the warm pool, and the
-prefilter's no-silent-truncation contract.
+"""The sweep planner: cost prediction, LPT ordering, the in-memory
+CostBook, ``--jobs auto``, the warm pool, and the prefilter's
+no-silent-truncation contract.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.exec import (
     prefilter_jobs,
     shutdown_pool,
 )
-from repro.exec.planner import COSTBOOK_NAME, CostPrediction
+from repro.exec.planner import CostPrediction
 from repro.experiments.common import ExperimentResult, job_for, run_jobs
 from repro.system.configs import get_spec
 
@@ -39,6 +39,23 @@ def _cfg():
 
 def _job(workload="VEC", scale=0.05, arch="GMN", tag=None):
     return job_for(arch, workload, _cfg(), scale=scale, tag=tag)
+
+
+class _Recorder:
+    """A progress listener that keeps every event."""
+
+    def __init__(self):
+        self.events = []
+
+    @property
+    def kinds(self):
+        return [e["event"] for e in self.events]
+
+    def emit(self, event):
+        self.events.append(event)
+
+    def close(self):
+        pass
 
 
 # ----------------------------------------------------------------------
@@ -106,12 +123,11 @@ def test_lpt_order_longest_first_stable_ties():
 # ----------------------------------------------------------------------
 # CostBook
 # ----------------------------------------------------------------------
-def test_costbook_roundtrip_and_observed_override(tmp_path):
-    path = tmp_path / COSTBOOK_NAME
-    book = CostBook(path=path)
+def test_costbook_roundtrip_and_observed_override():
+    book = CostBook()
     job = _job("VEC")
     cold = book.predict(job)
-    assert cold.source in ("default", "rate")
+    assert cold.source == "default"
 
     from repro.obs.telemetry import JobTelemetry
 
@@ -120,14 +136,12 @@ def test_costbook_roundtrip_and_observed_override(tmp_path):
         JobTelemetry(label="VEC@GMN", source="run", wall_s=0.5, events=1000),
         units=cold.units,
     )
-    book.save()
-    assert path.exists()
-
-    reloaded = CostBook(path=path)
-    warm = reloaded.predict(job)
+    warm = book.predict(job)
     assert warm.source == "observed"
     assert warm.wall_s == pytest.approx(0.5)
-    assert reloaded.stats.hits == 1 and reloaded.stats.corrupt == 0
+    # Another point of the same arch and model now prices at the
+    # learned rate instead of the default.
+    assert book.predict(_job("BP")).source == "rate"
 
 
 def test_costbook_only_observes_real_runs():
@@ -140,33 +154,6 @@ def test_costbook_only_observes_real_runs():
     assert not book.points
 
 
-def test_corrupt_costbook_is_a_counted_miss(tmp_path):
-    path = tmp_path / COSTBOOK_NAME
-    path.write_text("{ not json at all")
-    book = CostBook(path=path)
-    # Mirrors the PR-5 corrupt-cache rule: counted, dropped, recomputed.
-    assert book.stats.corrupt == 1
-    assert not path.exists()
-    assert not book.points
-    prediction = book.predict(_job("VEC"))
-    assert prediction.wall_s > 0
-    assert book.stats.misses == 1
-
-
-def test_stale_schema_costbook_is_dropped(tmp_path):
-    path = tmp_path / COSTBOOK_NAME
-    path.write_text(json.dumps({"schema": 999, "points": {}, "rates": {}}))
-    book = CostBook(path=path)
-    assert book.stats.corrupt == 1 and not book.points
-
-
-def test_costbook_rides_next_to_the_cache(tmp_path):
-    on_disk = CostBook.for_cache(ResultCache(str(tmp_path)))
-    assert on_disk.path == tmp_path / COSTBOOK_NAME
-    assert CostBook.for_cache(ResultCache()).path is None
-    assert CostBook.for_cache(None).path is None
-
-
 # ----------------------------------------------------------------------
 # Scheduling through the executor
 # ----------------------------------------------------------------------
@@ -176,40 +163,36 @@ def test_bad_schedule_rejected():
 
 
 def test_lpt_predictions_stamped_and_learned(tmp_path):
-    cache_dir = tmp_path / "cache"
     jobs = [_job(w, tag=f"{w}@GMN") for w in ("VEC", "BP", "KMN")]
-    executor = SweepExecutor(
-        jobs=2, cache=ResultCache(str(cache_dir)), schedule="lpt"
-    )
+    recorder = _Recorder()
+    executor = SweepExecutor(jobs=2, schedule="lpt", progress=recorder)
     outcomes = executor.map_outcomes(jobs)
     assert all(o.ok for o in outcomes)
     predicted = [o.telemetry.predicted_wall_s for o in outcomes]
     assert all(p is not None and p > 0 for p in predicted)
-    # The sweep's observations were persisted next to the cache ...
-    assert (cache_dir / COSTBOOK_NAME).exists()
-    # ... and a later run predicts from them (observed, not default).
-    book = CostBook(path=cache_dir / COSTBOOK_NAME)
-    assert book.predict(jobs[0]).source == "observed"
+    # The executor's second sweep predicts from what its first observed.
+    executor.map_outcomes(jobs)
+    planned = [e for e in recorder.events if e["event"] == "planned"]
+    assert [e["observed"] for e in planned] == [0, len(jobs)]
+
+    # A pooled LPT sweep leaves nothing but results in the cache directory.
+    cache_dir = tmp_path / "cache"
+    SweepExecutor(
+        jobs=2, cache=ResultCache(str(cache_dir)), schedule="lpt"
+    ).map_outcomes(jobs)
+    files = list(cache_dir.iterdir())
+    assert len(files) == len(jobs)
+    assert all(f.suffix == ".pkl" for f in files)
 
 
 def test_planned_event_emitted_on_lpt_pool_sweeps():
-    class Recorder:
-        def __init__(self):
-            self.kinds = []
-
-        def emit(self, event):
-            self.kinds.append(event["event"])
-
-        def close(self):
-            pass
-
-    recorder = Recorder()
+    recorder = _Recorder()
     jobs = [_job(w) for w in ("VEC", "BP")]
     SweepExecutor(jobs=2, schedule="lpt", progress=recorder).map_outcomes(jobs)
     assert "planned" in recorder.kinds
     assert recorder.kinds.index("planned") < recorder.kinds.index("started")
 
-    recorder = Recorder()
+    recorder = _Recorder()
     SweepExecutor(jobs=2, schedule="fifo", progress=recorder).map_outcomes(jobs)
     assert "planned" not in recorder.kinds
 

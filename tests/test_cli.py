@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import functools
+import inspect
+
 import pytest
 
 from repro.cli import main
@@ -64,6 +67,51 @@ class TestScaleWarning:
     def test_no_warning_for_scaled_experiment(self, capsys):
         assert main(["fig12"]) == 0
         assert "does not take --scale" not in capsys.readouterr().err
+
+    def test_scale_follows_the_runner_signature(self, monkeypatch, capsys):
+        seen = {}
+
+        def scaled(scale=0.25):
+            seen["scaled"] = scale
+            return ExperimentResult("scaled", "synthetic")
+
+        def unscaled():
+            seen["unscaled"] = True
+            return ExperimentResult("unscaled", "synthetic")
+
+        monkeypatch.setitem(EXPERIMENTS, "scaled", scaled)
+        monkeypatch.setitem(EXPERIMENTS, "unscaled", unscaled)
+        assert main(["scaled", "--scale", "0.05"]) == 0
+        assert seen["scaled"] == 0.05
+        assert "does not take --scale" not in capsys.readouterr().err
+        assert main(["unscaled", "--scale", "0.05"]) == 0
+        assert seen["unscaled"]
+        assert "does not take --scale" in capsys.readouterr().err
+
+    def test_every_scaled_runner_gets_scale(self, monkeypatch, capsys):
+        # Stand-ins with each real runner's signature, so the CLI decides
+        # from the registry without running any sweep.
+        received = {}
+
+        def stand_in(name, runner):
+            @functools.wraps(runner)
+            def run(**kwargs):
+                received[name] = kwargs.get("scale")
+                return ExperimentResult(name, "synthetic")
+
+            return run
+
+        for name, runner in list(EXPERIMENTS.items()):
+            monkeypatch.setitem(EXPERIMENTS, name, stand_in(name, runner))
+        for name, runner in list(EXPERIMENTS.items()):
+            assert main([name, "--scale", "0.05"]) == 0
+            takes_scale = "scale" in inspect.signature(runner).parameters
+            assert received[name] == (0.05 if takes_scale else None), name
+            warned = "does not take --scale" in capsys.readouterr().err
+            assert warned != takes_scale, name
+        assert {"ext-flit", "ext-pcn", "ext-sensitivity"} <= {
+            name for name, scale in received.items() if scale == 0.05
+        }
 
 
 class TestRunCommand:
