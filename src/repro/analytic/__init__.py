@@ -29,14 +29,13 @@ from .calibrate import (
     fit_coefficients,
     load_calibration,
 )
-from .model import analytic_cost, analytic_run, profile_for
+from .model import analytic_run, profile_for
 from .profile import WorkloadProfile, profile_workload
 
 __all__ = [
     "Calibration",
     "Coefficients",
     "FigureReference",
-    "analytic_cost",
     "analytic_run",
     "calibration_digest",
     "calibration_key",

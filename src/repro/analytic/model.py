@@ -605,32 +605,6 @@ def analytic_run(
     return result
 
 
-def analytic_cost(
-    spec: ArchSpec,
-    workload,
-    cfg: Optional[SystemConfig] = None,
-    **run_kwargs,
-) -> Dict[str, float]:
-    """Cost-prediction hook for the sweep planner
-    (:mod:`repro.exec.planner`).
-
-    Reduces an :func:`analytic_run` prediction to the quantities that
-    track a packet/flit job's *execution cost* rather than its simulated
-    performance: ``units`` (predicted memory requests + network
-    deliveries — the activity the event engines turn into events) and
-    ``total_ps`` (predicted simulated runtime, the prefilter objective).
-    Costs about 0.45 ms per point (explore-analytic ``p50_ms`` at the
-    benchmark's nominal machine speed); the planner memoizes by spec hash.
-    """
-    result = analytic_run(spec, workload, cfg=cfg, **run_kwargs)
-    return {
-        "units": float(result.memory_requests + result.net_delivered),
-        "total_ps": float(result.total_ps),
-        "memory_requests": float(result.memory_requests),
-        "net_delivered": float(result.net_delivered),
-    }
-
-
 @dataclass
 class _CacheTally:
     l1_hits: float = 0.0

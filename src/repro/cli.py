@@ -23,10 +23,6 @@ Performance flags (``all`` and every experiment subcommand):
   ``lpt`` (default) predicts each point's cost with the analytic tier and
   submits longest-first to minimize makespan; ``fifo`` submits in
   declaration order.  Rows are identical either way.
-- ``--prefilter [RATIO]`` (``ext-*`` exploration sweeps only) — skip
-  points whose analytic predicted runtime exceeds RATIO x their
-  workload group's best (default 3.0); every pruned point is reported
-  in telemetry.  Never available on figure reproductions.
 - ``--cache [DIR]`` — memoize simulation results keyed on (config,
   workload, code version); with DIR the cache persists on disk across
   invocations (``REPRO_CACHE_DIR`` is the environment equivalent).
@@ -156,20 +152,6 @@ def _positive_jobs(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(
             f"--jobs needs a worker count >= 1 or 'auto', got {text}"
-        )
-    return value
-
-
-def _prefilter_ratio(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--prefilter needs a ratio > 1, got {text}"
-        ) from None
-    if value <= 1.0:
-        raise argparse.ArgumentTypeError(
-            f"--prefilter needs a ratio > 1, got {text}"
         )
     return value
 
@@ -342,7 +324,6 @@ def _make_executor(args, obs: Optional[Observability] = None):
         scheduler=getattr(args, "scheduler", None),
         max_events=getattr(args, "max_events", None),
         wall_s=getattr(args, "wall_limit", None),
-        prefilter=getattr(args, "prefilter", None),
         obs=obs,
     )
     return executor, trace_dir
@@ -441,7 +422,6 @@ def _run_experiment(
         analytic_note = (
             f"{s['analytic']} analytic, " if s.get("analytic") else ""
         )
-        pruned_note = f"{s['pruned']} pruned, " if s.get("pruned") else ""
         extras = ""
         prediction = s.get("prediction")
         if prediction:
@@ -453,7 +433,7 @@ def _run_experiment(
         if spawns:
             extras += f", {spawns} pool spawn(s)"
         print(
-            f"[flight: {s['ran']} ran, {analytic_note}{pruned_note}"
+            f"[flight: {s['ran']} ran, {analytic_note}"
             f"{s['cached']} cached, "
             f"{s['failed']} failed, {s['events']} events, "
             f"{s['events_per_sec']:.0f} ev/s, "
@@ -564,21 +544,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "--save", default=None, help="export the rows (.csv or .json)"
         )
         _add_perf_flags(p)
-        if name.startswith("ext-"):
-            # Exploration sweeps only: figure runners feed every row into
-            # a merge loop and cannot tolerate pruned holes, so they
-            # never get the flag (docs/performance.md).
-            p.add_argument(
-                "--prefilter",
-                nargs="?",
-                const=3.0,
-                type=_prefilter_ratio,
-                default=None,
-                metavar="RATIO",
-                help="skip points whose analytic predicted runtime exceeds "
-                "RATIO x their workload group's best (default 3.0); every "
-                "pruned point is reported in notes and telemetry",
-            )
         _add_robustness_flags(p)
         _add_obs_flags(p)
 

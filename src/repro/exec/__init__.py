@@ -10,9 +10,7 @@ Three cooperating pieces make the experiment suite scale:
 - :mod:`~repro.exec.planner` predicts each pending point's cost with
   the analytic tier plus the executor's in-memory :class:`CostBook` of
   observed wall times, submits cache misses longest-predicted-first
-  (``--schedule lpt``, the default) to minimize pool makespan, and
-  powers the opt-in ``--prefilter`` pruning of dominated exploration
-  points;
+  (``--schedule lpt``, the default) to minimize pool makespan;
 - :class:`~repro.exec.cache.ResultCache` keys results on a content hash
   of (spec, config, workload, code version) and short-circuits repeated
   simulations within and across experiments.
@@ -66,7 +64,6 @@ from .planner import (
     analytic_estimate,
     lpt_order,
     predict_costs,
-    prefilter_jobs,
 )
 
 __all__ = [
@@ -97,7 +94,6 @@ __all__ = [
     "lpt_order",
     "pool_spawns",
     "predict_costs",
-    "prefilter_jobs",
     "process_cache_stats",
     "shutdown_pool",
 ]

@@ -507,11 +507,10 @@ class SweepExecutor:
     run (workers, cache, failure mode, progress, tracing, schedule), it
     carries the settings that shape the jobs an experiment builds through
     :meth:`job` (``fidelity``, ``scheduler``, the watchdog budgets
-    ``max_events`` / ``wall_s``), the ``prefilter`` ratio
-    :func:`~repro.experiments.common.run_jobs` prunes with, and the
-    ``obs`` bundle that observes in-process runs.  The CLI builds one per
-    invocation from its flags; nothing is read from process-global state,
-    so two sweeps with different executors can run side by side.
+    ``max_events`` / ``wall_s``) and the ``obs`` bundle that observes
+    in-process runs.  The CLI builds one per invocation from its flags;
+    nothing is read from process-global state, so two sweeps with
+    different executors can run side by side.
     """
 
     def __init__(
@@ -529,7 +528,6 @@ class SweepExecutor:
         scheduler: Optional[str] = None,
         max_events: Optional[int] = None,
         wall_s: Optional[float] = None,
-        prefilter: Optional[float] = None,
         obs: Optional["Observability"] = None,
     ) -> None:
         if jobs is None:
@@ -553,8 +551,6 @@ class SweepExecutor:
                 raise ConfigError(
                     f"unknown scheduler {scheduler!r}; valid: {sorted(SCHEDULERS)}"
                 )
-        if prefilter is not None and prefilter <= 1.0:
-            raise ConfigError(f"prefilter ratio must be > 1, got {prefilter}")
         self.jobs = jobs
         self.cache = cache
         self.keep_going = keep_going
@@ -585,8 +581,6 @@ class SweepExecutor:
         #: Watchdog budgets :meth:`job` fills into configs that set none.
         self.max_events = max_events
         self.wall_s = wall_s
-        #: Dominated-point prune ratio for exploration sweeps, or ``None``.
-        self.prefilter = prefilter
         #: Observability bundle bound to every run; its sinks cannot
         #: cross a process boundary, so with one set every job runs here.
         self.obs = obs

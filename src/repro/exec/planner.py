@@ -1,5 +1,4 @@
-"""Analytic-cost-guided sweep planning: LPT scheduling, the CostBook,
-and the opt-in dominated-point prefilter.
+"""Analytic-cost-guided sweep planning: LPT scheduling and the CostBook.
 
 A sweep's makespan on a worker pool is decided by whichever long job
 lands last: FIFO submission of (say) eight jobs on two workers can leave
@@ -8,7 +7,7 @@ happened to be declared last.  Submitting cache misses in
 longest-predicted-first (LPT) order is the classic fix — and this repo
 already owns a ~0.45 ms cost oracle, the analytic fidelity tier.
 
-Three cooperating pieces:
+Two cooperating pieces:
 
 - :func:`analytic_estimate` runs the analytic tier on a sweep point (in
   the parent, before submission) and reduces the prediction to *cost
@@ -25,10 +24,6 @@ Three cooperating pieces:
   walls override analytic estimates on the executor's later sweeps.
   Nothing is persisted: LPT needs only the *order* of the points, and
   the analytic estimate already gives it (docs/performance.md).
-- :func:`prefilter_jobs` (the CLI's ``--prefilter``, exploration sweeps
-  only) uses analytic predicted runtimes to skip clearly-dominated
-  points, returning a record for every pruned point so telemetry can
-  report them — silent truncation is not an option.
 
 Scheduling is observational by construction: the executor merges
 outcomes by submission index, so rows are byte-identical to serial and
@@ -38,9 +33,8 @@ FIFO runs regardless of pool submission order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
-from ..errors import ConfigError
 from ..obs.telemetry import JobTelemetry
 from .jobs import SweepJob
 
@@ -69,20 +63,10 @@ _ESTIMATE_KWARGS = (
 )
 
 #: Process-wide memo of analytic estimates, keyed on the spec's content
-#: hash — planning and prefiltering the same point costs one model run.
-_ESTIMATES: Dict[str, Optional["AnalyticEstimate"]] = {}
+#: hash — every book that predicts the same point (each executor keeps
+#: its own) costs one model run.
+_ESTIMATES: Dict[str, Optional[float]] = {}
 _ESTIMATES_MAX = 8192
-
-
-@dataclass(frozen=True)
-class AnalyticEstimate:
-    """The analytic tier's cost view of one sweep point."""
-
-    #: Predicted memory requests + network deliveries — the activity the
-    #: event engines turn into events.
-    units: float
-    #: Predicted simulated runtime (the prefilter's objective).
-    total_ps: float
 
 
 @dataclass(frozen=True)
@@ -97,8 +81,11 @@ class CostPrediction:
     units: Optional[float] = None
 
 
-def analytic_estimate(job: SweepJob) -> Optional[AnalyticEstimate]:
+def analytic_estimate(job: SweepJob) -> Optional[float]:
     """Predict ``job``'s cost units with the analytic tier, or ``None``.
+
+    The units are predicted memory requests + network deliveries — the
+    activity the event engines turn into events — floored at 1.
 
     Returns ``None`` — never raises — when the point cannot be estimated:
     factory-built workloads (arbitrary build-time code must stay in the
@@ -112,17 +99,16 @@ def analytic_estimate(job: SweepJob) -> Optional[AnalyticEstimate]:
     if key in _ESTIMATES:
         return _ESTIMATES[key]
     try:
-        from ..analytic import analytic_cost, profile_for
+        from ..analytic.model import analytic_run, profile_for
 
         kwargs = {
             k: v for k, v in job.run_kwargs if k in _ESTIMATE_KWARGS
         }
-        cost = analytic_cost(
+        result = analytic_run(
             job.spec, profile_for(job.workload), cfg=job.cfg, **kwargs
         )
-        estimate: Optional[AnalyticEstimate] = AnalyticEstimate(
-            units=max(float(cost["units"]), 1.0),
-            total_ps=float(cost["total_ps"]),
+        estimate: Optional[float] = max(
+            float(result.memory_requests + result.net_delivered), 1.0
         )
     except Exception:
         estimate = None
@@ -161,8 +147,8 @@ class CostBook:
             return CostPrediction(
                 wall_s=point["wall_s"], source="observed", units=point["units"]
             )
-        estimate = analytic_estimate(job)
-        if estimate is None:
+        units = analytic_estimate(job)
+        if units is None:
             return CostPrediction(wall_s=DEFAULT_WALL_S, source="default")
         rate = self.rates.get(self.rate_key(job))
         if rate is not None:
@@ -175,8 +161,8 @@ class CostBook:
             events_per_unit = DEFAULT_EVENTS_PER_UNIT
             events_per_sec = DEFAULT_EVENTS_PER_SEC
             source = "default"
-        wall = estimate.units * events_per_unit / events_per_sec
-        return CostPrediction(wall_s=wall, source=source, units=estimate.units)
+        wall = units * events_per_unit / events_per_sec
+        return CostPrediction(wall_s=wall, source=source, units=units)
 
     def observe(
         self,
@@ -219,61 +205,11 @@ def lpt_order(
     return sorted(indices, key=lambda i: (-predictions[i].wall_s, i))
 
 
-# ----------------------------------------------------------------------
-# Prefilter (exploration sweeps only — see docs/performance.md)
-# ----------------------------------------------------------------------
-def prefilter_jobs(
-    jobs: Sequence[SweepJob], ratio: float
-) -> Tuple[List[int], List[Dict[str, Any]]]:
-    """Split a sweep into (kept indices, pruned-point records).
-
-    Points are grouped by workload name; within a group, a point whose
-    analytic predicted runtime exceeds ``ratio`` x the group's best is
-    dominated and pruned.  Points the analytic tier cannot estimate are
-    always kept — uncertainty never silently discards a point.  Every
-    pruned point gets a record (label, predicted runtime, the dominating
-    point) for telemetry; callers must surface all of them.
-    """
-    if ratio <= 1.0:
-        raise ConfigError(f"prefilter ratio must be > 1, got {ratio}")
-    groups: Dict[str, List[int]] = {}
-    for i, job in enumerate(jobs):
-        groups.setdefault(job.workload.name, []).append(i)
-    pruned: List[Dict[str, Any]] = []
-    for indices in groups.values():
-        scored = []
-        for i in indices:
-            estimate = analytic_estimate(jobs[i])
-            if estimate is not None and estimate.total_ps > 0:
-                scored.append((i, estimate.total_ps))
-        if len(scored) < 2:
-            continue
-        best_i, best = min(scored, key=lambda pair: (pair[1], pair[0]))
-        for i, total in scored:
-            if total > ratio * best:
-                pruned.append(
-                    {
-                        "index": i,
-                        "label": jobs[i].label,
-                        "predicted_total_us": round(total / 1e6, 3),
-                        "best_label": jobs[best_i].label,
-                        "best_total_us": round(best / 1e6, 3),
-                        "ratio": round(total / best, 2),
-                    }
-                )
-    pruned.sort(key=lambda p: p["index"])
-    dropped = {p["index"] for p in pruned}
-    keep = [i for i in range(len(jobs)) if i not in dropped]
-    return keep, pruned
-
-
 __all__ = [
     "SCHEDULES",
-    "AnalyticEstimate",
     "CostBook",
     "CostPrediction",
     "analytic_estimate",
     "lpt_order",
     "predict_costs",
-    "prefilter_jobs",
 ]

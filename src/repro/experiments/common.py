@@ -7,11 +7,10 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..exec.executor import SweepExecutor
 from ..exec.jobs import JobFailure, SweepJob, job_for  # noqa: F401  (re-export)
-from ..exec.planner import prefilter_jobs
 from ..obs.telemetry import JobTelemetry, flight_summary
 from ..system.metrics import RunResult
 from .claims import evaluate
@@ -163,34 +162,9 @@ def run_jobs(
     fail-fast (the executor default) a failure raises
     :class:`~repro.errors.SweepError` instead, after completed results
     were salvaged into the cache.
-
-    When the executor has a ``prefilter`` ratio, clearly-dominated points
-    are skipped before submission: their slots return ``None``, each gets
-    a ``source="pruned"`` telemetry record, and one result note lists
-    every pruned point — a pruned point is always visible, never silently
-    missing.  Exploration sweeps only; figure runners must not pass rows
-    with holes to their merge loops, so the CLI exposes the flag on
-    ``ext-*`` experiments alone.
     """
-    jobs = list(jobs)
-    ratio = executor.prefilter
-    keep = list(range(len(jobs)))
-    pruned: List[Dict[str, Any]] = []
-    if ratio is not None:
-        keep, pruned = prefilter_jobs(jobs, ratio)
-    pruned_by_index = {p["index"]: p for p in pruned}
-    outcome_by_index = dict(
-        zip(keep, executor.map_outcomes([jobs[i] for i in keep]))
-    )
     results: List[Optional[RunResult]] = []
-    for i, job in enumerate(jobs):
-        if i in pruned_by_index:
-            result.telemetry.append(
-                JobTelemetry(label=job.label, source="pruned")
-            )
-            results.append(None)
-            continue
-        outcome = outcome_by_index[i]
+    for outcome in executor.map_outcomes(jobs):
         if outcome.telemetry is not None:
             result.telemetry.append(outcome.telemetry)
         if outcome.ok:
@@ -198,13 +172,4 @@ def run_jobs(
         else:
             result.failures.append(outcome.failure)
             results.append(None)
-    if pruned:
-        listing = "; ".join(
-            f"{p['label']} (predicted {p['ratio']:.1f}x {p['best_label']})"
-            for p in pruned
-        )
-        result.note(
-            f"prefilter (ratio {ratio:g}): pruned {len(pruned)} of "
-            f"{len(jobs)} points as dominated: {listing}"
-        )
     return results

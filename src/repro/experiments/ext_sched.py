@@ -85,7 +85,7 @@ def run(
     results = run_jobs(jobs, executor, result)
     for (policy, arch, workload), res in zip(grid, results):
         if res is None:
-            continue  # failed or pruned point; reported on result
+            continue  # failed point; reported on result
         cpu_wait = res.avg_class_wait_ps("cpu")
         gpu_wait = res.avg_class_wait_ps("gpu")
         result.add(

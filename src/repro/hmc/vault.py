@@ -37,7 +37,6 @@ class VaultStats:
     row_hits: int = 0
     atomics: int = 0
     total_queue_wait_ps: int = 0
-    total_service_ps: int = 0
     overflow_peak: int = 0
     #: Per requester class ("cpu"/"gpu"/"other", see
     #: :func:`repro.hmc.sched.requester_class`): served request counts and
@@ -174,7 +173,6 @@ class Vault:
             stats.row_hits += 1
         wait_ps = now - req.arrived_ps
         stats.total_queue_wait_ps += wait_ps
-        stats.total_service_ps += done - now
         cls = requester_class(access.requester)
         class_served = stats.class_served
         class_served[cls] = class_served.get(cls, 0) + 1

@@ -54,7 +54,8 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, TextIO
 #: 3: the summary's ``cache`` section gained ``evicted`` (size-cap LRU
 #: eviction counts; see docs/serving.md).
 #: 4: jobs gained ``gc_collections``.
-TELEMETRY_SCHEMA = 4
+#: 5: the ``pruned`` source and the summary's ``pruned`` count are gone.
+TELEMETRY_SCHEMA = 5
 
 #: Job state transitions a sweep can emit, in lifecycle order.
 #: ``planned`` fires once per sweep, after submission under the LPT
@@ -89,8 +90,7 @@ class JobTelemetry:
     label: str
     #: ``"run"`` (simulated here), ``"analytic"`` (predicted by the
     #: capacity model — no event engine ran), ``"cache"`` (served from
-    #: the ResultCache), ``"pruned"`` (skipped by ``--prefilter`` — never
-    #: executed), or ``"failed"``.
+    #: the ResultCache), or ``"failed"``.
     source: str = "run"
     wall_s: float = 0.0
     #: Simulation events executed by this job's engine.  For cache hits
@@ -156,7 +156,6 @@ def flight_summary(
     analytic = [t for t in telemetry if t.source == "analytic"]
     cached = [t for t in telemetry if t.source == "cache"]
     failed = [t for t in telemetry if t.source == "failed"]
-    pruned = [t for t in telemetry if t.source == "pruned"]
     sim_wall = sum(t.wall_s for t in ran)
     events = sum(t.events for t in ran)
     summary: Dict[str, Any] = {
@@ -167,7 +166,6 @@ def flight_summary(
         "analytic": len(analytic),
         "cached": len(cached),
         "failed": len(failed),
-        "pruned": len(pruned),
         "retried": sum(1 for t in telemetry if t.retries),
         "events": events,
         "sim_wall_s": round(sim_wall, 4),

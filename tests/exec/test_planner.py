@@ -1,6 +1,6 @@
 """The sweep planner: cost prediction, LPT ordering, the in-memory
-CostBook, ``--jobs auto``, the warm pool, and the prefilter's
-no-silent-truncation contract.
+CostBook, ``--jobs auto``, the warm pool, and ``run_jobs``'s merge of
+outcomes into an experiment result.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.exec import (
     jobs_from_env,
     lpt_order,
     pool_spawns,
-    prefilter_jobs,
     shutdown_pool,
 )
 from repro.exec.planner import CostPrediction
@@ -85,10 +84,17 @@ def test_cli_jobs_accepts_auto():
 # Analytic estimation safety
 # ----------------------------------------------------------------------
 def test_analytic_estimate_registry_job():
-    estimate = analytic_estimate(_job("VEC"))
-    assert estimate is not None
-    assert estimate.units >= 1.0
-    assert estimate.total_ps > 0
+    from repro.analytic.model import analytic_run, profile_for
+
+    job = _job("VEC")
+    estimate = analytic_estimate(job)
+    assert isinstance(estimate, float)
+    # The cost units: predicted memory requests + network deliveries.
+    assert not job.run_kwargs
+    predicted = analytic_run(job.spec, profile_for(job.workload), cfg=job.cfg)
+    assert estimate == max(
+        float(predicted.memory_requests + predicted.net_delivered), 1.0
+    )
 
 
 def test_analytic_estimate_never_builds_factory_workloads():
@@ -103,8 +109,8 @@ def test_analytic_estimate_never_builds_factory_workloads():
 def test_estimate_scales_with_problem_size():
     small = analytic_estimate(_job("VEC", scale=0.05))
     large = analytic_estimate(_job("VEC", scale=0.5))
-    assert large.units > small.units
-    assert large.total_ps > small.total_ps
+    assert isinstance(small, float) and isinstance(large, float)
+    assert large > small
 
 
 # ----------------------------------------------------------------------
@@ -241,58 +247,13 @@ def test_pool_respawns_when_shape_changes():
 
 
 # ----------------------------------------------------------------------
-# Prefilter
+# run_jobs
 # ----------------------------------------------------------------------
-def test_prefilter_ratio_validated():
-    with pytest.raises(ConfigError, match="ratio"):
-        prefilter_jobs([_job("VEC")], ratio=1.0)
-
-
-def test_prefilter_prunes_dominated_and_reports_every_point():
-    # Same workload, 20x the problem size: analytically dominated.
-    jobs = [
-        _job("VEC", scale=0.05, tag="VEC-small"),
-        _job("VEC", scale=1.0, tag="VEC-large"),
-        _job("BP", scale=0.05, tag="BP-only"),  # alone in its group: kept
-    ]
-    keep, pruned = prefilter_jobs(jobs, ratio=2.0)
-    assert keep == [0, 2]
-    assert [p["label"] for p in pruned] == ["VEC-large"]
-    assert pruned[0]["best_label"] == "VEC-small"
-    assert pruned[0]["ratio"] > 2.0
-
-
-def test_prefilter_keeps_unestimable_factory_points():
-    ref = WorkloadRef("crash", factory=f"{DIAG}:make_crash")
-    jobs = [
-        SweepJob.make(get_spec("GMN"), ref, _cfg(), tag="factory-a"),
-        SweepJob.make(get_spec("GMN"), ref, _cfg(), tag="factory-b"),
-    ]
-    keep, pruned = prefilter_jobs(jobs, ratio=1.5)
-    assert keep == [0, 1] and pruned == []
-
-
-def test_run_jobs_prefilter_telemetry_and_note():
-    jobs = [
-        _job("VEC", scale=0.05, tag="VEC-small"),
-        _job("VEC", scale=1.0, tag="VEC-large"),
-    ]
-    result = ExperimentResult(experiment="x", title="x")
-    results = run_jobs(jobs, SweepExecutor(jobs=1, prefilter=2.0), result)
-    assert results[0] is not None and results[1] is None
-    sources = [t.source for t in result.telemetry]
-    assert sources == ["run", "pruned"]
-    assert result.telemetry[1].label == "VEC-large"
-    # Every pruned point is named in the note — no silent truncation.
-    assert any("VEC-large" in note and "prefilter" in note for note in result.notes)
-    summary = result.flight_summary()
-    assert summary["pruned"] == 1
-
-
-def test_run_jobs_without_prefilter_is_unchanged():
+def test_run_jobs_records_one_run_per_job_in_order():
     jobs = [_job("VEC", tag="a"), _job("BP", tag="b")]
     result = ExperimentResult(experiment="x", title="x")
     results = run_jobs(jobs, SweepExecutor(jobs=1), result)
     assert all(r is not None for r in results)
     assert [t.source for t in result.telemetry] == ["run", "run"]
+    assert [t.label for t in result.telemetry] == [j.label for j in jobs]
     assert result.notes == []

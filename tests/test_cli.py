@@ -2,6 +2,7 @@
 
 import functools
 import inspect
+import re
 
 import pytest
 
@@ -50,6 +51,23 @@ class TestExperiments:
         # names are valid identifiers for the parser.
         for name in EXPERIMENTS:
             assert " " not in name
+
+    def test_every_experiment_takes_the_same_options(self, capsys):
+        # Figure reproductions and ext-* explorations share one flag
+        # surface: no option may prune points or otherwise apply to one
+        # kind of experiment only.
+        surfaces = {}
+        for name in EXPERIMENTS:
+            with pytest.raises(SystemExit) as exc:
+                main([name, "--help"])
+            assert exc.value.code == 0
+            options = re.findall(
+                r"(?<![\w-])--?[A-Za-z][\w-]*", capsys.readouterr().out
+            )
+            surfaces[name] = set(options)
+        reference = surfaces["fig14"]
+        assert {"--scale", "--jobs", "--keep-going"} <= reference
+        assert {n: s for n, s in surfaces.items() if s != reference} == {}
 
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
