@@ -6,7 +6,7 @@ Examples::
     repro fig14                # reproduce the Fig. 14 sweep and print it
     repro fig14 --scale 0.1    # quicker, smaller inputs
     repro fig14 --jobs 4       # fan the sweep over 4 worker processes
-    repro fig14 --cache        # reuse results across repeated invocations
+    repro fig14 --cache DIR    # reuse results across repeated invocations
     repro run KMN --arch UMN   # run one workload on one architecture
     repro run VEC --arch UMN --trace t.json --timeseries --profile
     repro run KMN --arch UMN --dump-spec spec.json   # export, don't simulate

@@ -11,11 +11,13 @@ section 2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
 from ..mem import AccessType
+
+_WRITE = AccessType.WRITE
 
 
 class Access:
@@ -60,10 +62,22 @@ class Phase:
 
     compute_ps: int
     accesses: Tuple[Access, ...] = ()
+    #: The SM's issue order, split once here instead of on every
+    #: execution: the fire-and-forget writes go first, then the blocking
+    #: reads and atomics the phase waits for.
+    writes: Tuple[Access, ...] = field(init=False, repr=False, compare=False)
+    blocking: Tuple[Access, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.compute_ps < 0:
             raise ConfigError("phase compute time must be >= 0")
+        accesses = self.accesses
+        object.__setattr__(
+            self, "writes", tuple([a for a in accesses if a.type is _WRITE])
+        )
+        object.__setattr__(
+            self, "blocking", tuple([a for a in accesses if a.type is not _WRITE])
+        )
 
 
 CTAProgram = Callable[[int], Sequence[Phase]]
@@ -104,6 +118,10 @@ class Kernel:
     cta_program: CTAProgram
     #: Label used in reports; kernels of the same workload share it.
     workload: str = ""
+    #: Each CTA's phases once :meth:`keep_programs` is called, else None.
+    _programs: Optional[Dict[int, Sequence[Phase]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.grid_dim or any(d < 1 for d in self.grid_dim):
@@ -113,13 +131,32 @@ class Kernel:
     def num_ctas(self) -> int:
         return math.prod(self.grid_dim)
 
+    def keep_programs(self) -> None:
+        """Keep each CTA's phases from its next :meth:`program` call on.
+
+        A kernel that runs again (its workload memoized by
+        :func:`repro.system.spec.workload_for` and run on the next
+        organization of a sweep) then generates every CTA's phases once.
+        Kept phases stay alive as long as the kernel, so a kernel that
+        runs once does not keep them."""
+        if self._programs is None:
+            self._programs = {}
+
     def program(self, flat_cta: int) -> Sequence[Phase]:
+        programs = self._programs
+        if programs is not None:
+            phases = programs.get(flat_cta)
+            if phases is not None:
+                return phases
         if not 0 <= flat_cta < self.num_ctas:
             raise ConfigError(
                 f"CTA {flat_cta} outside kernel {self.name} "
                 f"({self.num_ctas} CTAs)"
             )
-        return self.cta_program(flat_cta)
+        phases = self.cta_program(flat_cta)
+        if programs is not None:
+            programs[flat_cta] = phases
+        return phases
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Kernel({self.name}, grid={self.grid_dim})"

@@ -28,7 +28,7 @@ from ..errors import SimulationError
 from ..mem import AccessType, MemoryAccess
 from ..sim.engine import Simulator
 from .cache import Cache
-from .sm import SM
+from .sm import SM, _CTAContext
 
 MemoryPort = Callable[[MemoryAccess, Callable[[], None]], None]
 
@@ -208,9 +208,12 @@ class GPU:
         self,
         sm: SM,
         access: Access,
-        on_done: Callable[[], None],
-        token: Optional["_KernelContext"] = None,
+        cta: Optional[_CTAContext],
+        token: "_KernelContext",
     ) -> None:
+        """Issue one of ``sm``'s accesses.  ``cta`` is the CTA whose phase
+        waits for the response (``None`` for a fire-and-forget write);
+        ``token`` is the kernel launch whose drain waits for it."""
         line_bytes = self._line_bytes
         size = access.size
         if size > line_bytes:
@@ -218,10 +221,9 @@ class GPU:
                 f"access of {size}B exceeds the {line_bytes}B "
                 "line; workloads must emit line-sized coalesced accesses"
             )
-        if token is not None:
-            token.inflight += 1
+        token.inflight += 1
 
-        done = partial(self._access_done, on_done, token)
+        done = partial(self._access_done, sm, cta, token)
         paddr = self.translate(access.vaddr)
         line = paddr - paddr % line_bytes
         kind = access.type
@@ -233,13 +235,21 @@ class GPU:
             self._atomic(sm, paddr, line, size, done)
 
     def _access_done(
-        self, on_done: Callable[[], None], token: Optional["_KernelContext"]
+        self, sm: SM, cta: Optional[_CTAContext], token: "_KernelContext"
     ) -> None:
-        on_done()
-        if token is not None:
-            token.inflight -= 1
-            if token.inflight == 0:
-                self._check_context(token)
+        """The one completion callback of an access: the SM's side first
+        (free the MSHR, end the phase's wait, issue more), then the
+        kernel's drain check."""
+        sm._outstanding -= 1
+        if cta is not None:
+            cta.waiting -= 1
+            if cta.waiting == 0:
+                sm._compute(cta)
+        if sm._issue_queue:
+            sm._pump_issue_queue()
+        token.inflight -= 1
+        if token.inflight == 0:
+            self._check_context(token)
 
     # -- reads ----------------------------------------------------------
     def _read(self, sm: SM, line: int, done: Callable[[], None]) -> None:

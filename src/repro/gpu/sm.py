@@ -17,18 +17,15 @@ from __future__ import annotations
 import collections
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Deque, Optional, Sequence
+from typing import TYPE_CHECKING, Deque, Sequence
 
 from ..config import GPUConfig
 from ..core.kernel import Phase
 from ..errors import SimulationError
-from ..mem import AccessType
 from .cache import Cache
 
 if TYPE_CHECKING:  # pragma: no cover
     from .gpu import GPU
-
-_WRITE = AccessType.WRITE
 
 
 @dataclass
@@ -42,8 +39,7 @@ class SMStats:
 class _CTAContext:
     """Execution state of one resident CTA."""
 
-    __slots__ = ("cta_id", "phases", "phase_idx", "waiting", "pending", "token",
-                 "started_ps")
+    __slots__ = ("cta_id", "phases", "phase_idx", "waiting", "token", "started_ps")
 
     def __init__(self, cta_id: int, phases: Sequence[Phase], token=None) -> None:
         self.cta_id = cta_id
@@ -53,9 +49,6 @@ class _CTAContext:
         self.started_ps = 0
         #: Blocking responses (reads/atomics) still outstanding this phase.
         self.waiting = 0
-        #: True once all of this phase's accesses have been handed to the
-        #: issue queue (the barrier may only fire after that).
-        self.pending = False
         #: The GPU-level kernel context this CTA belongs to.
         self.token = token
 
@@ -103,20 +96,17 @@ class SM:
             self._finish_cta(ctx)
             return
         phase = ctx.phases[ctx.phase_idx]
-        blocking = [a for a in phase.accesses if a.type is not _WRITE]
+        blocking = phase.blocking
         token = ctx.token
         ctx.waiting = len(blocking)
-        ctx.pending = True
         # Writes first (fire-and-forget), then the blocking accesses.
         queue = self._issue_queue
-        for access in phase.accesses:
-            if access.type is _WRITE:
-                queue.append((access, None, token))
+        for access in phase.writes:
+            queue.append((access, None, token))
         for access in blocking:
             queue.append((access, ctx, token))
-        ctx.pending = False
         self.stats.accesses_issued += len(phase.accesses)
-        if ctx.waiting == 0:
+        if not blocking:
             self._compute(ctx)
         self._pump_issue_queue()
 
@@ -161,22 +151,17 @@ class SM:
     # Memory issue, throttled by MSHRs
     # ------------------------------------------------------------------
     def _pump_issue_queue(self) -> None:
-        """Issue queued accesses while MSHRs are free."""
+        """Issue queued accesses while MSHRs are free.  Each completion
+        comes back through :meth:`GPU._access_done`, which releases the
+        MSHR, ends the phase's wait on the last blocking response and
+        pumps again."""
         queue = self._issue_queue
         mshrs = self._mshrs
         access_memory = self.gpu.access_memory
         while queue and self._outstanding < mshrs:
             access, ctx, token = queue.popleft()
             self._outstanding += 1
-            access_memory(self, access, partial(self._access_done, ctx), token)
-
-    def _access_done(self, ctx: Optional[_CTAContext]) -> None:
-        self._outstanding -= 1
-        if ctx is not None:
-            ctx.waiting -= 1
-            if ctx.waiting == 0 and not ctx.pending:
-                self._compute(ctx)
-        self._pump_issue_queue()
+            access_memory(self, access, ctx, token)
 
     @property
     def outstanding(self) -> int:

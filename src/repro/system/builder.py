@@ -134,20 +134,19 @@ class MultiGPUSystem:
     # Memory ports (delegation to the fabric)
     # ------------------------------------------------------------------
     def _wire_ports(self) -> None:
+        # A GPU's port is the fabric's own entry point: every access of
+        # every kernel passes through it, so no frame sits in between.
         for gpu in self.gpus:
             gpu.decode = self.mapping.decode
-            gpu.memory_port = self._make_gpu_port(gpu.gpu_id)
+            gpu.memory_port = partial(self.fabric.gpu_request, gpu.gpu_id)
         self.cpu.decode = self.mapping.decode
         self.cpu.memory_port = self._cpu_port
-
-    def _make_gpu_port(self, gpu_id: int):
-        return partial(self._gpu_request, gpu_id)
 
     def _gpu_request(
         self, gpu_id: int, access: MemoryAccess, on_done: Callable[[], None]
     ) -> None:
-        if access.decoded is None:
-            raise SimulationError("GPU request without decoded address")
+        """Inject one GPU request as GPU ``gpu_id``'s port would (trace
+        replay)."""
         self.fabric.gpu_request(gpu_id, access, on_done)
 
     def _cpu_port(self, access: MemoryAccess, on_done: Callable[[], None]) -> None:

@@ -235,8 +235,12 @@ class Fabric:
     def gpu_request(
         self, gpu_id: int, access: MemoryAccess, on_done: Callable[[], None]
     ) -> None:
-        """Route one GPU memory access to the HMC that owns it."""
-        self._ports[gpu_id][access.decoded.cluster](access, on_done)
+        """Route one GPU memory access to the HMC that owns it (the GPU's
+        memory port)."""
+        decoded = access.decoded
+        if decoded is None:
+            raise SimulationError("GPU request without decoded address")
+        self._ports[gpu_id][decoded.cluster](access, on_done)
 
     def cpu_request(self, access: MemoryAccess, on_done: Callable[[], None]) -> None:
         """Route one CPU memory access (applies :meth:`host_view` first)."""

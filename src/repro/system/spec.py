@@ -88,6 +88,44 @@ class WorkloadRef:
         )
 
 
+#: Process-wide memo of built workloads, keyed by the (frozen, hashable)
+#: :class:`WorkloadRef` recipe, like :func:`repro.analytic.profile_for`'s
+#: profile memo.  A sweep runs one recipe on every organization back to
+#: back (Fig. 14: 7 in a row).  A hit saves the build, and from then on
+#: the workload's kernels keep every CTA's phases
+#: (:meth:`~repro.core.kernel.Kernel.keep_programs`), so the later runs
+#: skip program generation too.  Kept phases make an entry large, hence
+#: the bound of one.
+_WORKLOAD_CACHE: Dict[WorkloadRef, Any] = {}
+_WORKLOAD_CACHE_MAX = 1
+
+
+def workload_for(ref: WorkloadRef) -> Any:
+    """The memoized :class:`~repro.workloads.base.Workload` of ``ref``.
+
+    A recipe that does not build a ``Workload`` (an
+    :class:`~repro.network.traffic.OfferedLoad`, which carries run state)
+    is built on every call and never memoized.  A recipe that runs once
+    keeps no phases: its kernels start keeping them on its first hit.
+    """
+    workload = _WORKLOAD_CACHE.get(ref)
+    if workload is not None:
+        for kernel in workload.kernels:
+            kernel.keep_programs()
+    else:
+        from ..workloads.base import Workload
+
+        # Looked up on the class at call time, so a wrapper bound to
+        # ``WorkloadRef.build`` sees every miss.
+        workload = ref.build()
+        if not isinstance(workload, Workload):
+            return workload
+        if len(_WORKLOAD_CACHE) >= _WORKLOAD_CACHE_MAX:
+            _WORKLOAD_CACHE.clear()
+        _WORKLOAD_CACHE[ref] = workload
+    return workload
+
+
 def _frozen_items(items) -> Tuple[Tuple[str, Any], ...]:
     """``(key, value)`` pairs with every list value (at any depth) made a
     tuple: a JSON round trip then gives back an equal, hashable value, and
@@ -332,8 +370,9 @@ class SystemSpec:
     def run(self, obs=None):
         """Run this spec to completion in-process (one ``run_workload``).
 
-        The analytic tier gets the workload's memoized profile, so a
-        recipe is built once per process however many points run it."""
+        The analytic tier gets the workload's memoized profile and the
+        event tiers the memoized workload (:func:`workload_for`), so a
+        sweep builds a recipe once however many points run it in a row."""
         from .run import run_workload
 
         kwargs = dict(self.run_kwargs)
@@ -344,7 +383,7 @@ class SystemSpec:
 
             workload = profile_for(self.workload)
         else:
-            workload = self.workload.build()
+            workload = workload_for(self.workload)
         return run_workload(self.arch, workload, cfg=self.cfg, **kwargs)
 
     @property
@@ -356,6 +395,7 @@ __all__ = [
     "SPEC_SCHEMA",
     "SystemSpec",
     "WorkloadRef",
+    "workload_for",
     "Organization",
     "TransferMode",
 ]

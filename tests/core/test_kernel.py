@@ -66,6 +66,18 @@ class TestKernel:
         with pytest.raises(ConfigError):
             k.program(4)
 
+    def test_kept_programs(self):
+        k = Kernel("k", (4,), simple_program)
+        assert k.program(2) is not k.program(2)
+        k.keep_programs()
+        first = k.program(2)
+        assert k.program(2) is first
+        assert first[0].accesses[0].vaddr == 256
+        k.keep_programs()  # already keeping: the kept phases stay
+        assert k.program(2) is first
+        with pytest.raises(ConfigError):
+            k.program(4)
+
     def test_invalid_grid(self):
         with pytest.raises(ConfigError):
             Kernel("k", (0,), simple_program)
@@ -80,3 +92,16 @@ class TestPhase:
 
     def test_empty_phase_allowed(self):
         assert Phase(compute_ps=0).accesses == ()
+
+    def test_issue_order_split_once(self):
+        read = Access(0, 128, AccessType.READ)
+        write = Access(128, 128, AccessType.WRITE)
+        atomic = Access(256, 32, AccessType.ATOMIC)
+        late_write = Access(384, 128, AccessType.WRITE)
+        phase = Phase(0, (read, write, atomic, late_write))
+        # Writes first, then the blocking accesses, each in program order.
+        assert phase.writes == (write, late_write)
+        assert phase.blocking == (read, atomic)
+        # The split is derived state: it neither shows nor compares.
+        assert phase == Phase(0, (read, write, atomic, late_write))
+        assert "blocking" not in repr(phase)

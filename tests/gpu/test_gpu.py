@@ -186,6 +186,18 @@ class TestWritePath:
         with pytest.raises(SimulationError):
             sim.run()
 
+    def test_oversized_access_rejected_at_issue(self):
+        sim, gpu, mem = make_gpu()
+        oversize = Access(0, 256, AccessType.READ)
+        message = (
+            "access of 256B exceeds the 128B line; workloads must emit "
+            "line-sized coalesced accesses"
+        )
+        with pytest.raises(SimulationError, match=f"^{message}$"):
+            gpu.access_memory(gpu.sms[0], oversize, None, None)
+        assert mem.requests == []
+        assert gpu.stats.reads == 0
+
 
 class TestAtomicPath:
     def test_atomic_evicts_and_goes_to_memory(self):

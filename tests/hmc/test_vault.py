@@ -14,11 +14,12 @@ from repro.mem import AccessType, DecodedAddress, MemoryAccess
 from repro.sim.engine import Simulator
 
 
-def make_access(bank=0, row=0, kind=AccessType.READ, size=128):
+def make_access(bank=0, row=0, kind=AccessType.READ, size=128, requester=""):
     return MemoryAccess(
         paddr=0,
         size=size,
         type=kind,
+        requester=requester,
         decoded=DecodedAddress(cluster=0, local_hmc=0, vault=0, bank=bank, row=row),
     )
 
@@ -96,6 +97,20 @@ class TestBankParallelism:
         t0, t1 = sorted(t for _, t in done)
         assert t1 - t0 >= per_transfer
 
+    def test_partial_bus_beat_costs_a_whole_cycle(self):
+        # 24 B on the 16 B default bus is one and a half beats: the
+        # transfer holds the bus for the ceiling, two whole cycles.
+        cfg = HMCConfig()
+        bus = cfg.vault_bus_bytes_per_cycle
+        size = bus + bus // 2
+        assert size % bus
+        _, done = run_vault([make_access(size=size)])
+        cycles = -(-size // bus)
+        assert cycles == 2
+        assert done[0][1] == cfg.timing.empty_ps + cycles * cfg.timing.tCK_ps
+        _, one_beat = run_vault([make_access(size=bus)])
+        assert done[0][1] - one_beat[0][1] == cfg.timing.tCK_ps
+
 
 class TestQueueBounds:
     def test_overflow_buffers_excess_requests(self):
@@ -107,6 +122,16 @@ class TestQueueBounds:
         assert vault.stats.overflow_peak > 0
         sim.run()
         assert len(done) == 20
+
+    def test_queue_wait_is_charged_to_the_requester_class(self):
+        # The second request to bank 0 waits for the first one's activate.
+        vault, _ = run_vault(
+            [make_access(bank=0, row=r, requester="gpu0") for r in range(2)]
+        )
+        stats = vault.stats
+        assert stats.total_queue_wait_ps > 0
+        assert stats.class_queue_wait_ps["gpu"] == stats.total_queue_wait_ps
+        assert stats.class_served == {"gpu": 2}
 
     def test_queue_wait_grows_with_contention(self):
         light_vault, _ = run_vault([make_access(bank=0, row=r) for r in range(2)])

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.mem import AccessType, MemoryAccess
 from repro.system.builder import MultiGPUSystem
 from repro.system.configs import TABLE_III
@@ -138,6 +139,21 @@ class TestRequestPaths:
         t_gmn = issue_gpu_read(build("GMN"), 0, cluster=1)
         t_pcie = issue_gpu_read(build("PCIe"), 0, cluster=1)
         assert t_gmn < t_pcie / 3
+
+
+class TestGpuPort:
+    @pytest.mark.parametrize("arch", list(TABLE_III))
+    def test_port_is_the_fabric_entry(self, arch):
+        system = build(arch)
+        for gpu in system.gpus:
+            assert gpu.memory_port.func == system.fabric.gpu_request
+            assert gpu.memory_port.args == (gpu.gpu_id,)
+
+    def test_undecoded_request_rejected(self):
+        system = build("UMN")
+        access = MemoryAccess(paddr=0, size=128, type=AccessType.READ, requester="gpu0")
+        with pytest.raises(SimulationError, match="^GPU request without decoded address$"):
+            system.gpus[0].memory_port(access, lambda: None)
 
 
 class TestCpuPort:
