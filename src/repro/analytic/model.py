@@ -14,6 +14,9 @@ event engine.  The pipeline:
    links, the PCIe switch, PCN links, or memory-network legs routed with
    :class:`~repro.network.trafficmatrix.FlowRouter` over the fabric's own
    topology builder.  Any registered fabric is costed, extensions too.
+   A requester's routes to every cluster fold into one cached access
+   mix per access kind and size (:class:`_Mix`), so a kernel is costed
+   per (GPU, kind), not per (GPU, cluster, kind).
 3. Contention is M/D/1: every channel class and every cluster's vaults
    accumulate service demand; utilization against the current kernel-time
    estimate yields a queueing wait ``W = rho * S / (2 * (1 - rho))``,
@@ -135,15 +138,84 @@ class _Route:
         default_factory=list
     )
 
-    def latency_ps(
-        self, waits: Dict[str, float], hop_wait_ps: float
-    ) -> float:
-        total = self.fixed_ps
-        for key, _, _ in self.visits:
-            total += waits.get(key, 0.0)
-        for leg in self.legs:
-            total += leg.fixed_ps + leg.hops * hop_wait_ps
-        return total
+
+class _Mix:
+    """One terminal's accesses of one kind and size, spread over its
+    destination clusters: the per-access terms of the member routes,
+    each weighted by its placement share and summed.
+
+    An access count ``n`` of the mix stands for ``n * share`` accesses on
+    each member route, so a kernel costs one visit per (GPU, kind)
+    instead of one per (GPU, cluster, kind).  Every term is linear in the
+    shares; only :meth:`latency_ps` divides by their total.
+    """
+
+    __slots__ = (
+        "members",
+        "share",
+        "fixed_ps",
+        "leg_fixed_ps",
+        "hops",
+        "legs",
+        "resources",
+        "channels",
+        "loads",
+        "requests",
+        "wire_bytes",
+    )
+
+    def __init__(
+        self, members: Tuple[Tuple[_Route, float], ...], flow_router
+    ) -> None:
+        #: (route, share) pairs; read back only for Fig. 10's matrix.
+        self.members = members
+        share = fixed = leg_fixed = hops = legs = requests = wire = 0.0
+        resources: Dict[str, List] = {}
+        loads: Dict = {}
+        get = loads.get
+        for route, frac in members:
+            share += frac
+            fixed += frac * route.fixed_ps
+            for key, servers, service in route.visits:
+                entry = resources.get(key)
+                if entry is None:
+                    entry = resources[key] = [key, servers, 0.0, 0.0]
+                entry[2] += frac * service
+                entry[3] += frac
+            for leg in route.legs:
+                legs += frac
+                hops += frac * leg.hops
+                leg_fixed += frac * leg.fixed_ps
+            for src, dst, flow_share, req_b, resp_b in route.flows:
+                requests += frac * flow_share
+                wire += frac * (req_b + resp_b)
+                request, response = flow_router.flow_unit_loads(src, dst)
+                req_b *= frac
+                resp_b *= frac
+                for ch, unit in request.items():
+                    loads[ch] = get(ch, 0.0) + req_b * unit
+                for ch, unit in response.items():
+                    loads[ch] = get(ch, 0.0) + resp_b * unit
+        self.share = share
+        #: Unloaded latency (route fixed time plus its legs' fixed time).
+        self.fixed_ps = fixed + leg_fixed
+        self.leg_fixed_ps = leg_fixed
+        self.hops = hops
+        self.legs = legs
+        #: (key, servers, service demand, visits) per resource.
+        self.resources = tuple(tuple(entry) for entry in resources.values())
+        #: Channel byte loads per access, as two parallel tuples.
+        self.channels = tuple(loads)
+        self.loads = tuple(loads.values())
+        self.requests = requests
+        self.wire_bytes = wire
+
+    def latency_ps(self, waits: Dict[str, float], hop_wait_ps: float) -> float:
+        """Mean latency of one access at the given resource and hop waits."""
+        total = self.fixed_ps + self.hops * hop_wait_ps
+        for key, _, _, visits in self.resources:
+            total += visits * waits.get(key, 0.0)
+        return total / self.share
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +305,7 @@ class _CapacityModel:
             self.hmcs_per_cluster * cfg.hmc.num_vaults
         )
         self._route_cache: Dict[Tuple[str, int, int, AccessType, int], _Route] = {}
+        self._mix_cache: Dict[Tuple[int, AccessType, int], _Mix] = {}
 
         self.fabric = fabric_for(spec.organization)
         self.router_of = self.fabric.router_of
@@ -376,6 +449,30 @@ class _CapacityModel:
         self._route_cache[key] = route
         return route
 
+    def mix(self, terminal_cluster: int, kind: AccessType, size: int) -> _Mix:
+        """The memoized access mix of the GPU of ``terminal_cluster`` (or
+        of the CPU, under the host view) over its placement shares."""
+        key = (terminal_cluster, kind, size)
+        cached = self._mix_cache.get(key)
+        if cached is not None:
+            return cached
+        if terminal_cluster == self.cpu_cluster:
+            terminal, fractions = "cpu", self.host_fractions()
+        else:
+            terminal = f"gpu{terminal_cluster}"
+            fractions = self.placement.shares(terminal_cluster)
+        mix = _Mix(
+            tuple(
+                (self.route(terminal, terminal_cluster, cluster, kind, size), share)
+                for cluster, share in fractions.items()
+            ),
+            self.flow_router,
+        )
+        if len(self._mix_cache) >= _MODEL_CACHE_MAX:
+            self._mix_cache.clear()
+        self._mix_cache[key] = mix
+        return mix
+
     def _path(
         self,
         route: _Route,
@@ -437,49 +534,33 @@ class _NetStats:
         self.latency_sum = 0.0
         self.hops_sum = 0.0
 
-    def account(
-        self, route: _Route, count: float, hop_wait_ps: float
-    ) -> None:
-        for leg in route.legs:
-            self.delivered += count
-            self.latency_sum += count * (
-                leg.fixed_ps + leg.hops * hop_wait_ps
-            )
-            self.hops_sum += count * leg.hops
+    def add(self, mix: _Mix, count: float, hop_wait_ps: float) -> None:
+        """Account ``count`` accesses of ``mix``: one delivery per leg."""
+        self.delivered += count * mix.legs
+        self.latency_sum += count * (mix.leg_fixed_ps + mix.hops * hop_wait_ps)
+        self.hops_sum += count * mix.hops
 
 
-def _add_flows(matrix: TrafficMatrix, route: _Route, count: float) -> None:
-    for src, dst, share, req_b, resp_b in route.flows:
-        matrix.add(src, dst, count * share, count * req_b, count * resp_b)
-
-
-def _add_loads(total: Dict, loads: Dict) -> None:
-    for ch, load_bytes in loads.items():
-        total[ch] = total.get(ch, 0.0) + load_bytes
+def _add_loads(total: Dict, mix: _Mix, count: float) -> None:
+    get = total.get
+    for ch, load_bytes in zip(mix.channels, mix.loads):
+        total[ch] = get(ch, 0.0) + count * load_bytes
 
 
 def _hop_wait_ps(
-    loads: Dict, window_ps: float, mean_packet_bytes: float
+    channels: List[Tuple[float, float, float]], window_ps: float
 ) -> float:
-    """Load-weighted average M/D/1 wait per channel traversal."""
-    if window_ps <= 0 or not loads:
+    """Load-weighted average M/D/1 wait per channel traversal, over the
+    (load bytes, bytes per ps, mean service ps) of every loaded channel."""
+    if window_ps <= 0 or not channels:
         return 0.0
     num = 0.0
     den = 0.0
-    for ch, load_bytes in loads.items():
-        bw = ch.bytes_per_ps
+    for load_bytes, bw, service in channels:
         rho = min(RHO_CAP, load_bytes / (bw * window_ps))
-        service = mean_packet_bytes / bw
         num += load_bytes * rho * service / (2.0 * (1.0 - rho))
         den += load_bytes
     return num / den if den else 0.0
-
-
-def _net_bandwidth_bound_ps(loads: Dict) -> float:
-    bound = 0.0
-    for ch, load_bytes in loads.items():
-        bound = max(bound, load_bytes / ch.bytes_per_ps)
-    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -641,60 +722,37 @@ def _estimate_kernel(
     )
 
     resources: Dict[str, _Resource] = {}
-    kernel_matrix = (
-        TrafficMatrix(model.topo.num_routers) if model.topo else None
-    )
+    loads: Dict = {}
+    requests = wire_bytes = 0.0
 
-    def visit(route: _Route, count: float) -> None:
-        for key, servers, service in route.visits:
-            res = resources.get(key)
-            if res is None:
-                res = resources[key] = _Resource(servers)
-            res.add(count, service)
-        if kernel_matrix is not None:
-            _add_flows(kernel_matrix, route, count)
-
-    # Per-GPU traffic classes (counts are per whole kernel launch).
-    per_gpu: List[Dict[str, object]] = []
+    # Per-GPU access mixes (counts are per whole kernel launch).
+    per_gpu: List[Tuple[int, float, _Mix, float, Optional[_Mix], List]] = []
     for g, m in enumerate(chunks):
         if m == 0:
-            per_gpu.append({})
             continue
-        terminal = f"gpu{g}"
-        fractions = model.placement.shares(g)
         mem_reads = min(kp.distinct_read_lines(m), kp.reads_per_cta * m)
         writes = kp.writes_per_cta * m
         atomics = kp.atomics_per_cta * m
-        classes: List[Tuple[_Route, float, AccessType]] = []
-        for cluster, frac in fractions.items():
-            read_route = model.route(terminal, g, cluster, _READ, GPU_LINE_BYTES)
-            classes.append((read_route, mem_reads * frac, _READ))
-            if writes:
-                classes.append(
-                    (
-                        model.route(terminal, g, cluster, _WRITE, write_size),
-                        writes * frac,
-                        _WRITE,
-                    )
-                )
-            if atomics:
-                classes.append(
-                    (
-                        model.route(terminal, g, cluster, _ATOMIC, atomic_size),
-                        atomics * frac,
-                        _ATOMIC,
-                    )
-                )
-        for route, count, _ in classes:
-            visit(route, count)
-        per_gpu.append(
-            {
-                "m": m,
-                "classes": classes,
-                "mem_reads": mem_reads,
-                "atomics": atomics,
-            }
-        )
+        # Read, write, atomic: a Fig. 10 matrix cell belongs to one
+        # cluster, so it accumulates its kinds in this order.
+        read_mix = model.mix(g, _READ, GPU_LINE_BYTES)
+        atomic_mix = model.mix(g, _ATOMIC, atomic_size) if atomics else None
+        terms = [(read_mix, mem_reads)]
+        if writes:
+            terms.append((model.mix(g, _WRITE, write_size), writes))
+        if atomic_mix is not None:
+            terms.append((atomic_mix, atomics))
+        for mix, count in terms:
+            for key, servers, demand, visits in mix.resources:
+                res = resources.get(key)
+                if res is None:
+                    res = resources[key] = _Resource(servers)
+                res.demand_ps += count * demand
+                res.visits += count * visits
+            _add_loads(loads, mix, count)
+            requests += count * mix.requests
+            wire_bytes += count * mix.wire_bytes
+        per_gpu.append((m, mem_reads, read_mix, atomics, atomic_mix, terms))
         # Cache statistics (reported, and the L2-hit blend below).
         l1_accesses = kp.reads_per_cta * m
         l1_misses = min(kp.distinct_read_lines_1 * m, l1_accesses)
@@ -704,18 +762,19 @@ def _estimate_kernel(
         cache_out.l2_hits += l1_misses - min(mem_reads, l1_misses)
         cache_out.memory_requests += mem_reads + writes + atomics
 
-    loads = model.flow_router.channel_loads(kernel_matrix) if kernel_matrix else {}
-    total_pkts = 2.0 * kernel_matrix.total_requests if kernel_matrix else 0.0
-    total_bytes = (
-        kernel_matrix.total_request_bytes + kernel_matrix.total_response_bytes
-        if kernel_matrix
-        else 0.0
-    )
-    mean_packet_bytes = total_bytes / total_pkts if total_pkts else 0.0
+    total_pkts = 2.0 * requests
+    mean_packet_bytes = wire_bytes / total_pkts if total_pkts else 0.0
     if energy_loads is not None:
-        _add_loads(energy_loads, loads)
+        for ch, load_bytes in loads.items():
+            energy_loads[ch] = energy_loads.get(ch, 0.0) + load_bytes
 
-    bw_bound = _net_bandwidth_bound_ps(loads)
+    # Each loaded channel's constants, read once per kernel.
+    channels: List[Tuple[float, float, float]] = []
+    bw_bound = 0.0
+    for ch, load_bytes in loads.items():
+        bw = ch.bytes_per_ps
+        channels.append((load_bytes, bw, mean_packet_bytes / bw))
+        bw_bound = max(bw_bound, load_bytes / bw)
     for res in resources.values():
         bw_bound = max(bw_bound, res.busy_bound_ps)
 
@@ -725,28 +784,14 @@ def _estimate_kernel(
         kp.compute_ps_per_cta / kp.phases_per_cta if kp.phases_per_cta else 0.0
     )
 
-    def latency_bound(
-        info: Dict[str, object], waits: Dict[str, float], hop_wait: float
-    ) -> float:
-        m = info["m"]
-        classes = info["classes"]
-        mem_reads = info["mem_reads"]
-        atomics = info["atomics"]
+    def latency_bound(info, waits: Dict[str, float], hop_wait: float) -> float:
+        m, mem_reads, read_mix, atomics, atomic_mix, _ = info
         total_phases = kp.phases_per_cta * m
         if total_phases <= 0:
             return 0.0
-        # Average memory latencies over the destination mix.
-        read_lat = atom_lat = 0.0
-        read_n = atom_n = 0.0
-        for route, count, kind in classes:
-            if kind is _READ:
-                read_lat += count * route.latency_ps(waits, hop_wait)
-                read_n += count
-            elif kind is _ATOMIC:
-                atom_lat += count * route.latency_ps(waits, hop_wait)
-                atom_n += count
-        read_lat = read_lat / read_n if read_n else 0.0
-        atom_lat = atom_lat / atom_n if atom_n else 0.0
+        # Mean memory latencies over the destination mix.
+        read_lat = read_mix.latency_ps(waits, hop_wait) if mem_reads else 0.0
+        atom_lat = atomic_mix.latency_ps(waits, hop_wait) if atomic_mix else 0.0
         mem_per_phase = mem_reads / total_phases
         atom_per_phase = atomics / total_phases
         l1m_per_phase = kp.distinct_read_lines_1 / kp.phases_per_cta
@@ -759,9 +804,6 @@ def _estimate_kernel(
         waves = math.ceil(m / min(m, resident_cap))
         return waves * kp.phases_per_cta * (phase_lat + compute_per_phase)
 
-    def compute_bound(info: Dict[str, object]) -> float:
-        return kp.compute_ps_per_cta * info["m"] / gpu.num_sms
-
     # Fixed point: kernel time -> utilization -> waits -> kernel time.
     waits: Dict[str, float] = {}
     hop_wait = 0.0
@@ -769,27 +811,30 @@ def _estimate_kernel(
     for _ in range(FIXED_POINT_ROUNDS):
         window = bw_bound
         for info in per_gpu:
-            if not info:
-                continue
+            m = info[0]
             window = max(
-                window, latency_bound(info, waits, hop_wait), compute_bound(info)
+                window,
+                latency_bound(info, waits, hop_wait),
+                kp.compute_ps_per_cta * m / gpu.num_sms,
             )
         window = max(window, 1.0)
         waits = {key: res.wait_ps(window) for key, res in resources.items()}
-        hop_wait = _hop_wait_ps(loads, window, mean_packet_bytes)
+        hop_wait = _hop_wait_ps(channels, window)
 
     # Final accounting at the converged waits.
-    for info in per_gpu:
-        if not info:
-            continue
-        for route, count, _ in info["classes"]:
-            net_stats.account(route, count, hop_wait)
+    for *_, terms in per_gpu:
+        for mix, count in terms:
+            net_stats.add(mix, count, hop_wait)
             if request_matrix is not None:
                 # Fig. 10 scope: router-destined request packets only,
                 # matching the packet engine's measured traffic matrix.
-                for src, dst, share, req_b, _resp in route.flows:
-                    if isinstance(dst, int):
-                        request_matrix.add(src, dst, count * share, count * req_b)
+                for route, frac in mix.members:
+                    route_count = count * frac
+                    for src, dst, share, req_b, _resp in route.flows:
+                        if isinstance(dst, int):
+                            request_matrix.add(
+                                src, dst, route_count * share, route_count * req_b
+                            )
     return window
 
 
@@ -804,21 +849,15 @@ def _estimate_host(
     if not profile.host_steps:
         return 0.0
     cfg = model.cfg
-    fractions = model.host_fractions()
     line = cfg.cpu.line_bytes
     mlp = cfg.cpu.max_outstanding
-    host_matrix = TrafficMatrix(model.topo.num_routers) if model.topo else None
 
-    def mem_latency(kind: AccessType, size: int, count_scale: float) -> float:
-        lat = 0.0
-        for cluster, frac in fractions.items():
-            route = model.route("cpu", model.cpu_cluster, cluster, kind, size)
-            lat += frac * route.latency_ps({}, 0.0)
-            if count_scale:
-                net_stats.account(route, count_scale * frac, 0.0)
-                if host_matrix is not None:
-                    _add_flows(host_matrix, route, count_scale * frac)
-        return lat
+    def mem_latency(kind: AccessType, size: int, count: float) -> float:
+        mix = model.mix(model.cpu_cluster, kind, size)
+        net_stats.add(mix, count, 0.0)
+        if energy_loads is not None:
+            _add_loads(energy_loads, mix, count)
+        return mix.fixed_ps
 
     total = 0.0
     for step in profile.host_steps:
@@ -844,8 +883,6 @@ def _estimate_host(
             + step.atomics * atomic_lat
         )
         total += step.compute_ps + service / mlp
-    if host_matrix:  # an empty matrix is falsy
-        _add_loads(energy_loads, model.flow_router.channel_loads(host_matrix))
     return total
 
 

@@ -277,7 +277,31 @@ def _worker_initializer() -> None:
     # running job drains into the cache or is killed.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _exit_with_parent()
 
     from ..network import topologies  # noqa: F401
     from ..system import builder, run  # noqa: F401
     from ..workloads import suite  # noqa: F401
+
+
+def _exit_with_parent() -> None:
+    """End this worker as soon as the process that owns its pool is gone.
+
+    A worker holds both ends of the pool's pipes, so a parent killed
+    without a shutdown (SIGKILL, a crash) never shows it an EOF: it
+    would block in its queue read forever.  A daemon thread waits on the
+    parent's sentinel instead and exits the worker when it fires.
+    """
+    import multiprocessing
+    import threading
+    from multiprocessing.connection import wait
+
+    parent = multiprocessing.parent_process()
+    if parent is None:
+        return
+
+    def watch() -> None:
+        wait([parent.sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()

@@ -5,7 +5,7 @@ lands last: FIFO submission of (say) eight jobs on two workers can leave
 one worker idle while the other grinds the sweep's slowest point that
 happened to be declared last.  Submitting cache misses in
 longest-predicted-first (LPT) order is the classic fix — and this repo
-already owns a ~0.45 ms cost oracle, the analytic fidelity tier.
+already owns a ~0.33 ms cost oracle, the analytic fidelity tier.
 
 Two cooperating pieces:
 
@@ -16,7 +16,9 @@ Two cooperating pieces:
   name + scale) are estimated: an explicit ``module:function`` factory
   may run arbitrary code at build time (the diagnostics workloads kill
   the building process on purpose), so factory-based points are never
-  built in the parent and fall back to observed or default costs.
+  built in the parent and fall back to observed or default costs.  A
+  point under another vault scheduler is estimated as its FR-FCFS twin:
+  the analytic tier models FR-FCFS only, and LPT needs only the order.
 - :class:`CostBook` turns units into seconds: an in-memory record,
   one per executor, of observed per-point wall times plus learned
   per-(arch, network_model) events-per-unit and events-per-second rates
@@ -104,8 +106,9 @@ def analytic_estimate(job: SweepJob) -> Optional[float]:
         kwargs = {
             k: v for k, v in job.run_kwargs if k in _ESTIMATE_KWARGS
         }
+        cfg = job.cfg.with_overrides(scheduler="frfcfs")
         result = analytic_run(
-            job.spec, profile_for(job.workload), cfg=job.cfg, **kwargs
+            job.spec, profile_for(job.workload), cfg=cfg, **kwargs
         )
         estimate: Optional[float] = max(
             float(result.memory_requests + result.net_delivered), 1.0

@@ -3,21 +3,18 @@
 A :class:`TrafficMatrix` is the fabric-independent description of offered
 load: how many requests, and how many request/response bytes, each source
 terminal sends toward each destination (an HMC router for memory requests,
-or a terminal for forwarded transfers).  Two consumers share it:
+or a terminal for forwarded transfers).  The analytic tier fills one with
+its predicted request packets, and the Fig. 10 style ``[terminal][router]``
+byte matrix is one view of it (:meth:`TrafficMatrix.bytes_matrix`), so
+measured and predicted traffic can be compared in the same format.
 
-- the **analytic tier** (:mod:`repro.analytic`) derives one from a
-  workload + :class:`~repro.system.spec.SystemSpec` without running the
-  event engine and routes it over the topology to get per-channel loads;
-- the Fig. 10 style ``[terminal][router]`` byte matrix is one view of it
-  (:meth:`TrafficMatrix.bytes_matrix`), so measured and predicted traffic
-  can be compared in the same format.
-
-:class:`FlowRouter` turns a matrix into per-channel byte loads by routing
-every flow minimally over a :class:`~repro.network.topology.Topology`,
-splitting each flow evenly across the minimal injection attachments and
-minimal next hops — the closed-form analogue of the packet engine's
-adaptive tie-breaking, and the load model behind the analytic tier's
-M/D/1 channel estimates.
+:class:`FlowRouter` routes flows minimally over a
+:class:`~repro.network.topology.Topology`, splitting each flow evenly
+across the minimal injection attachments and minimal next hops — the
+closed-form analogue of the packet engine's adaptive tie-breaking.  Its
+per-byte channel spread of a ``(source, destination)`` flow
+(:meth:`FlowRouter.flow_unit_loads`) is the load model behind the
+analytic tier's M/D/1 channel estimates and its Fig. 17 energy.
 """
 
 from __future__ import annotations
@@ -60,22 +57,7 @@ class TrafficMatrix:
             cell[1] += request_bytes
             cell[2] += response_bytes
 
-    def __len__(self) -> int:
-        return len(self._flows)
-
     # ------------------------------------------------------------------
-    @property
-    def total_requests(self) -> float:
-        return sum(cell[0] for cell in self._flows.values())
-
-    @property
-    def total_request_bytes(self) -> float:
-        return sum(cell[1] for cell in self._flows.values())
-
-    @property
-    def total_response_bytes(self) -> float:
-        return sum(cell[2] for cell in self._flows.values())
-
     def bytes_matrix(self, terminals: Iterable[str]) -> List[List[int]]:
         """Request bytes from each terminal to each router, in the Fig. 10
         format of :meth:`repro.network.network.MemoryNetwork.traffic_matrix`
@@ -93,13 +75,13 @@ class TrafficMatrix:
 # Minimal-path flow routing
 # ---------------------------------------------------------------------------
 class FlowRouter:
-    """Routes a :class:`TrafficMatrix` over a topology in closed form.
+    """Routes flows over a topology in closed form.
 
     Every flow is spread evenly across its minimal injection attachments
     and, recursively, across the minimal next hops at every router — the
     expected-value analogue of the packet engine's tie-breaking.  Path
-    spreads are memoized per (router, router) pair, so routing a matrix is
-    linear in flows once the topology's distances are computed.
+    spreads are memoized per (router, router) pair and unit spreads per
+    flow, so each flow is routed once per topology.
     """
 
     def __init__(self, topo: Topology) -> None:
@@ -152,7 +134,7 @@ class FlowRouter:
         memoized: the request spread (inject, minimal paths, far-end
         eject for terminal destinations) and the response spread (back
         from the destination router to the source's ejection points).
-        A matrix's byte counts scale these without re-routing."""
+        A flow's byte counts scale these without re-routing."""
         key = (src, dst)
         cached = self._unit_memo.get(key)
         if cached is not None:
@@ -189,21 +171,3 @@ class FlowRouter:
             put(response, att.eject, eshare)
         self._unit_memo[key] = (request, response)
         return request, response
-
-    def channel_loads(self, matrix: TrafficMatrix) -> Dict[Channel, float]:
-        """Bytes offered to every channel (topology links plus terminal
-        inject/eject channels) by routing ``matrix`` minimally.  Linear in
-        the matrix: the loads of a sum of matrices are the sum of their
-        loads, up to float rounding."""
-        loads: Dict[Channel, float] = {}
-        get = loads.get
-        memo = self._unit_memo
-        for key, (_, request_bytes, response_bytes) in matrix._flows.items():
-            request, response = memo.get(key) or self.flow_unit_loads(*key)
-            if request_bytes:
-                for ch, frac in request.items():
-                    loads[ch] = get(ch, 0.0) + request_bytes * frac
-            if response_bytes:
-                for ch, frac in response.items():
-                    loads[ch] = get(ch, 0.0) + response_bytes * frac
-        return loads

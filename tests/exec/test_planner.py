@@ -106,6 +106,17 @@ def test_analytic_estimate_never_builds_factory_workloads():
     assert analytic_estimate(job) is None
 
 
+def test_fcfs_point_is_estimated_as_its_frfcfs_twin():
+    frfcfs = _job("VEC")
+    fcfs = job_for(
+        "GMN", "VEC", _cfg().with_overrides(scheduler="fcfs"), scale=0.05
+    )
+    assert fcfs.system.cache_key() != frfcfs.system.cache_key()
+    estimate = analytic_estimate(fcfs)
+    assert estimate is not None
+    assert estimate == analytic_estimate(frfcfs)
+
+
 def test_estimate_scales_with_problem_size():
     small = analytic_estimate(_job("VEC", scale=0.05))
     large = analytic_estimate(_job("VEC", scale=0.5))

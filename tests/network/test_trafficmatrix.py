@@ -1,4 +1,4 @@
-"""TrafficMatrix / FlowRouter: accumulation, routing spreads, loads.
+"""TrafficMatrix / FlowRouter: accumulation, routing spreads, unit loads.
 
 Hand-computed expectations on tiny topologies (a line and a square), so
 every fraction is checkable on paper.
@@ -38,10 +38,10 @@ class TestTrafficMatrix:
         matrix.add("gpu0", 2, requests=1.0, request_bytes=32.0, response_bytes=80.0)
         matrix.add("gpu0", 2, requests=2.0, request_bytes=64.0, response_bytes=160.0)
         matrix.add("gpu0", "gpu1", requests=1.0, request_bytes=144.0)
-        assert len(matrix) == 2
-        assert matrix.total_requests == 4.0
-        assert matrix.total_request_bytes == 240.0
-        assert matrix.total_response_bytes == 240.0
+        assert matrix._flows == {
+            ("gpu0", 2): [3.0, 96.0, 240.0],
+            ("gpu0", "gpu1"): [1.0, 144.0, 0.0],
+        }
 
     def test_cells_keyed_by_source_and_destination(self):
         matrix = TrafficMatrix(4)
@@ -89,39 +89,25 @@ class TestFlowRouterLine:
     def test_channel_loads_request_and_response(self):
         topo = line4()
         router = FlowRouter(topo)
-        matrix = TrafficMatrix(4)
-        matrix.add("gpu0", 2, requests=1.0, request_bytes=32.0, response_bytes=80.0)
-        loads = router.channel_loads(matrix)
+        request, response = router.flow_unit_loads("gpu0", 2)
         att = topo.attachments("gpu0")[0]
         # Request: inject + 2 hops; response: 2 hops back + eject.
-        assert loads[att.inject] == pytest.approx(32.0)
-        assert loads[att.eject] == pytest.approx(80.0)
-        hop_bytes = [
-            amount
-            for channel, amount in loads.items()
-            if channel not in (att.inject, att.eject)
-        ]
-        assert sorted(hop_bytes) == pytest.approx([32.0, 32.0, 80.0, 80.0])
+        assert request[att.inject] == 1.0 and att.eject not in request
+        assert response[att.eject] == 1.0 and att.inject not in response
+        assert len(request) == len(response) == 3
+        assert set(request).isdisjoint(response)  # opposite directions
+        assert router.flow_unit_loads("gpu0", 2) == (request, response)
 
     def test_terminal_destination_ejects_far_end(self):
         topo = line4()
         router = FlowRouter(topo)
-        matrix = TrafficMatrix(4)
-        matrix.add("gpu0", "gpu1", requests=1.0, request_bytes=144.0)
-        loads = router.channel_loads(matrix)
+        request, response = router.flow_unit_loads("gpu0", "gpu1")
         far = topo.attachments("gpu1")[0]
-        assert loads[far.eject] == pytest.approx(144.0)
-
-    def test_unit_loads_match_channel_loads(self):
-        topo = line4()
-        router = FlowRouter(topo)
-        matrix = TrafficMatrix(4)
-        matrix.add("gpu0", 3, requests=2.0, request_bytes=64.0, response_bytes=160.0)
-        request, response = router.flow_unit_loads("gpu0", 3)
-        expected = {ch: 64.0 * f for ch, f in request.items()}
-        for ch, f in response.items():
-            expected[ch] = expected.get(ch, 0.0) + 160.0 * f
-        assert router.channel_loads(matrix) == pytest.approx(expected)
+        near = topo.attachments("gpu0")[0]
+        # inject + 3 hops + the far end's eject; the reply comes back.
+        assert request[far.eject] == 1.0
+        assert sum(request.values()) == pytest.approx(5.0)
+        assert response[near.eject] == 1.0
 
 
 class TestFlowRouterSquare:
@@ -132,16 +118,3 @@ class TestFlowRouterSquare:
         assert len(spread) == 4
         assert all(frac == pytest.approx(0.5) for frac in spread.values())
         assert pytest.approx(sum(spread.values())) == 2.0
-
-    def test_loads_scale_linearly(self):
-        topo = square()
-        router = FlowRouter(topo)
-        matrix = TrafficMatrix(4)
-        matrix.add("gpu0", 2, requests=1.0, request_bytes=100.0)
-        loads = router.channel_loads(matrix)
-        double = TrafficMatrix(4)
-        double.add("gpu0", 2, requests=2.0, request_bytes=200.0)
-        doubled = router.channel_loads(double)
-        assert doubled == pytest.approx(
-            {ch: 2.0 * amount for ch, amount in loads.items()}
-        )

@@ -17,13 +17,15 @@ STUB = '''\
 import json, os, sys
 tree = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 seed = sys.argv[sys.argv.index("--seed") + 1]
+workload = sys.argv[sys.argv.index("--workload") + 1]
 with open(os.path.join(os.path.dirname(tree), "calls.log"), "a") as log:
-    log.write(f"{os.path.basename(tree)} {seed}\\n")
+    log.write(f"{os.path.basename(tree)} {workload} {seed}\\n")
 with open(os.path.join(tree, "stub.json")) as f:
     stub = json.load(f)
+wall_s = stub["wall_s"].get(workload, 10.0)
 print("wall_s = ignored")
 print(json.dumps({"correct": stub["correct"],
-                  "metrics": {"wall_s": {"value": stub["wall_s"], "unit": "s"}}}))
+                  "metrics": {"wall_s": {"value": wall_s, "unit": "s"}}}))
 sys.exit(stub["exit"])
 '''
 
@@ -37,6 +39,10 @@ def gate():
 
 
 def make_tree(root, name, wall_s=10.0, correct=True, exit=0):
+    """A stub checkout; ``wall_s`` is one figure for every workload or a
+    {workload: wall_s} map (10 s where absent)."""
+    if not isinstance(wall_s, dict):
+        wall_s = {"fig14-packet": wall_s, "explore-analytic": wall_s}
     tree = root / name
     (tree / "perfbench").mkdir(parents=True)
     (tree / "perfbench" / "run.py").write_text(STUB)
@@ -58,6 +64,20 @@ def test_head_30_percent_slower_fails(gate, tmp_path):
     assert gate.main([base, head]) == 1
 
 
+@pytest.mark.parametrize("workload", ["fig14-packet", "explore-analytic"])
+def test_one_slower_workload_fails(gate, tmp_path, capsys, workload):
+    base = make_tree(tmp_path, "base")
+    head = make_tree(tmp_path, "head", wall_s={workload: 13.0})
+    assert gate.main([base, head]) == 1
+    verdicts = [
+        line for line in capsys.readouterr().out.splitlines() if "median" in line
+    ]
+    assert [line.split()[0] for line in verdicts] == [
+        "FAIL:" if name == workload else "ok:"
+        for name in ("fig14-packet", "explore-analytic")
+    ]
+
+
 @pytest.mark.parametrize(
     "broken", [{"correct": False}, {"exit": 1}], ids=["incorrect", "nonzero-exit"]
 )
@@ -72,7 +92,12 @@ def test_runs_alternate_which_tree_goes_first(gate, tmp_path):
     head = make_tree(tmp_path, "head")
     assert gate.main([base, head]) == 0
     calls = (tmp_path / "calls.log").read_text().splitlines()
-    assert calls == ["base 1", "head 1", "head 2", "base 2", "base 3", "head 3"]
+    order = ["base 1", "head 1", "head 2", "base 2", "base 3", "head 3"]
+    assert calls == [
+        f"{tree} {workload} {seed}"
+        for workload in ("fig14-packet", "explore-analytic")
+        for tree, seed in (call.split() for call in order)
+    ]
 
 
 def test_usage_error_exits_2(gate, tmp_path, capsys):
