@@ -4,8 +4,9 @@
 
 Each tree is a checkout of this repository.  The gate runs each of the
 repository benchmark's ``WORKLOADS`` (``perfbench/run.py --workload W
---trace 0``): fig14-packet for the event-engine tiers and
-explore-analytic for the analytic tier.  Each runs in both trees,
+--trace 0``): fig14-packet for the event-engine tiers, contention-packet
+for the flit engine, UGAL routing, the non-default vault schedulers and
+the worker pool, and explore-analytic for the analytic tier.  Each runs in both trees,
 ``PAIRS`` times each, on the same seed within a pair, alternating which
 tree runs first so that a drift in machine speed loads both sides alike.
 It reads ``wall_s`` from the JSON line each run prints last and compares
@@ -26,7 +27,7 @@ import subprocess
 import sys
 
 #: The benchmark workloads the gate runs, each in its own pairs.
-WORKLOADS = ("fig14-packet", "explore-analytic")
+WORKLOADS = ("fig14-packet", "contention-packet", "explore-analytic")
 #: Interleaved (base, head) run pairs per workload.
 PAIRS = 3
 #: Largest allowed slowdown of the head's median wall_s over the base's.

@@ -77,17 +77,6 @@ class Channel:
         """How long a packet arriving now would wait before transmission."""
         return max(0, self.busy_until - now_ps)
 
-    def wait_and_serialization_ps(self, now_ps: int, num_bytes: int) -> int:
-        """``queue_delay_ps(now_ps) + serialization_ps(num_bytes)``: what a
-        packet arriving now pays to cross this channel.  UGAL costs every
-        channel of a candidate path this way, so both are inlined."""
-        busy = self.busy_until
-        wait = busy - now_ps if busy > now_ps else 0
-        if num_bytes <= 0:
-            return wait
-        ser = round(num_bytes / self._bytes_per_ps)
-        return wait + (ser if ser > 1 else 1)
-
     def transmit(self, num_bytes: int, now_ps: int) -> int:
         """Schedule a transfer; returns the time the last byte arrives."""
         # Runs once per packet per hop — serialization_ps/max are inlined.

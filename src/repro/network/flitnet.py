@@ -42,33 +42,63 @@ from .topology import Topology
 #: 20 GB/s / 1.25 GHz).
 FLIT_BYTES = 16
 
-
-class _Flit:
-    """One channel-width slice of a packet (slotted: created per 16 B)."""
-
-    __slots__ = ("packet", "is_head", "is_tail", "dst_router")
-
-    def __init__(
-        self, packet: Packet, is_head: bool, is_tail: bool, dst_router: int = -1
-    ) -> None:
-        self.packet = packet
-        self.is_head = is_head
-        self.is_tail = is_tail
-        #: Ejection router chosen at injection (terminal destinations).
-        self.dst_router = dst_router
+#: One channel-width slice of a packet: ``(packet, is_head, is_tail,
+#: dst_router)``, where ``dst_router`` is the ejection router chosen at
+#: injection.  A packet's body flits share one tuple.
+Flit = Tuple[Packet, bool, bool, int]
 
 
 class _VC:
     """One virtual channel's receive buffer at a router input."""
 
-    __slots__ = ("fifo", "route_out", "out_vc", "max_flits")
+    __slots__ = ("fifo", "route", "out_vc", "max_flits")
 
     def __init__(self, max_flits: int) -> None:
-        self.fifo: Deque[_Flit] = collections.deque()
-        #: (next_router_or_None, channel_key) chosen by the head flit.
-        self.route_out: Optional[Tuple[Optional[int], object]] = None
+        self.fifo: Deque[Flit] = collections.deque()
+        #: Chosen by the head flit: ``(out_channel, downstream input index,
+        #: out_channel's credits)`` for a hop, ``(None, target)`` at the
+        #: destination router (see :meth:`FlitNetwork._sink`).
+        self.route: Optional[tuple] = None
         self.out_vc: Optional[int] = None
         self.max_flits = max_flits
+
+
+class _Input:
+    """One router input unit: the VCs a channel feeds at its ``router``.
+
+    ``busy`` has bit ``v`` set while VC ``v`` holds flits, so a cycle
+    visits only those, in VC order.  ``credits`` are the upstream
+    sender's credits for the channel (one per VC), returned as flits
+    leave.
+    """
+
+    __slots__ = ("router", "vcs", "busy", "credits")
+
+    def __init__(self, router: int, vcs: List[_VC], credits: List[int]) -> None:
+        self.router = router
+        self.vcs = vcs
+        self.busy = 0
+        self.credits = credits
+
+
+class _Source:
+    """One injection source: a terminal's inject channel, or a router's
+    local port (HMC responses), with the flits waiting to enter it."""
+
+    __slots__ = ("index", "queue", "channel", "input_idx", "credits", "vc")
+
+    def __init__(
+        self, index: int, channel: Channel, input_idx: int, credits: List[int]
+    ) -> None:
+        #: Creation order, the order in which sources drain.
+        self.index = index
+        self.queue: Deque[Flit] = collections.deque()
+        self.channel = channel
+        #: The input unit the channel feeds at its router.
+        self.input_idx = input_idx
+        self.credits = credits
+        #: The VC the packet at the queue head holds, None between packets.
+        self.vc: Optional[int] = None
 
 
 class FlitNetwork:
@@ -95,34 +125,30 @@ class FlitNetwork:
         self._cycle_ps = self.cfg.router_cycle_ps
         #: Extra cycles a flit spends crossing a router + link (pipeline +
         #: SerDes), modeled as delivery delay into the next input buffer.
-        self._hop_cycles = max(
-            1, self.cfg.hop_latency_ps // self._cycle_ps
-        )
+        self._hop_cycles = max(1, self.cfg.hop_latency_ps // self._cycle_ps)
 
-        # Input unit per (router, channel_key): list of VCs.
-        # channel_key: a Channel object (router-router or terminal link).
-        self._inputs: Dict[Tuple[int, object], List[_VC]] = {}
+        # Input unit per (router, channel): a channel (router-router or
+        # terminal link) feeds the VCs of one input at its ``dst``.
+        self._inputs: Dict[Tuple[int, Channel], List[_VC]] = {}
         # Hot-path mirror of ``_inputs``: units in registration order, the
-        # arbitration order the per-cycle scans must preserve.  The active
-        # set tracks which units hold buffered flits so idle routers cost
-        # nothing per cycle (index -> position in ``_input_units``).
-        self._input_units: List[Tuple[Tuple[int, object], List[_VC]]] = []
-        self._input_index: Dict[Tuple[int, object], int] = {}
-        self._occupancy: List[int] = []
+        # arbitration order the per-cycle pass must preserve.  The active
+        # set holds the indices of units with buffered flits, so idle
+        # routers cost nothing per cycle.
+        self._units: List[_Input] = []
+        self._input_index: Dict[Tuple[int, Channel], int] = {}
         self._active_inputs: set = set()
-        # Credits the *sender* holds for each (channel, vc).
-        self._credits: Dict[Tuple[object, int], int] = {}
-        # Which (channel, vc) are currently owned by an in-flight packet.
-        self._vc_owner: Dict[Tuple[object, int], Packet] = {}
+        # Credits the *sender* holds for each channel, one per VC.
+        self._credits: Dict[Channel, List[int]] = {}
+        # The packet that owns each (channel, vc), None while free.
+        self._vc_owner: Dict[Channel, List[Optional[Packet]]] = {}
         # Flits in the air: arrival_cycle -> list of (input_idx, vc, flit).
-        self._in_air: Dict[int, List[Tuple[int, int, _Flit]]] = {}
-        # Packet reassembly at destinations.
-        self._pending_source: Deque[Tuple[Packet, object, int]] = collections.deque()
-        self._source_queues: Dict[Tuple[object, int], Deque[_Flit]] = {}
-        # Router-local loopback injection ports (HMC responses) and the
-        # per-source allocated VC, keyed by source-channel identity.
-        self._local_ports: Dict[int, Channel] = {}
-        self._source_vcs: Dict[object, Optional[int]] = {}
+        self._in_air: Dict[int, List[Tuple[int, int, Flit]]] = {}
+        # Injection sources keyed by inject channel or, for a router's
+        # local port, by router; by index; and the indices of those with
+        # flits waiting.
+        self._sources: Dict[object, _Source] = {}
+        self._source_list: List[_Source] = []
+        self._waiting: set = set()
 
         self._cycle = 0
         self._running = False
@@ -139,17 +165,15 @@ class FlitNetwork:
                 self._register_channel(att.eject)
 
     def _register_channel(self, ch: Channel) -> None:
+        credits = self._credits[ch] = [self._vc_flits] * self._num_vcs
+        self._vc_owner[ch] = [None] * self._num_vcs
         dst = ch.dst
         if isinstance(dst, int):
             key = (dst, ch)
-            if key not in self._inputs:
-                vcs = [_VC(self._vc_flits) for _ in range(self._num_vcs)]
-                self._inputs[key] = vcs
-                self._input_index[key] = len(self._input_units)
-                self._input_units.append((key, vcs))
-                self._occupancy.append(0)
-        for vc in range(self._num_vcs):
-            self._credits[(ch, vc)] = self._vc_flits
+            vcs = [_VC(self._vc_flits) for _ in range(self._num_vcs)]
+            self._inputs[key] = vcs
+            self._input_index[key] = len(self._units)
+            self._units.append(_Input(dst, vcs, credits))
 
     # ------------------------------------------------------------------
     # Public interface (mirrors MemoryNetwork)
@@ -178,54 +202,61 @@ class FlitNetwork:
             ).router
         if isinstance(src, str):
             att = self.routing.select_injection(topo, packet, dst_router, self.sim.now)
-            self._enqueue_source(packet, att.inject, dst_router)
+            key = att.inject
         else:
-            # Response injected by an HMC at its own router: feed it into
-            # the router through a zero-length virtual source on any of its
-            # outgoing directions — modeled by enqueuing at the router's
-            # loopback source.
-            self._enqueue_router_source(packet, int(src), dst_router)
-        self._ensure_running()
-
-    # ------------------------------------------------------------------
-    # Sources
-    # ------------------------------------------------------------------
-    def _flits_of(self, packet: Packet, dst_router: int) -> List[_Flit]:
+            key = src  # an HMC's response enters through its router's local port
+        source = self._sources.get(key) or self._add_source(key)
         n = max(1, -(-packet.size_bytes // FLIT_BYTES))
-        flits = []
-        for i in range(n):
-            flits.append(
-                _Flit(packet, is_head=(i == 0), is_tail=(i == n - 1), dst_router=dst_router)
-            )
-        return flits
-
-    def _enqueue_source(self, packet: Packet, channel: Channel, dst_router: int) -> None:
-        queue = self._source_queues.setdefault(("inj", channel), collections.deque())
-        for flit in self._flits_of(packet, dst_router):
-            queue.append(flit)
-            self._active_flits += 1
-
-    def _enqueue_router_source(self, packet: Packet, router: int, dst_router: int) -> None:
-        queue = self._source_queues.setdefault(("rtr", router), collections.deque())
-        for flit in self._flits_of(packet, dst_router):
-            queue.append(flit)
-            self._active_flits += 1
-
-    # ------------------------------------------------------------------
-    # Cycle engine
-    # ------------------------------------------------------------------
-    def _ensure_running(self) -> None:
+        flits = [(packet, False, False, dst_router)] * n
+        if n > 1:
+            flits[-1] = (packet, False, True, dst_router)
+        flits[0] = (packet, True, n == 1, dst_router)
+        source.queue.extend(flits)
+        self._active_flits += n
+        self._waiting.add(source.index)
         if not self._running:
             self._running = True
             self.sim.after(0, self._tick)
 
+    # ------------------------------------------------------------------
+    # Sources
+    # ------------------------------------------------------------------
+    def _add_source(self, key) -> _Source:
+        """The source of ``key``: an inject channel, or a router, whose
+        local port (the HMC logic layer's loopback injection channel) is
+        made here.  That is the router's first send, which is also the
+        order in which sources first drain."""
+        channel = key
+        if not isinstance(key, Channel):
+            channel = Channel(f"local:r{key}", f"hmc{key}", key, self.cfg.channel_gbps)
+            self._register_channel(channel)
+        source = _Source(
+            len(self._source_list),
+            channel,
+            self._input_index[(channel.dst, channel)],
+            self._credits[channel],
+        )
+        self._sources[key] = source
+        self._source_list.append(source)
+        return source
+
+    # ------------------------------------------------------------------
+    # Cycle engine
+    # ------------------------------------------------------------------
     def _tick(self) -> None:
         self._cycle += 1
+        units = self._units
+        active = self._active_inputs
+        arrivals = self._in_air.pop(self._cycle, None)
+        if arrivals:
+            for idx, vc, flit in arrivals:
+                unit = units[idx]
+                unit.vcs[vc].fifo.append(flit)
+                unit.busy |= 1 << vc
+                active.add(idx)
         # All flits that move this cycle arrive together ``_hop_cycles``
-        # later; one shared bucket replaces a per-flit dict setdefault.
-        bucket: List[Tuple[int, int, _Flit]] = []
-        self._deliver_in_air()
-        self._route_heads()
+        # later, in one shared bucket.
+        bucket: List[Tuple[int, int, Flit]] = []
         self._forward_flits(bucket)
         self._drain_sources(bucket)
         if bucket:
@@ -235,224 +266,150 @@ class FlitNetwork:
         else:
             self._running = False
 
-    def _deliver_in_air(self) -> None:
-        arrivals = self._in_air.pop(self._cycle, None)
-        if not arrivals:
-            return
-        units = self._input_units
-        occupancy = self._occupancy
-        active = self._active_inputs
-        for idx, vc, flit in arrivals:
-            units[idx][1][vc].fifo.append(flit)
-            occupancy[idx] += 1
-            active.add(idx)
-
-    # -- route computation for waiting head flits -------------------------
-    def _route_heads(self) -> None:
-        units = self._input_units
-        # sorted() restores registration order — the arbitration order the
-        # exhaustive dict scan used to give — while touching only inputs
-        # that actually hold flits.
-        for idx in sorted(self._active_inputs):
-            (router, _channel), vcs = units[idx]
-            for vc_state in vcs:
-                if not vc_state.fifo or vc_state.route_out is not None:
-                    continue
-                head = vc_state.fifo[0]
-                if not head.is_head:
-                    raise SimulationError("non-head flit awaiting route")
-                vc_state.route_out = self._compute_route(router, head)
-
-    def _compute_route(self, router: int, flit: _Flit) -> Tuple[Optional[int], object]:
-        packet = flit.packet
-        final = flit.dst_router
+    def _route(self, router: int, flit: Flit) -> tuple:
+        """The route of a head flit at ``router``.  It depends only on the
+        router, the packet and the clock, so a head is routed in the
+        forward pass just before it first tries to move."""
+        packet, _, _, final = flit
         if router == final:
             if isinstance(packet.dst, int):
-                return None, ("deliver", router)
-            att = self.topo.attachment_at(str(packet.dst), router)
-            return None, ("eject", att.eject)
+                return None, router
+            return None, self.topo.attachment_at(str(packet.dst), router).eject
         nbr, ch = self.routing.next_hop(self.topo, packet, router, final, self.sim.now)
-        return nbr, ch
+        return ch, self._input_index[(nbr, ch)], self._credits[ch]
 
     # -- switch traversal --------------------------------------------------
-    def _forward_flits(self, bucket: List[Tuple[int, int, _Flit]]) -> None:
+    def _forward_flits(self, bucket: List[Tuple[int, int, Flit]]) -> None:
         # ``width`` flits per output channel per cycle (a width-w channel
-        # aggregates w physical links); iterate active inputs round-robin
-        # in registration order (deterministic).
-        used_outputs: Dict[int, int] = {}
-        units = self._input_units
-        occupancy = self._occupancy
-        credits = self._credits
-        input_index = self._input_index
-        for idx in sorted(self._active_inputs):
-            (router, channel), vcs = units[idx]
-            for in_vc, vc_state in enumerate(vcs):
-                if not vc_state.fifo or vc_state.route_out is None:
-                    continue
-                flit = vc_state.fifo[0]
-                nbr, out = vc_state.route_out
-                if nbr is None:
-                    kind, target = out
-                    vc_state.fifo.popleft()
-                    occupancy[idx] -= 1
-                    self._return_credit(channel, in_vc)
+        # aggregates w physical links); visit active inputs in registration
+        # order and their busy VCs in VC order (deterministic).
+        used_outputs: Dict[Channel, int] = {}
+        units = self._units
+        active = self._active_inputs
+        for idx in sorted(active):
+            unit = units[idx]
+            vcs = unit.vcs
+            in_credits = unit.credits
+            busy = unit.busy
+            pending = busy
+            while pending:
+                low = pending & -pending
+                pending ^= low
+                in_vc = low.bit_length() - 1
+                vc_state = vcs[in_vc]
+                fifo = vc_state.fifo
+                flit = fifo[0]
+                route = vc_state.route
+                if route is None:
+                    if not flit[1]:
+                        raise SimulationError("non-head flit awaiting route")
+                    route = vc_state.route = self._route(unit.router, flit)
+                out_channel = route[0]
+                if out_channel is None:
+                    fifo.popleft()
+                    if not fifo:
+                        busy ^= low
+                    in_credits[in_vc] += 1
                     self._active_flits -= 1
-                    if flit.is_tail:
-                        if kind == "deliver":
-                            self._finish(flit.packet, self._router_handlers.get(target))
-                        else:
-                            self._finish_eject(flit.packet, target)
-                        vc_state.route_out = None
-                        vc_state.out_vc = None
+                    if flit[2]:
+                        self._sink(flit[0], route[1])
+                        vc_state.route = None
                     continue
-                out_channel = out
-                if used_outputs.get(id(out_channel), 0) >= out_channel.width:
+                used = used_outputs.get(out_channel, 0)
+                if used >= out_channel.width:
                     continue
                 out_vc = vc_state.out_vc
                 if out_vc is None:
-                    out_vc = self._allocate_vc(out_channel, flit.packet)
+                    out_vc = self._allocate_vc(out_channel, flit[0])
                     if out_vc is None:
                         continue  # stall: no free VC downstream
                     vc_state.out_vc = out_vc
-                if credits[(out_channel, out_vc)] <= 0:
+                out_credits = route[2]
+                if out_credits[out_vc] <= 0:
                     continue  # stall: no buffer space downstream
                 # Move the flit.
-                vc_state.fifo.popleft()
-                occupancy[idx] -= 1
-                credits[(out_channel, out_vc)] -= 1
-                self._return_credit(channel, in_vc)
-                used_outputs[id(out_channel)] = used_outputs.get(id(out_channel), 0) + 1
+                fifo.popleft()
+                if not fifo:
+                    busy ^= low
+                out_credits[out_vc] -= 1
+                in_credits[in_vc] += 1
+                used_outputs[out_channel] = used + 1
                 out_channel.stats.bytes += FLIT_BYTES
-                bucket.append((input_index[(nbr, out_channel)], out_vc, flit))
-                if flit.is_head:
+                bucket.append((route[1], out_vc, flit))
+                if flit[1]:
                     out_channel.stats.packets += 1
-                    flit.packet.hops += 1
-                if flit.is_tail:
-                    self._vc_owner.pop((out_channel, out_vc), None)
-                    vc_state.route_out = None
+                    flit[0].hops += 1
+                if flit[2]:
+                    self._vc_owner[out_channel][out_vc] = None
+                    vc_state.route = None
                     vc_state.out_vc = None
-        self._active_inputs = {i for i in self._active_inputs if occupancy[i]}
+            unit.busy = busy
+            if not busy:
+                active.discard(idx)
 
     def _allocate_vc(self, channel: Channel, packet: Packet) -> Optional[int]:
-        base = (
-            0
-            if packet.message_class is MessageClass.REQUEST
-            else self.cfg.vcs_per_class
-        )
-        for vc in range(base, base + self.cfg.vcs_per_class):
-            key = (channel, vc)
-            if key not in self._vc_owner and self._credits[key] > 0:
-                self._vc_owner[key] = packet
+        per_class = self.cfg.vcs_per_class
+        base = 0 if packet.message_class is MessageClass.REQUEST else per_class
+        owners = self._vc_owner[channel]
+        credits = self._credits[channel]
+        for vc in range(base, base + per_class):
+            if owners[vc] is None and credits[vc] > 0:
+                owners[vc] = packet
                 return vc
         return None
 
-    def _return_credit(self, channel, in_vc: int) -> None:
-        if isinstance(channel, Channel):
-            self._credits[(channel, in_vc)] = min(
-                self._vc_flits, self._credits[(channel, in_vc)] + 1
-            )
-
     # -- injection ---------------------------------------------------------
-    def _drain_sources(self, bucket: List[Tuple[int, int, _Flit]]) -> None:
-        for key, queue in self._source_queues.items():
-            if not queue:
-                continue
-            kind, target = key
-            if kind == "inj":
-                channel: Channel = target
-                router = channel.dst
-                self._drain_one(queue, channel, router, bucket)
-            else:
-                router = target
-                # Router-local source (HMC response): inject through a
-                # virtual local port with its own VC set.
-                channel = self._router_port(router)
-                self._drain_one(queue, channel, router, bucket)
-
-    def _router_port(self, router: int) -> Channel:
-        # Loopback channel whose dst is the router itself (the HMC logic
-        # layer's local injection port), created on first use.
-        port = self._local_ports.get(router)
-        if port is None:
-            port = Channel(f"local:r{router}", f"hmc{router}", router, self.cfg.channel_gbps)
-            self._local_ports[router] = port
-            self._register_channel(port)
-        return port
-
-    def _drain_one(
-        self,
-        queue: Deque[_Flit],
-        channel: Channel,
-        router: int,
-        bucket: List[Tuple[int, int, _Flit]],
-    ) -> None:
+    def _drain_sources(self, bucket: List[Tuple[int, int, Flit]]) -> None:
         # Up to ``width`` flits per source per cycle, subject to downstream
         # credit on the head flit's allocated VC.
-        state_key = ("srcvc", id(channel))
-        input_idx = self._input_index[(router, channel)]
-        credits = self._credits
-        for _ in range(channel.width):
-            if not queue:
-                return
-            flit = queue[0]
-            vc = self._source_vcs.get(state_key)
-            if flit.is_head and vc is None:
-                vc = self._allocate_vc(channel, flit.packet)
+        sources = self._source_list
+        waiting = self._waiting
+        for index in sorted(waiting):
+            source = sources[index]
+            queue = source.queue
+            channel = source.channel
+            credits = source.credits
+            for _ in range(channel.width):
+                if not queue:
+                    break
+                flit = queue[0]
+                vc = source.vc
                 if vc is None:
-                    return
-                self._source_vcs[state_key] = vc
-            if vc is None:
-                return
-            if credits[(channel, vc)] <= 0:
-                return
-            queue.popleft()
-            credits[(channel, vc)] -= 1
-            channel.stats.bytes += FLIT_BYTES
-            bucket.append((input_idx, vc, flit))
-            if flit.is_head:
-                channel.stats.packets += 1
-                flit.packet.hops += 1
-            if flit.is_tail:
-                self._vc_owner.pop((channel, vc), None)
-                self._source_vcs[state_key] = None
+                    if not flit[1]:
+                        break
+                    vc = self._allocate_vc(channel, flit[0])
+                    if vc is None:
+                        break
+                    source.vc = vc
+                if credits[vc] <= 0:
+                    break
+                queue.popleft()
+                credits[vc] -= 1
+                channel.stats.bytes += FLIT_BYTES
+                bucket.append((source.input_idx, vc, flit))
+                if flit[1]:
+                    channel.stats.packets += 1
+                    flit[0].hops += 1
+                if flit[2]:
+                    self._vc_owner[channel][vc] = None
+                    source.vc = None
+            if not queue:
+                waiting.discard(index)
 
     # -- delivery ----------------------------------------------------------
-    def _trace_delivery(self, packet: Packet) -> None:
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.complete(
-                "packet",
-                packet.kind.name,
-                packet.injected_at_ps,
-                self.sim.now - packet.injected_at_ps,
-                tid=f"net.{packet.src}",
-                args={"dst": str(packet.dst), "hops": packet.hops,
-                      "bytes": packet.size_bytes},
-            )
-
-    def _finish(self, packet: Packet, handler: Optional[PacketHandler]) -> None:
+    def _sink(self, packet: Packet, target) -> None:
+        """Hand a packet whose tail reached its destination router to the
+        router's handler (``target`` the router) or eject it to its
+        terminal (``target`` the eject channel)."""
+        if isinstance(target, Channel):
+            handler = self._terminal_handlers.get(str(packet.dst))
+            target.stats.bytes += packet.size_bytes
+        else:
+            handler = self._router_handlers.get(target)
         if handler is None:
-            raise SimulationError(f"no handler for router destination of {packet}")
-        self.stats.delivered += 1
-        self.stats.total_latency_ps += self.sim.now - packet.injected_at_ps
-        self.stats.total_hops += packet.hops
-        self._trace_delivery(packet)
-        handler(packet)
+            raise SimulationError(f"no handler for the destination of {packet}")
+        self._finish(packet, handler)
 
-    def _finish_eject(self, packet: Packet, eject_channel: Channel) -> None:
-        handler = self._terminal_handlers.get(str(packet.dst))
-        if handler is None:
-            raise SimulationError(f"no handler for terminal {packet.dst}")
-        eject_channel.stats.bytes += packet.size_bytes
-        self.stats.delivered += 1
-        self.stats.total_latency_ps += self.sim.now - packet.injected_at_ps
-        self.stats.total_hops += packet.hops
-        self._trace_delivery(packet)
-        handler(packet)
-
-    # ------------------------------------------------------------------
-    def traffic_matrix(self, terminals: List[str]) -> List[List[int]]:
-        return [
-            [self.stats.traffic_bytes.get((t, r), 0) for r in range(self.topo.num_routers)]
-            for t in terminals
-        ]
+    #: Delivery bookkeeping and the traffic matrix are the packet network's.
+    _finish = MemoryNetwork._finish
+    traffic_matrix = MemoryNetwork.traffic_matrix

@@ -84,7 +84,9 @@ class UGALRouting(MinimalRouting):
         Computed exactly over the minimal-path DAG (not greedily), so a jam
         on a later hop is visible from the injection point — that is what
         lets UGAL steer around a congested destination channel, the effect
-        that pays off on imbalanced traffic like CG.S (Fig. 15).
+        that pays off on imbalanced traffic like CG.S (Fig. 15).  Each hop
+        costs its queue plus the fixed serialization and hop latency that
+        :meth:`~Topology.costed_dag` folds into one constant.
 
         ``memo`` maps routers to their cost toward ``dst_router``.  The
         candidates of one decision share ``dst_router``, ``size_bytes`` and
@@ -95,17 +97,15 @@ class UGALRouting(MinimalRouting):
         cost = memo.get(start)
         if cost is not None:
             return cost
-        hop_ps = self.hop_latency_ps
-        for router, hops in topo.minimal_dag(start, dst_router):
+        for router, hops in topo.costed_dag(
+            start, dst_router, size_bytes, self.hop_latency_ps
+        ):
             if router in memo:
                 continue
             best = -1
-            for nbr, ch in hops:
-                cost = (
-                    ch.wait_and_serialization_ps(now_ps, size_bytes)
-                    + hop_ps
-                    + memo[nbr]
-                )
+            for nbr, ch, fixed_ps in hops:
+                busy = ch.busy_until
+                cost = (busy - now_ps if busy > now_ps else 0) + fixed_ps + memo[nbr]
                 if best < 0 or cost < best:
                     best = cost
             memo[router] = best
@@ -114,30 +114,38 @@ class UGALRouting(MinimalRouting):
     def select_injection(
         self, topo: Topology, packet: Packet, dst_router: int, now_ps: int
     ) -> TerminalAttachment:
+        # Bias toward the minimal path: queue estimates are stale by the
+        # time the packet reaches the later hops, so a non-minimal route
+        # must promise more than its extra hops' worth of savings (the
+        # standard UGAL minimal-preference threshold).  Charging every hop,
+        # not just the extra ones, adds the same constant to every
+        # reachable candidate, so the choice is the same.
         size = packet.size_bytes
         dist = topo.dist
+        hop_ps = self.hop_latency_ps
         memo = {dst_router: 0}
-
-        def cost(att: TerminalAttachment) -> Tuple[int, int]:
-            d = dist[att.router][dst_router]
+        best = best_cost = best_router = None
+        for att in topo.attachments(str(packet.src)):
+            router = att.router
+            d = dist[router][dst_router]
             if d >= UNREACHABLE:
                 # e.g. sFBFLY: a non-matching-slice local HMC has no path to
                 # the destination (intra-cluster channels were removed).
-                return (_UNREACHABLE_COST, att.router)
-            # Bias toward the minimal path: queue estimates are stale by the
-            # time the packet reaches the later hops, so a non-minimal route
-            # must promise more than its extra hops' worth of savings (the
-            # standard UGAL minimal-preference threshold).  Charging every
-            # hop, not just the extra ones, adds the same constant to every
-            # reachable candidate, so the choice is the same.
-            return (
-                att.inject.wait_and_serialization_ps(now_ps, size)
-                + self._path_cost(topo, att.router, dst_router, size, now_ps, memo)
-                + d * self.hop_latency_ps,
-                att.router,
-            )
-
-        return min(topo.attachments(str(packet.src)), key=cost)
+                cost = _UNREACHABLE_COST
+            else:
+                inject = att.inject
+                busy = inject.busy_until
+                cost = (
+                    (busy - now_ps if busy > now_ps else 0)
+                    + inject.serialization_ps(size)
+                    + self._path_cost(topo, router, dst_router, size, now_ps, memo)
+                    + d * hop_ps
+                )
+            if best is None or cost < best_cost or (
+                cost == best_cost and router < best_router
+            ):
+                best, best_cost, best_router = att, cost, router
+        return best
 
     def select_ejection(
         self, topo: Topology, packet: Packet, cur_router: int, now_ps: int
@@ -147,17 +155,21 @@ class UGALRouting(MinimalRouting):
         instead of blindly taking the hop-count-minimal channel."""
         size = packet.size_bytes
         row = topo.dist[cur_router]
-
-        def cost(att: TerminalAttachment) -> Tuple[int, int]:
-            if row[att.router] >= UNREACHABLE:
-                return (_UNREACHABLE_COST, att.router)
-            return (
-                self._path_cost(topo, cur_router, att.router, size, now_ps)
-                + att.eject.queue_delay_ps(now_ps),
-                att.router,
-            )
-
-        return min(topo.attachments(str(packet.dst)), key=cost)
+        best = best_cost = best_router = None
+        for att in topo.attachments(str(packet.dst)):
+            router = att.router
+            if row[router] >= UNREACHABLE:
+                cost = _UNREACHABLE_COST
+            else:
+                busy = att.eject.busy_until
+                cost = self._path_cost(topo, cur_router, router, size, now_ps) + (
+                    busy - now_ps if busy > now_ps else 0
+                )
+            if best is None or cost < best_cost or (
+                cost == best_cost and router < best_router
+            ):
+                best, best_cost, best_router = att, cost, router
+        return best
 
     def next_hop(
         self, topo: Topology, packet: Packet, cur: int, dst: int, now_ps: int
@@ -167,14 +179,18 @@ class UGALRouting(MinimalRouting):
             return hops[0]
         size = packet.size_bytes
         memo = {dst: 0}
-        return min(
-            hops,
-            key=lambda h: (
-                h[1].queue_delay_ps(now_ps)
-                + self._path_cost(topo, h[0], dst, size, now_ps, memo),
-                h[0],
-            ),
-        )
+        best = best_cost = None
+        for hop in hops:
+            nbr, ch = hop
+            busy = ch.busy_until
+            cost = (busy - now_ps if busy > now_ps else 0) + self._path_cost(
+                topo, nbr, dst, size, now_ps, memo
+            )
+            if best is None or cost < best_cost or (
+                cost == best_cost and nbr < best[0]
+            ):
+                best, best_cost = hop, cost
+        return best
 
 
 ROUTING_POLICIES = {

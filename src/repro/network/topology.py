@@ -28,6 +28,10 @@ UNREACHABLE = 1 << 30
 #: DAG's destination (see :meth:`Topology.minimal_dag`).
 MinimalDagStep = Tuple[int, List[Tuple[int, Channel]]]
 
+#: One router of a costed minimal-path DAG: its minimal next hops, each
+#: with the fixed cost of taking it (see :meth:`Topology.costed_dag`).
+CostedDagStep = Tuple[int, Tuple[Tuple[int, Channel, int], ...]]
+
 #: Warm store of all-pairs BFS distance tables, shared across Topology
 #: instances in this process.  A sweep rebuilds the same few topology
 #: shapes once per job; the distance table is a pure function of the
@@ -162,6 +166,7 @@ class Topology:
         self._dist: Optional[List[List[int]]] = None
         self._next_hops: Optional[List[List[List[Tuple[int, Channel]]]]] = None
         self._dags: Dict[Tuple[int, int], Tuple[MinimalDagStep, ...]] = {}
+        self._costed_dags: Dict[Tuple[int, int, int, int], Tuple[CostedDagStep, ...]] = {}
         self._att_index: Optional[Dict[Tuple[str, int], TerminalAttachment]] = None
         self._nearest: Dict[Tuple[str, int], TerminalAttachment] = {}
         self._dst_routers: Dict[Tuple[str, str], int] = {}
@@ -266,6 +271,28 @@ class Topology:
             # each router after its next hops.
             steps.reverse()
             dag = self._dags[key] = tuple(steps)
+        return dag
+
+    def costed_dag(
+        self, start: int, dst: int, size_bytes: int, hop_ps: int
+    ) -> Tuple[CostedDagStep, ...]:
+        """:meth:`minimal_dag` with each next hop ``(nbr, ch)`` extended to
+        ``(nbr, ch, fixed_ps)``: the serialization of ``size_bytes`` on
+        ``ch`` plus ``hop_ps``, what crossing ``ch`` costs beyond its queue.
+        """
+        key = (start, dst, size_bytes, hop_ps)
+        dag = self._costed_dags.get(key)
+        if dag is None:
+            dag = self._costed_dags[key] = tuple(
+                (
+                    router,
+                    tuple(
+                        (nbr, ch, ch.serialization_ps(size_bytes) + hop_ps)
+                        for nbr, ch in hops
+                    ),
+                )
+                for router, hops in self.minimal_dag(start, dst)
+            )
         return dag
 
     def reachable(self, a: int, b: int) -> bool:

@@ -98,12 +98,7 @@ class Observability:
     def bind(self, system) -> None:
         """Attach the sinks to one freshly built system (pre-run)."""
         sim = system.sim
-        pid = 0
-        if self.tracer is not None:
-            pid = self.tracer.begin_process(f"{system.spec.name}")
-            sim.tracer = self.tracer
-        if self.profiler is not None:
-            sim.profiler = self.profiler
+        pid = self.bind_sim(sim, system.spec.name)
         if self.sample_interval_ps > 0:
             sampler = Sampler(
                 sim, self.sample_interval_ps, tracer=self.tracer, pid=pid
@@ -112,6 +107,21 @@ class Observability:
             sampler.start()
             self.samplers.append(sampler)
             system.sampler = sampler
+
+    def bind_sim(self, sim, label: str) -> int:
+        """Attach the tracer (one trace process named ``label``) and the
+        profiler to ``sim``; returns the trace process id, 0 untraced.
+
+        A network-only run binds only these: it builds no system for the
+        default probes to read, so a sampling interval records no time
+        series for it."""
+        pid = 0
+        if self.tracer is not None:
+            pid = self.tracer.begin_process(label)
+            sim.tracer = self.tracer
+        if self.profiler is not None:
+            sim.profiler = self.profiler
+        return pid
 
     # ------------------------------------------------------------------
     def finish(self, trace_path: Optional[str] = None) -> None:

@@ -69,13 +69,13 @@ def run_workload_detailed(
     ``None`` when no system was built (analytic tier, network-only run).
 
     ``options`` are :func:`_run_system`'s keyword arguments (the analytic
-    tier takes the same, except ``concurrent``); a network-only run
-    ignores them.  The analytic tier also takes a workload's
+    tier takes the same, except ``concurrent``); a network-only run takes
+    only ``obs``.  The analytic tier also takes a workload's
     :class:`~repro.analytic.profile.WorkloadProfile` in its place.
     """
     cfg = cfg or SystemConfig()
     if isinstance(workload, OfferedLoad):
-        return run_offered_load(spec, workload, cfg), None
+        return run_offered_load(spec, workload, cfg, obs=options.get("obs")), None
     if cfg.network_model != "analytic":
         return _run_system(spec, workload, cfg, **options)
     # The analytic tier has no event engine and builds no system.
@@ -208,7 +208,10 @@ def _run_system(
 
 
 def run_offered_load(
-    spec: ArchSpec, traffic: OfferedLoad, cfg: SystemConfig
+    spec: ArchSpec,
+    traffic: OfferedLoad,
+    cfg: SystemConfig,
+    obs: Optional[Observability] = None,
 ) -> RunResult:
     """Drive ``traffic`` through the bare GPU memory network of ``spec``
     (topology and routing) under ``cfg`` (engine tier, sizes, watchdog).
@@ -216,9 +219,13 @@ def run_offered_load(
     Routers sink every packet, so the measured latency is the network's
     alone ([46]).  Raises :class:`~repro.errors.SimulationError` unless
     every injected packet is delivered: a stalled network must not report
-    an average over only the packets that arrived.
+    an average over only the packets that arrived.  ``obs`` traces and
+    profiles the run (:meth:`~repro.obs.bind.Observability.bind_sim`); it
+    samples no time series, since no system is built.
     """
     sim = Simulator()
+    if obs is not None:
+        obs.bind_sim(sim, f"{spec.name}: {traffic.name}")
     topo = gpu_network_topology(spec, cfg)
     net = make_network(cfg, sim, topo, spec.routing)
     for r in range(topo.num_routers):

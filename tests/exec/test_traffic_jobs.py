@@ -19,6 +19,7 @@ from repro.experiments.ext_concurrent import kernel_pair
 from repro.experiments.ext_latency_load import load_point
 from repro.network.network import MemoryNetwork
 from repro.network.traffic import OfferedLoad
+from repro.obs.bind import Observability
 from repro.system.configs import get_spec
 from repro.system.run import run_workload
 from repro.system.spec import SystemSpec
@@ -58,6 +59,20 @@ class TestLatencyLoadJobs:
         assert execute_job(job).result.avg_net_latency_ps != (
             packet.result.avg_net_latency_ps
         )
+
+    @pytest.mark.parametrize("fidelity", ["packet", "flit"])
+    def test_point_is_profiled_and_traced(self, fidelity):
+        job = load_point(
+            SweepExecutor(fidelity=fidelity), "sfbfly", 0.5, SystemConfig(), 40, 5
+        )
+        plain = execute_job(job).result
+        obs = Observability(trace=True, profile=True)
+        observed = execute_job(job, obs=obs).result
+        assert obs.profiler.events == observed.events_executed > 0
+        assert observed == plain
+        packets = [e for e in obs.tracer.events if e.get("cat") == "packet"]
+        assert len(packets) == observed.net_delivered == 4 * 40
+        assert obs.tracer.events[0]["args"]["name"] == "GMN: uniform@50%"
 
     def test_second_cached_pass_runs_nothing(self, tmp_path):
         first = small_sweep(SweepExecutor(cache=ResultCache(str(tmp_path))))

@@ -59,16 +59,6 @@ class TestContention:
         assert ch.queue_delay_ps(0) == ch.busy_until
         assert ch.queue_delay_ps(ch.busy_until + 5) == 0
 
-    @pytest.mark.parametrize("width", [1, 2])
-    def test_wait_and_serialization_is_the_sum(self, width):
-        ch = Channel("c", 0, 1, gbps=20.0, width=width)
-        ch.transmit(16_000, now_ps=0)
-        for now_ps in (0, ch.busy_until - 1, ch.busy_until, ch.busy_until + 5):
-            for num_bytes in (-1, 0, 1, 16, 80, 1024):
-                assert ch.wait_and_serialization_ps(
-                    now_ps, num_bytes
-                ) == ch.queue_delay_ps(now_ps) + ch.serialization_ps(num_bytes)
-
     def test_stats_accumulate(self):
         ch = Channel("c", 0, 1, gbps=20.0)
         ch.transmit(100, 0)

@@ -102,8 +102,8 @@ class TestBackpressure:
             net.send(Packet(PacketKind.WRITE_REQ, "gpu0", 13, 144))
         sim.run()
         # All credits must be back at their initial value.
-        for (ch, vc), credits in net._credits.items():
-            assert credits == net._vc_flits, ch.name
+        for ch, credits in net._credits.items():
+            assert credits == [net._vc_flits] * net._num_vcs, ch.name
 
 
 class TestAgainstPacketModel:

@@ -1,8 +1,8 @@
 """Oracle test for the topology's memoized static routing answers.
 
 Every static routing answer — the injection and ejection attachment, UGAL's
-minimum distance, the minimal-path DAG UGAL costs paths over, the
-destination router of a terminal-to-terminal packet, and
+minimum distance, the minimal-path DAG UGAL costs paths over and its
+costed form, the destination router of a terminal-to-terminal packet, and
 ``attachment_at`` — is memoized on the :class:`Topology` and must be
 forgotten whenever the topology mutates.  Each check below recomputes the
 answer from scratch (its own BFS over ``topo.adj`` plus the attachment
@@ -25,6 +25,10 @@ from repro.network.topologies import BUILDERS, build_topology
 from repro.network.topology import UNREACHABLE
 
 NUM_GPUS = 4
+HOP_PS = NetworkConfig().hop_latency_ps
+#: Packet sizes the costed DAGs are checked at: a request header and a
+#: read response.
+SIZES = (16, 144)
 
 
 def _bfs_dist(topo):
@@ -88,12 +92,24 @@ def _check_minimal_dags(topo, dist):
             if dist[start][dst] == UNREACHABLE:
                 with pytest.raises(RoutingError):
                     topo.minimal_dag(start, dst)
+                for size in SIZES:
+                    with pytest.raises(RoutingError):
+                        topo.costed_dag(start, dst, size, HOP_PS)
                 continue
             dag = topo.minimal_dag(start, dst)
             assert dict(dag) == _ref_minimal_dag(topo, dist, start, dst)
             # Nearest ``dst`` first: every router after its next hops.
             order = [dist[r][dst] for r, _ in dag]
             assert order == sorted(order)
+            for size in SIZES:
+                # The same DAG, each hop carrying its serialization of
+                # ``size`` plus the hop latency.
+                assert [
+                    (r, [(nbr, ch, ch.serialization_ps(size) + HOP_PS) for nbr, ch in hops])
+                    for r, hops in dag
+                ] == [
+                    (r, list(hops)) for r, hops in topo.costed_dag(start, dst, size, HOP_PS)
+                ]
 
 
 def _check(topo, policy):
@@ -161,7 +177,7 @@ def _farthest_router(topo, terminal):
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_route_answers_match_recomputation_across_mutations(name, routing):
     topo = build_topology(name, SystemConfig(num_gpus=NUM_GPUS), include_cpu=True)
-    policy = make_routing(routing, NetworkConfig().hop_latency_ps)
+    policy = make_routing(routing, HOP_PS)
     _check(topo, policy)
 
     # A GPU gains an attachment far from its others: the nearest entry

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 GATE = Path(__file__).resolve().parents[1] / "benchmarks" / "perf_gate.py"
+WORKLOADS = ("fig14-packet", "contention-packet", "explore-analytic")
 
 STUB = '''\
 import json, os, sys
@@ -42,7 +43,7 @@ def make_tree(root, name, wall_s=10.0, correct=True, exit=0):
     """A stub checkout; ``wall_s`` is one figure for every workload or a
     {workload: wall_s} map (10 s where absent)."""
     if not isinstance(wall_s, dict):
-        wall_s = {"fig14-packet": wall_s, "explore-analytic": wall_s}
+        wall_s = {workload: wall_s for workload in WORKLOADS}
     tree = root / name
     (tree / "perfbench").mkdir(parents=True)
     (tree / "perfbench" / "run.py").write_text(STUB)
@@ -64,7 +65,7 @@ def test_head_30_percent_slower_fails(gate, tmp_path):
     assert gate.main([base, head]) == 1
 
 
-@pytest.mark.parametrize("workload", ["fig14-packet", "explore-analytic"])
+@pytest.mark.parametrize("workload", WORKLOADS)
 def test_one_slower_workload_fails(gate, tmp_path, capsys, workload):
     base = make_tree(tmp_path, "base")
     head = make_tree(tmp_path, "head", wall_s={workload: 13.0})
@@ -73,8 +74,7 @@ def test_one_slower_workload_fails(gate, tmp_path, capsys, workload):
         line for line in capsys.readouterr().out.splitlines() if "median" in line
     ]
     assert [line.split()[0] for line in verdicts] == [
-        "FAIL:" if name == workload else "ok:"
-        for name in ("fig14-packet", "explore-analytic")
+        "FAIL:" if name == workload else "ok:" for name in WORKLOADS
     ]
 
 
@@ -95,9 +95,10 @@ def test_runs_alternate_which_tree_goes_first(gate, tmp_path):
     order = ["base 1", "head 1", "head 2", "base 2", "base 3", "head 3"]
     assert calls == [
         f"{tree} {workload} {seed}"
-        for workload in ("fig14-packet", "explore-analytic")
+        for workload in WORKLOADS
         for tree, seed in (call.split() for call in order)
     ]
+    assert len(calls) == 18
 
 
 def test_usage_error_exits_2(gate, tmp_path, capsys):
