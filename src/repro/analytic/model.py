@@ -16,7 +16,9 @@ event engine.  The pipeline:
    topology builder.  Any registered fabric is costed, extensions too.
    A requester's routes to every cluster fold into one cached access
    mix per access kind and size (:class:`_Mix`), so a kernel is costed
-   per (GPU, kind), not per (GPU, cluster, kind).
+   per (GPU, kind), not per (GPU, cluster, kind).  A kernel's mixes index
+   once into a memoized :class:`_Plan`: its queued resources, and its
+   channels grouped into classes that always carry equal loads.
 3. Contention is M/D/1: every channel class and every cluster's vaults
    accumulate service demand; utilization against the current kernel-time
    estimate yields a queueing wait ``W = rho * S / (2 * (1 - rho))``,
@@ -111,9 +113,20 @@ class _Resource:
         """M/D/1 queueing wait per visit at the given window."""
         if self.visits <= 0 or window_ps <= 0:
             return 0.0
-        rho = min(RHO_CAP, self.demand_ps / (window_ps * self.servers))
-        mean_service = self.demand_ps / self.visits
-        return rho * mean_service / (2.0 * (1.0 - rho))
+        return _md1_wait_ps(
+            self.demand_ps, self.servers, window_ps, self.demand_ps / self.visits
+        )
+
+
+def _md1_wait_ps(
+    demand: float, capacity: float, window_ps: float, service_ps: float, weight=1.0
+) -> float:
+    """``weight`` times the M/D/1 wait ``rho * S / (2 * (1 - rho))`` per visit
+    of ``service_ps`` to a server of ``capacity`` loaded with ``demand``."""
+    rho = min(RHO_CAP, demand / (window_ps * capacity))
+    # ``weight`` multiplies first: a channel's load-weighted wait has always
+    # rounded as ``load * rho * S / (2 * (1 - rho))``, and rows keep it.
+    return weight * rho * service_ps / (2.0 * (1.0 - rho))
 
 
 @dataclass(frozen=True)
@@ -147,7 +160,7 @@ class _Mix:
     An access count ``n`` of the mix stands for ``n * share`` accesses on
     each member route, so a kernel costs one visit per (GPU, kind)
     instead of one per (GPU, cluster, kind).  Every term is linear in the
-    shares; only :meth:`latency_ps` divides by their total.
+    shares; only :meth:`_Plan.latency_ps` divides by their total.
     """
 
     __slots__ = (
@@ -210,12 +223,57 @@ class _Mix:
         self.requests = requests
         self.wire_bytes = wire
 
-    def latency_ps(self, waits: Dict[str, float], hop_wait_ps: float) -> float:
-        """Mean latency of one access at the given resource and hop waits."""
-        total = self.fixed_ps + self.hops * hop_wait_ps
-        for key, _, _, visits in self.resources:
-            total += visits * waits.get(key, 0.0)
-        return total / self.share
+
+class _Plan:
+    """The contention shape of one kernel's slot mixes (GPU order, then
+    read/write/atomic), indexed once so a kernel costs only its counts.
+
+    A slot's access count scales every term of its mix, so the resources
+    keep their per-slot (slot, demand, visits) terms and the channels are
+    grouped into classes of equal bandwidth and per-slot (slot, unit load)
+    terms: the channels of one class always carry the same load and queue
+    alike, so a kernel sums and waits once per class and adds the waits up
+    in channel order, as the per-channel sums did.
+    """
+
+    __slots__ = ("mixes", "resources", "visits", "classes", "channels", "channel_class")
+
+    def __init__(self, mixes: Tuple[_Mix, ...]) -> None:
+        self.mixes = mixes
+        index: Dict[str, int] = {}
+        resources: List[Tuple[int, List]] = []
+        visits = []
+        units: Dict = {}
+        for slot, mix in enumerate(mixes):
+            for key, servers, demand, n in mix.resources:
+                if key not in index:
+                    index[key] = len(resources)
+                    resources.append((servers, []))
+                resources[index[key]][1].append((slot, demand, n))
+            visits.append(tuple((index[key], n) for key, _, _, n in mix.resources))
+            for ch, unit in zip(mix.channels, mix.loads):
+                units.setdefault(ch, []).append((slot, unit))
+        classes: Dict = {}
+        #: (servers, ((slot, demand, visits), ...)) in first-seen order.
+        self.resources = tuple((s, tuple(terms)) for s, terms in resources)
+        #: Per slot, (resource index, visits) in its mix's resource order.
+        self.visits = tuple(visits)
+        #: Loaded channels in first-seen order, and each one's class index.
+        self.channels = tuple(units)
+        self.channel_class = tuple(
+            classes.setdefault((ch.bytes_per_ps, tuple(terms)), len(classes))
+            for ch, terms in units.items()
+        )
+        #: (bytes per ps, ((slot, unit load), ...)) per channel class.
+        self.classes = tuple(classes)
+
+    def latency_ps(self, slot: int, waits: List[float], hop_wait_ps: float) -> float:
+        """Mean latency of one access of ``slot`` at the given waits."""
+        mix = self.mixes[slot]
+        total = mix.fixed_ps + mix.hops * hop_wait_ps
+        for i, visits in self.visits[slot]:
+            total += visits * waits[i]
+        return total / mix.share
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +364,7 @@ class _CapacityModel:
         )
         self._route_cache: Dict[Tuple[str, int, int, AccessType, int], _Route] = {}
         self._mix_cache: Dict[Tuple[int, AccessType, int], _Mix] = {}
+        self._plan_cache: Dict[Tuple[_Mix, ...], _Plan] = {}
 
         self.fabric = fabric_for(spec.organization)
         self.router_of = self.fabric.router_of
@@ -469,9 +528,24 @@ class _CapacityModel:
             self.flow_router,
         )
         if len(self._mix_cache) >= _MODEL_CACHE_MAX:
+            # A plan holds its mixes: drop the plans with them.
             self._mix_cache.clear()
+            self._plan_cache.clear()
         self._mix_cache[key] = mix
         return mix
+
+    def plan(self, mixes: Tuple[_Mix, ...]) -> _Plan:
+        """The memoized :class:`_Plan` of one kernel's slot mixes."""
+        plan = self._plan_cache.get(mixes)
+        if plan is None:
+            plan = _Plan(mixes)
+            if len(self._plan_cache) >= _MODEL_CACHE_MAX:
+                self._plan_cache.clear()
+            # A mix fetched before a clearing miss of the same kernel is no
+            # longer cached; a plan of it is used once, not memoized.
+            if set(mixes).issubset(self._mix_cache.values()):
+                self._plan_cache[mixes] = plan
+        return plan
 
     def _path(
         self,
@@ -539,28 +613,6 @@ class _NetStats:
         self.delivered += count * mix.legs
         self.latency_sum += count * (mix.leg_fixed_ps + mix.hops * hop_wait_ps)
         self.hops_sum += count * mix.hops
-
-
-def _add_loads(total: Dict, mix: _Mix, count: float) -> None:
-    get = total.get
-    for ch, load_bytes in zip(mix.channels, mix.loads):
-        total[ch] = get(ch, 0.0) + count * load_bytes
-
-
-def _hop_wait_ps(
-    channels: List[Tuple[float, float, float]], window_ps: float
-) -> float:
-    """Load-weighted average M/D/1 wait per channel traversal, over the
-    (load bytes, bytes per ps, mean service ps) of every loaded channel."""
-    if window_ps <= 0 or not channels:
-        return 0.0
-    num = 0.0
-    den = 0.0
-    for load_bytes, bw, service in channels:
-        rho = min(RHO_CAP, load_bytes / (bw * window_ps))
-        num += load_bytes * rho * service / (2.0 * (1.0 - rho))
-        den += load_bytes
-    return num / den if den else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -720,13 +772,19 @@ def _estimate_kernel(
         if kp.atomics_per_cta
         else 32
     )
+    l1_hit_ps = gpu.l1.hit_latency_ps
+    l2_lookup_ps = l1_hit_ps + gpu.l2.hit_latency_ps
+    compute_per_phase = base_phase_ps = 0.0
+    if kp.phases_per_cta:
+        compute_per_phase = kp.compute_ps_per_cta / kp.phases_per_cta
+        l1m_per_phase = kp.distinct_read_lines_1 / kp.phases_per_cta
+        base_phase_ps = max(float(l1_hit_ps), min(1.0, l1m_per_phase) * l2_lookup_ps)
 
-    resources: Dict[str, _Resource] = {}
-    loads: Dict = {}
-    requests = wire_bytes = 0.0
-
-    # Per-GPU access mixes (counts are per whole kernel launch).
-    per_gpu: List[Tuple[int, float, _Mix, float, Optional[_Mix], List]] = []
+    # Per-GPU access mixes, one slot each (counts are per whole launch),
+    # and each GPU's compute bound and waits-independent latency terms.
+    mixes: List[_Mix] = []
+    counts: List[float] = []
+    bounds: List[Tuple] = []
     for g, m in enumerate(chunks):
         if m == 0:
             continue
@@ -735,24 +793,26 @@ def _estimate_kernel(
         atomics = kp.atomics_per_cta * m
         # Read, write, atomic: a Fig. 10 matrix cell belongs to one
         # cluster, so it accumulates its kinds in this order.
-        read_mix = model.mix(g, _READ, GPU_LINE_BYTES)
-        atomic_mix = model.mix(g, _ATOMIC, atomic_size) if atomics else None
-        terms = [(read_mix, mem_reads)]
+        read_slot = len(mixes)
+        mixes.append(model.mix(g, _READ, GPU_LINE_BYTES))
+        counts.append(mem_reads)
         if writes:
-            terms.append((model.mix(g, _WRITE, write_size), writes))
-        if atomic_mix is not None:
-            terms.append((atomic_mix, atomics))
-        for mix, count in terms:
-            for key, servers, demand, visits in mix.resources:
-                res = resources.get(key)
-                if res is None:
-                    res = resources[key] = _Resource(servers)
-                res.demand_ps += count * demand
-                res.visits += count * visits
-            _add_loads(loads, mix, count)
-            requests += count * mix.requests
-            wire_bytes += count * mix.wire_bytes
-        per_gpu.append((m, mem_reads, read_mix, atomics, atomic_mix, terms))
+            mixes.append(model.mix(g, _WRITE, write_size))
+            counts.append(writes)
+        atomic_slot = len(mixes)
+        if atomics:
+            mixes.append(model.mix(g, _ATOMIC, atomic_size))
+            counts.append(atomics)
+        # Per phase, each memory kind's exposure and slot.
+        total_phases = kp.phases_per_cta * m
+        exposed = [
+            (min(1.0, n / total_phases), slot)
+            for n, slot in ((mem_reads, read_slot), (atomics, atomic_slot))
+            if n and total_phases > 0
+        ]
+        waves = math.ceil(m / min(m, resident_cap))
+        compute_bound = kp.compute_ps_per_cta * m / gpu.num_sms
+        bounds.append((compute_bound, waves * kp.phases_per_cta, exposed))
         # Cache statistics (reported, and the L2-hit blend below).
         l1_accesses = kp.reads_per_cta * m
         l1_misses = min(kp.distinct_read_lines_1 * m, l1_accesses)
@@ -762,79 +822,79 @@ def _estimate_kernel(
         cache_out.l2_hits += l1_misses - min(mem_reads, l1_misses)
         cache_out.memory_requests += mem_reads + writes + atomics
 
+    plan = model.plan(tuple(mixes))
+    requests = wire_bytes = 0.0
+    for mix, count in zip(mixes, counts):
+        requests += count * mix.requests
+        wire_bytes += count * mix.wire_bytes
     total_pkts = 2.0 * requests
     mean_packet_bytes = wire_bytes / total_pkts if total_pkts else 0.0
-    if energy_loads is not None:
-        for ch, load_bytes in loads.items():
-            energy_loads[ch] = energy_loads.get(ch, 0.0) + load_bytes
 
-    # Each loaded channel's constants, read once per kernel.
-    channels: List[Tuple[float, float, float]] = []
     bw_bound = 0.0
-    for ch, load_bytes in loads.items():
-        bw = ch.bytes_per_ps
-        channels.append((load_bytes, bw, mean_packet_bytes / bw))
+    resources: List[_Resource] = []
+    for servers, terms in plan.resources:
+        res = _Resource(servers)
+        for slot, demand, visits in terms:
+            res.demand_ps += counts[slot] * demand
+            res.visits += counts[slot] * visits
+        resources.append(res)
+    # One load, bandwidth bound and packet service time per channel class.
+    classes: List[Tuple[float, float, float]] = []
+    for bw, terms in plan.classes:
+        load_bytes = 0.0
+        for slot, unit in terms:
+            load_bytes += counts[slot] * unit
+        classes.append((load_bytes, bw, mean_packet_bytes / bw))
         bw_bound = max(bw_bound, load_bytes / bw)
-    for res in resources.values():
+    for res in resources:
         bw_bound = max(bw_bound, res.busy_bound_ps)
-
-    l1_hit_ps = gpu.l1.hit_latency_ps
-    l2_lookup_ps = l1_hit_ps + gpu.l2.hit_latency_ps
-    compute_per_phase = (
-        kp.compute_ps_per_cta / kp.phases_per_cta if kp.phases_per_cta else 0.0
-    )
-
-    def latency_bound(info, waits: Dict[str, float], hop_wait: float) -> float:
-        m, mem_reads, read_mix, atomics, atomic_mix, _ = info
-        total_phases = kp.phases_per_cta * m
-        if total_phases <= 0:
-            return 0.0
-        # Mean memory latencies over the destination mix.
-        read_lat = read_mix.latency_ps(waits, hop_wait) if mem_reads else 0.0
-        atom_lat = atomic_mix.latency_ps(waits, hop_wait) if atomic_mix else 0.0
-        mem_per_phase = mem_reads / total_phases
-        atom_per_phase = atomics / total_phases
-        l1m_per_phase = kp.distinct_read_lines_1 / kp.phases_per_cta
-        phase_lat = max(
-            float(l1_hit_ps),
-            min(1.0, l1m_per_phase) * l2_lookup_ps,
-            min(1.0, mem_per_phase) * (l2_lookup_ps + read_lat),
-            min(1.0, atom_per_phase) * (l2_lookup_ps + atom_lat),
-        )
-        waves = math.ceil(m / min(m, resident_cap))
-        return waves * kp.phases_per_cta * (phase_lat + compute_per_phase)
+    if energy_loads is not None:
+        for ch, c in zip(plan.channels, plan.channel_class):
+            energy_loads[ch] = energy_loads.get(ch, 0.0) + classes[c][0]
+    load_sum = 0.0
+    for c in plan.channel_class:
+        load_sum += classes[c][0]
 
     # Fixed point: kernel time -> utilization -> waits -> kernel time.
-    waits: Dict[str, float] = {}
+    waits = [0.0] * len(resources)
     hop_wait = 0.0
     window = 0.0
     for _ in range(FIXED_POINT_ROUNDS):
         window = bw_bound
-        for info in per_gpu:
-            m = info[0]
-            window = max(
-                window,
-                latency_bound(info, waits, hop_wait),
-                kp.compute_ps_per_cta * m / gpu.num_sms,
-            )
+        for compute_bound, waves_phases, exposed in bounds:
+            # The latency bound: waves of resident CTAs, each phase exposed
+            # to its mean memory latencies over the destination mix.
+            phase_lat = base_phase_ps
+            for coef, slot in exposed:
+                mem_lat = plan.latency_ps(slot, waits, hop_wait)
+                phase_lat = max(phase_lat, coef * (l2_lookup_ps + mem_lat))
+            latency_bound = waves_phases * (phase_lat + compute_per_phase)
+            window = max(window, latency_bound, compute_bound)
         window = max(window, 1.0)
-        waits = {key: res.wait_ps(window) for key, res in resources.items()}
-        hop_wait = _hop_wait_ps(channels, window)
+        waits = [res.wait_ps(window) for res in resources]
+        # Load-weighted mean wait per channel traversal, in channel order.
+        class_waits = [
+            _md1_wait_ps(load_bytes, bw, window, service, load_bytes)
+            for load_bytes, bw, service in classes
+        ]
+        num = 0.0
+        for c in plan.channel_class:
+            num += class_waits[c]
+        hop_wait = num / load_sum if load_sum else 0.0
 
     # Final accounting at the converged waits.
-    for *_, terms in per_gpu:
-        for mix, count in terms:
-            net_stats.add(mix, count, hop_wait)
-            if request_matrix is not None:
-                # Fig. 10 scope: router-destined request packets only,
-                # matching the packet engine's measured traffic matrix.
-                for route, frac in mix.members:
-                    route_count = count * frac
-                    for src, dst, share, req_b, _resp in route.flows:
-                        if isinstance(dst, int):
-                            request_matrix.add(
-                                src, dst, route_count * share, route_count * req_b
-                            )
+    for mix, count in zip(mixes, counts):
+        net_stats.add(mix, count, hop_wait)
+        if request_matrix is not None:
+            # Fig. 10 scope: router-destined request packets only,
+            # matching the packet engine's measured traffic matrix.
+            for route, frac in mix.members:
+                route_count = count * frac
+                for src, dst, share, req_b, _resp in route.flows:
+                    if isinstance(dst, int):
+                        request_matrix.add(
+                            src, dst, route_count * share, route_count * req_b
+                        )
     return window
 
 
@@ -856,7 +916,8 @@ def _estimate_host(
         mix = model.mix(model.cpu_cluster, kind, size)
         net_stats.add(mix, count, 0.0)
         if energy_loads is not None:
-            _add_loads(energy_loads, mix, count)
+            for ch, load_bytes in zip(mix.channels, mix.loads):
+                energy_loads[ch] = energy_loads.get(ch, 0.0) + count * load_bytes
         return mix.fixed_ps
 
     total = 0.0

@@ -153,10 +153,6 @@ class PageTable:
         return base
 
     # ------------------------------------------------------------------
-    def cluster_of_vaddr(self, vaddr: int) -> int:
-        self.translate(vaddr)
-        return self._page_cluster[vaddr // self.page_bytes]
-
     @property
     def num_pages(self) -> int:
         return len(self._table)

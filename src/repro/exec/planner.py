@@ -5,7 +5,8 @@ lands last: FIFO submission of (say) eight jobs on two workers can leave
 one worker idle while the other grinds the sweep's slowest point that
 happened to be declared last.  Submitting cache misses in
 longest-predicted-first (LPT) order is the classic fix — and this repo
-already owns a ~0.33 ms cost oracle, the analytic fidelity tier.
+already owns a cheap cost oracle, the analytic fidelity tier (per-row
+cost in docs/performance.md, "Analytic tier").
 
 Two cooperating pieces:
 

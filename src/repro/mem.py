@@ -57,11 +57,6 @@ class DecodedAddress:
             f"bank={self.bank!r}, row={self.row!r})"
         )
 
-    @property
-    def hmc_index(self) -> int:
-        """Index of the HMC within its cluster."""
-        return self.local_hmc
-
 
 _access_ids = itertools.count()
 

@@ -123,10 +123,6 @@ class Simulator:
         """High-water mark of the pending-event heap over the sim's life."""
         return self._peak_pending
 
-    def peek_time(self) -> Optional[int]:
-        """Timestamp of the next pending event, or None if idle."""
-        return self._queue[0][0] if self._queue else None
-
 
 class Barrier:
     """Counts down ``count`` arrivals, then fires a completion callback.

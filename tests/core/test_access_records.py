@@ -131,9 +131,6 @@ class TestDecodedAddress:
             "DecodedAddress(cluster=1, local_hmc=2, vault=3, bank=4, row=5)"
         )
 
-    def test_hmc_index_is_local_hmc(self):
-        assert DecodedAddress(1, 2, 3, 4, 5).hmc_index == 2
-
 
 class TestIdSequences:
     def test_aid_advances_by_one_per_access(self):

@@ -141,7 +141,3 @@ class TestBookkeeping:
         # A fresh allocation may land elsewhere but must succeed.
         table.translate(0)
         assert table.num_pages == 1
-
-    def test_cluster_of_vaddr(self):
-        table = make_table("local", clusters=[3])
-        assert table.cluster_of_vaddr(12345) == 3

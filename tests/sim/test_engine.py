@@ -116,11 +116,6 @@ class TestRunLimits:
         sim.run()
         assert sim.events_executed == 2
 
-    def test_peek_time(self, sim):
-        assert sim.peek_time() is None
-        sim.at(42, lambda: None)
-        assert sim.peek_time() == 42
-
 
 class TestBarrier:
     def test_fires_after_count_arrivals(self):
